@@ -67,7 +67,12 @@ def eigenfunction(k: int, t: float, x, domain: DomainMotion):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > a * (1 + 1e-12)):
         raise ValueError(f"x outside [0, {a}] at t={t}")
-    return np.sqrt(2.0 / a) * np.sin(k * np.pi * x / a)[()]
+    return sine_modes(k, x, a)
+
+
+def sine_modes(ks, x, a, scale=1.0):
+    """scale sqrt(2/a) sin(k pi x / a), broadcast over mode indices ks and points x."""
+    return scale * np.sqrt(2.0 / a) * np.sin(ks * np.pi * x / a)
 
 
 def coupling(j: int, k: int, t: float, domain: DomainMotion) -> float:
@@ -140,8 +145,7 @@ def _project_composite(u0, n: int, a0: float, panels: int) -> np.ndarray:
     xs, ws = composite_gauss_nodes(0.0, a0, panels, _PROJECTION_NODES)
     fx = np.asarray(u0(xs), dtype=float)
     ks = np.arange(1, n + 1, dtype=float)[:, None]
-    modes = np.sqrt(2.0 / a0) * np.sin(ks * np.pi * xs[None, :] / a0)
-    return modes @ (ws * fx)
+    return sine_modes(ks, xs[None, :], a0) @ (ws * fx)
 
 
 @lru_cache(maxsize=64)
@@ -165,8 +169,7 @@ def evaluate(state: CoefficientState, xs, domain: DomainMotion) -> np.ndarray:
     a = domain.a_at(state.t)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ks = np.arange(1, state.n + 1, dtype=float)[:, None]
-    modes = np.sqrt(2.0 / a) * np.sin(ks * np.pi * xs[None, :] / a)
-    return state.coeffs @ modes
+    return state.coeffs @ sine_modes(ks, xs[None, :], a)
 
 
 def synthesize(state: CoefficientState, grid_size: int, domain: DomainMotion) -> FieldSnapshot:

@@ -25,28 +25,18 @@ from .config import parse_run
 from .errors import ConfigError, NumericalError
 from .integrator import simulate, simulate_ensemble
 
-COMMANDS = (
-    "simulate",
-    "ensemble",
-    "converge",
-    "energy-check",
-    "oracle-compare",
-    "coupling-dump",
-)
 
+def write_csv(path: Path, header, columns) -> None:
+    """Write whole columns as CSV rows; no header line when ``header`` is None.
 
-def fmt(x) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(x))
-
-
-def write_csv(path: Path, header, rows) -> None:
+    Each column goes through ``tolist()``, so every cell is printed as ``str``
+    of a Python value: floats as their shortest round-trip repr, ints as ints.
+    """
+    cols = [np.asarray(col).tolist() for col in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
-            fh.write("\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
 
 
 def _version_string() -> str:
@@ -65,191 +55,133 @@ def _version_string() -> str:
     return f"v{__version__}"
 
 
-def _write_manifest(out_dir: Path, command: str, setup, outputs, started, extra=None):
-    manifest = {
-        "command": command,
-        "version": _version_string(),
-        "seed": setup.config.seed,
-        "config_text": setup.text,
-        "outputs": sorted(outputs),
-        "duration_s": time.monotonic() - started,
-    }
-    if extra:
-        manifest.update(extra)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _resolve_out(args) -> Path:
-    out = os.environ.get("MOVINGHEAT_OUT") or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _trajectory_rows(traj):
-    for i in range(len(traj.times)):
-        row = [
-            str(int(traj.steps[i])),
-            fmt(traj.times[i]),
-            fmt(traj.config.domain.a_at(traj.times[i])),
-            fmt(traj.l2_sq[i]),
-            fmt(traj.h1_sq[i]),
-        ]
-        row.extend(fmt(c) for c in traj.coeffs[i])
-        yield row
-
-
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    setup = parse_run(args.config)
-    out_dir = _resolve_out(args)
-    traj = simulate(setup.config, setup.u0)
-
-    n = setup.config.n
-    header = ["step", "t", "a_t", "l2_sq", "h1_sq"] + [f"A_{k}" for k in range(1, n + 1)]
-    write_csv(out_dir / "trajectory.csv", header, _trajectory_rows(traj))
-
-    rows = []
-    for i in range(len(traj.times)):
-        snap = basis.synthesize(traj.state_at(i), setup.config.grid_size, setup.config.domain)
-        rows.extend((fmt(snap.t), fmt(x), fmt(u)) for x, u in zip(snap.xs, snap.values))
-    write_csv(out_dir / "fields.csv", ["t", "x", "u"], rows)
-
-    _write_manifest(out_dir, "simulate", setup, ["trajectory.csv", "fields.csv"], started)
-    return 0
-
-
-def cmd_ensemble(args) -> int:
-    started = time.monotonic()
-    setup = parse_run(args.config)
-    out_dir = _resolve_out(args)
-    summary = simulate_ensemble(setup.config, setup.u0, workers=args.workers)
-
-    rows = (
-        (
-            fmt(summary.times[i]),
-            fmt(summary.a_t[i]),
-            fmt(summary.mean_l2_sq[i]),
-            fmt(summary.se_l2_sq[i]),
-            fmt(summary.mean_h1_sq[i]),
-            fmt(summary.se_h1_sq[i]),
-        )
-        for i in range(len(summary.times))
-    )
+def cmd_simulate(args, setup, trajectory_csv, fields_csv):
+    cfg = setup.config
+    traj = simulate(cfg, setup.u0)
+    a_t = [cfg.domain.a_at(t) for t in traj.times]
     write_csv(
-        out_dir / "ensemble.csv",
+        trajectory_csv,
+        ["step", "t", "a_t", "l2_sq", "h1_sq"] + [f"A_{k}" for k in range(1, cfg.n + 1)],
+        [traj.steps, traj.times, a_t, traj.l2_sq, traj.h1_sq, *traj.coeffs.T],
+    )
+    snaps = [basis.synthesize(traj.state_at(i), cfg.grid_size, cfg.domain)
+             for i in range(len(traj.times))]
+    write_csv(fields_csv, ["t", "x", "u"], [
+        np.repeat([s.t for s in snaps], cfg.grid_size),
+        np.concatenate([s.xs for s in snaps]),
+        np.concatenate([s.values for s in snaps]),
+    ])
+
+
+def cmd_ensemble(args, setup, ensemble_csv, moments_csv):
+    summary = simulate_ensemble(setup.config, setup.u0, workers=args.workers)
+    write_csv(
+        ensemble_csv,
         ["t", "a_t", "mean_l2_sq", "se_l2_sq", "mean_h1_sq", "se_h1_sq"],
-        rows,
+        [summary.times, summary.a_t, summary.mean_l2_sq, summary.se_l2_sq,
+         summary.mean_h1_sq, summary.se_h1_sq],
     )
-
-    if summary.n_paths >= 2:
-        report = diagnostics.moment_report(summary)
-        moment_rows = [(name, fmt(val), fmt(se)) for name, val, se in report.rows()]
-        balance, balance_se = diagnostics.mean_energy_balance(summary)
-        moment_rows.append(("final_l2_sq", fmt(np.mean(summary.final_l2_sq)),
-                            fmt(np.std(summary.final_l2_sq, ddof=1) / np.sqrt(summary.n_paths))))
-        moment_rows.append(("energy_balance", fmt(balance), fmt(balance_se)))
+    final, n_paths = summary.final_l2_sq, summary.n_paths
+    if n_paths >= 2:
+        rows = diagnostics.moment_report(summary).rows()
+        rows.append(("final_l2_sq", np.mean(final), np.std(final, ddof=1) / np.sqrt(n_paths)))
+        rows.append(("energy_balance", *diagnostics.mean_energy_balance(summary)))
     else:
-        moment_rows = [
-            ("sup_l2_sq", fmt(summary.sup_l2_sq[0]), fmt(0.0)),
-            ("y_norm_sq", fmt(summary.y_norm_sq[0]), fmt(0.0)),
-            ("final_l2_sq", fmt(summary.final_l2_sq[0]), fmt(0.0)),
+        rows = [
+            ("sup_l2_sq", summary.sup_l2_sq[0], 0.0),
+            ("y_norm_sq", summary.y_norm_sq[0], 0.0),
+            ("final_l2_sq", final[0], 0.0),
         ]
-    write_csv(out_dir / "moments.csv", ["stat", "value", "stderr"], moment_rows)
-
-    _write_manifest(
-        out_dir, "ensemble", setup, ["ensemble.csv", "moments.csv"], started,
-        extra={"workers": args.workers, "n_paths": summary.n_paths},
-    )
-    return 0
+    write_csv(moments_csv, ["stat", "value", "stderr"], zip(*rows))
+    return {"workers": args.workers, "n_paths": n_paths}
 
 
-def cmd_converge(args) -> int:
-    started = time.monotonic()
-    setup = parse_run(args.config)
-    out_dir = _resolve_out(args)
+def cmd_converge(args, setup, converge_csv):
     try:
         levels = [int(tok) for tok in args.levels.split(",")]
     except ValueError:
         raise ConfigError(f"--levels must be comma-separated integers, got {args.levels!r}")
     rows = diagnostics.self_convergence_study(setup.config, setup.u0, levels, args.seeds)
+    write_csv(converge_csv, ["seed", "n", "D_x", "D_y"],
+              zip(*((r.seed, r.n, r.d_x, r.d_y) for r in rows)))
+    return {"levels": levels, "seeds": args.seeds}
+
+
+def cmd_energy_check(args, setup, energy_csv):
+    traj = simulate(setup.config, setup.u0)
     write_csv(
-        out_dir / "converge.csv",
-        ["seed", "n", "D_x", "D_y"],
-        ((str(r.seed), str(r.n), fmt(r.d_x), fmt(r.d_y)) for r in rows),
+        energy_csv,
+        ["t", "l2_sq", "visc", "sto", "hs", "residual"],
+        [traj.times, traj.l2_sq, traj.visc, traj.sto, traj.hs,
+         diagnostics.energy_residuals(traj)],
     )
-    _write_manifest(
-        out_dir, "converge", setup, ["converge.csv"], started,
-        extra={"levels": levels, "seeds": args.seeds},
-    )
-    return 0
 
 
-def cmd_energy_check(args) -> int:
-    started = time.monotonic()
-    setup = parse_run(args.config)
-    out_dir = _resolve_out(args)
-    traj = simulate(setup.config, setup.u0)
-    residuals = diagnostics.energy_residuals(traj)
-    rows = (
-        (
-            fmt(traj.times[i]),
-            fmt(traj.l2_sq[i]),
-            fmt(traj.visc[i]),
-            fmt(traj.sto[i]),
-            fmt(traj.hs[i]),
-            fmt(residuals[i]),
-        )
-        for i in range(len(traj.times))
-    )
-    write_csv(out_dir / "energy.csv", ["t", "l2_sq", "visc", "sto", "hs", "residual"], rows)
-    _write_manifest(out_dir, "energy-check", setup, ["energy.csv"], started)
-    return 0
-
-
-def cmd_oracle_compare(args) -> int:
-    started = time.monotonic()
-    setup = parse_run(args.config)
-    if setup.config.model.kind != "zero":
+def cmd_oracle_compare(args, setup, oracle_csv):
+    cfg = setup.config
+    if cfg.model.kind != "zero":
         raise ConfigError("oracle-compare is deterministic-only; set [noise] kind = zero")
-    out_dir = _resolve_out(args)
-    traj = simulate(setup.config, setup.u0)
-    dt_fd = args.fd_dt if args.fd_dt is not None else setup.config.dt
-    sol = oracle.fd_solve(
-        setup.config.domain,
-        setup.u0,
-        args.fd_m,
-        dt_fd,
-        setup.config.t_end,
-        save_stride=max(1, round(setup.config.snapshot_stride * setup.config.dt / dt_fd)),
-    )
-    rows = []
-    for t in traj.times:
-        try:
-            disc = oracle.compare_with_spectral(traj, sol, float(t))
-        except ValueError:
-            continue  # FD grid did not save this time
-        rows.append((fmt(t), fmt(disc)))
-    write_csv(out_dir / "oracle.csv", ["t", "discrepancy_l2"], rows)
-    _write_manifest(
-        out_dir, "oracle-compare", setup, ["oracle.csv"], started,
-        extra={"fd_m": args.fd_m, "fd_dt": dt_fd},
-    )
-    return 0
+    traj = simulate(cfg, setup.u0)
+    dt_fd = args.fd_dt if args.fd_dt is not None else cfg.dt
+    stride = max(1, round(cfg.snapshot_stride * cfg.dt / dt_fd))
+    sol = oracle.fd_solve(cfg.domain, setup.u0, args.fd_m, dt_fd, cfg.t_end, save_stride=stride)
+    # a spectral save time missing from the FD save grid raises ValueError: exit 1
+    disc = [oracle.compare_with_spectral(traj, sol, float(t)) for t in traj.times]
+    write_csv(oracle_csv, ["t", "discrepancy_l2"], [traj.times, disc])
+    return {"fd_m": args.fd_m, "fd_dt": dt_fd}
 
 
-def cmd_coupling_dump(args) -> int:
+def cmd_coupling_dump(args, setup, coupling_csv):
+    b = basis.coupling_matrix(args.n, args.t, setup.config.domain)
+    write_csv(coupling_csv, None, b.T)
+    return {"n": args.n, "t": args.t}
+
+
+# name -> (handler, help, output files, extra arguments as (flag, add_argument kwargs))
+COMMANDS = {
+    "simulate": (cmd_simulate, "single path: trajectory + field snapshots",
+                 ("trajectory.csv", "fields.csv"), ()),
+    "ensemble": (cmd_ensemble, "Monte Carlo ensemble statistics",
+                 ("ensemble.csv", "moments.csv"),
+                 (("--workers", dict(type=int, default=1, help="worker processes for paths")),)),
+    "converge": (cmd_converge, "self-convergence study over truncation levels",
+                 ("converge.csv",),
+                 (("--levels", dict(default="8,16,32", help="comma-separated doubling levels")),
+                  ("--seeds", dict(type=int, default=10, help="number of seeds")))),
+    "energy-check": (cmd_energy_check, "energy-identity ledger along one path",
+                     ("energy.csv",), ()),
+    "oracle-compare": (cmd_oracle_compare, "spectral vs mapped finite differences",
+                       ("oracle.csv",),
+                       (("--fd-m", dict(type=int, default=512, help="FD grid intervals")),
+                        ("--fd-dt", dict(type=float, default=None,
+                                         help="FD time step (default: sim dt)")))),
+    "coupling-dump": (cmd_coupling_dump, "dump the n x n coupling matrix at time t",
+                      ("coupling.csv",),
+                      (("--n", dict(type=int, required=True)),
+                       ("--t", dict(type=float, default=0.0)))),
+}
+
+
+def run_command(args) -> int:
+    """Parse the config, run one command into the output directory, write the manifest."""
     started = time.monotonic()
     setup = parse_run(args.config)
-    out_dir = _resolve_out(args)
-    b = basis.coupling_matrix(args.n, args.t, setup.config.domain)
-    write_csv(out_dir / "coupling.csv", None, ([fmt(v) for v in row] for row in b))
-    _write_manifest(
-        out_dir, "coupling-dump", setup, ["coupling.csv"], started,
-        extra={"n": args.n, "t": args.t},
-    )
+    handler, _, outputs, _ = COMMANDS[args.command]
+    out_dir = Path(os.environ.get("MOVINGHEAT_OUT") or args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    extra = handler(args, setup, *(out_dir / name for name in outputs))
+    manifest = {
+        "command": args.command,
+        "version": _version_string(),
+        "seed": setup.config.seed,
+        "config_text": setup.text,
+        "outputs": sorted(outputs),
+        "duration_s": time.monotonic() - started,
+        **(extra or {}),
+    }
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
@@ -259,50 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral solver for the stochastic heat equation on a moving interval",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text, _, extra_args) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default=".", help="output directory (MOVINGHEAT_OUT overrides)")
-
-    p = sub.add_parser("simulate", help="single path: trajectory + field snapshots")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("ensemble", help="Monte Carlo ensemble statistics")
-    common(p)
-    p.add_argument("--workers", type=int, default=1, help="worker processes for paths")
-    p.set_defaults(func=cmd_ensemble)
-
-    p = sub.add_parser("converge", help="self-convergence study over truncation levels")
-    common(p)
-    p.add_argument("--levels", default="8,16,32", help="comma-separated doubling levels")
-    p.add_argument("--seeds", type=int, default=10, help="number of seeds")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("energy-check", help="energy-identity ledger along one path")
-    common(p)
-    p.set_defaults(func=cmd_energy_check)
-
-    p = sub.add_parser("oracle-compare", help="spectral vs mapped finite differences")
-    common(p)
-    p.add_argument("--fd-m", type=int, default=512, help="FD grid intervals")
-    p.add_argument("--fd-dt", type=float, default=None, help="FD time step (default: sim dt)")
-    p.set_defaults(func=cmd_oracle_compare)
-
-    p = sub.add_parser("coupling-dump", help="dump the n x n coupling matrix at time t")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.set_defaults(func=cmd_coupling_dump)
-
+        for flag, kwargs in extra_args:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run_command(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ Sections and keys:
     [noise]   kind gamma beta p m lipschitz_k matrix_path
     [init]    kind mode amplitude amplitudes scale
     [sim]     n scheme dt t_end seed n_paths
-    [output]  grid_size snapshot_stride out_dir
+    [output]  grid_size snapshot_stride
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import noise as noise_mod
-from .domain import make_domain
+from .domain import FAMILIES, make_domain
 from .errors import ConfigError
 from .integrator import ModeInitial, ModesInitial, ParabolaInitial, SimulationConfig
 
@@ -31,25 +31,16 @@ _SCHEMA = {
     "noise": {"kind", "gamma", "beta", "p", "m", "lipschitz_k", "matrix_path"},
     "init": {"kind", "mode", "amplitude", "amplitudes", "scale"},
     "sim": {"n", "scheme", "dt", "t_end", "seed", "n_paths"},
-    "output": {"grid_size", "snapshot_stride", "out_dir"},
-}
-
-_DOMAIN_KEYS = {
-    "constant": {"a0"},
-    "linear": {"a0", "slope"},
-    "sinusoidal": {"a0", "amp", "omega"},
-    "exponential": {"a0", "slope"},
-    "table": {"table_path"},
+    "output": {"grid_size", "snapshot_stride"},
 }
 
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything the CLI needs: validated config, initial data, output dir."""
+    """Everything the CLI needs: validated config and initial data."""
 
     config: SimulationConfig
     u0: object
-    out_dir: str
     text: str  # canonical resolved config, reproduces this setup when re-parsed
 
 
@@ -73,13 +64,12 @@ def parse_run_text(text: str, base_dir: Path | None = None) -> RunSetup:
 
     dom = sections.get("domain", {})
     kind = _require(dom, "kind", "domain")
-    if kind not in _DOMAIN_KEYS:
-        raise ConfigError(
-            f"[domain] kind must be one of {sorted(_DOMAIN_KEYS)}, got {kind!r}"
-        )
+    if kind not in FAMILIES:
+        raise ConfigError(f"[domain] kind must be one of {sorted(FAMILIES)}, got {kind!r}")
     horizon = _get_float(dom, "T", "domain", required=True)
     params_present = set(dom) - {"kind", "T"}
-    expected = _DOMAIN_KEYS[kind]
+    # a table domain reads its knots from the file named by table_path
+    expected = {"table_path"} if kind == "table" else FAMILIES[kind][0]
     if params_present != expected:
         raise ConfigError(
             f"[domain] kind={kind} takes keys {sorted(expected)}, got {sorted(params_present)}"
@@ -109,7 +99,6 @@ def parse_run_text(text: str, base_dir: Path | None = None) -> RunSetup:
     out = sections.get("output", {})
     grid_size = _get_int(out, "grid_size", "output", default=129)
     snapshot_stride = _get_int(out, "snapshot_stride", "output", default=1)
-    out_dir = out.get("out_dir", ".")
 
     config = SimulationConfig(
         domain=domain,
@@ -131,11 +120,10 @@ def parse_run_text(text: str, base_dir: Path | None = None) -> RunSetup:
         "sim": {"n": n, "scheme": scheme, "dt": dt, "t_end": t_end,
                 "seed": seed, "n_paths": n_paths},
         "noise": {"kind": noise_kind},
-        "output": {"grid_size": grid_size, "snapshot_stride": snapshot_stride,
-                   "out_dir": out_dir},
+        "output": {"grid_size": grid_size, "snapshot_stride": snapshot_stride},
         "init": {"kind": init.get("kind", "mode")},
     })
-    return RunSetup(config, u0, out_dir, canonical)
+    return RunSetup(config, u0, canonical)
 
 
 def _split_sections(text: str) -> dict[str, dict[str, str]]:

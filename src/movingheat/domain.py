@@ -14,7 +14,26 @@ from typing import Mapping
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-FAMILIES = ("constant", "linear", "sinusoidal", "exponential", "table")
+# family -> (parameter names, a(t), a'(t)); each function takes the motion and t
+FAMILIES = {
+    "constant": ({"a0"}, lambda m, t: m.params["a0"] + 0.0 * t, lambda m, t: 0.0 * t),
+    "linear": (
+        {"a0", "slope"},
+        lambda m, t: m.params["a0"] + m.params["slope"] * t,
+        lambda m, t: m.params["slope"] + 0.0 * t,
+    ),
+    "sinusoidal": (
+        {"a0", "amp", "omega"},
+        lambda m, t: m.params["a0"] + m.params["amp"] * np.sin(m.params["omega"] * t),
+        lambda m, t: m.params["amp"] * m.params["omega"] * np.cos(m.params["omega"] * t),
+    ),
+    "exponential": (
+        {"a0", "slope"},
+        lambda m, t: m.params["a0"] * np.exp(m.params["slope"] * t),
+        lambda m, t: m.params["slope"] * m.params["a0"] * np.exp(m.params["slope"] * t),
+    ),
+    "table": ({"t", "a"}, lambda m, t: m._spline(t)[()], lambda m, t: m._spline(t, 1)[()]),
+}
 
 _N_SAMPLE = 1000
 _MARGIN = 0.01
@@ -40,31 +59,11 @@ class DomainMotion:
 
     def a_at(self, t):
         """Boundary position a(t); accepts scalars or arrays."""
-        t = self._check_time(t)
-        p = self.params
-        if self.kind == "constant":
-            return np.full_like(t, p["a0"])[()] if np.ndim(t) else p["a0"]
-        if self.kind == "linear":
-            return p["a0"] + p["slope"] * t
-        if self.kind == "sinusoidal":
-            return p["a0"] + p["amp"] * np.sin(p["omega"] * t)
-        if self.kind == "exponential":
-            return p["a0"] * np.exp(p["slope"] * t)
-        return self._spline(t)[()]
+        return FAMILIES[self.kind][1](self, self._check_time(t))
 
     def a_prime_at(self, t):
         """Boundary velocity a'(t); accepts scalars or arrays."""
-        t = self._check_time(t)
-        p = self.params
-        if self.kind == "constant":
-            return np.zeros_like(t)[()] if np.ndim(t) else 0.0
-        if self.kind == "linear":
-            return p["slope"] + 0.0 * t
-        if self.kind == "sinusoidal":
-            return p["amp"] * p["omega"] * np.cos(p["omega"] * t)
-        if self.kind == "exponential":
-            return p["slope"] * p["a0"] * np.exp(p["slope"] * t)
-        return self._spline(t, 1)[()]
+        return FAMILIES[self.kind][2](self, self._check_time(t))
 
     def _check_time(self, t):
         slack = _T_SLACK * max(1.0, self.horizon)
@@ -83,15 +82,6 @@ class DomainMotion:
         return np.clip(t, 0.0, self.horizon)
 
 
-_FAMILY_PARAMS = {
-    "constant": {"a0"},
-    "linear": {"a0", "slope"},
-    "sinusoidal": {"a0", "amp", "omega"},
-    "exponential": {"a0", "slope"},
-    "table": {"t", "a"},
-}
-
-
 def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
     """Build and validate a boundary motion.
 
@@ -102,10 +92,10 @@ def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
     sampled minimum of a is not strictly positive.
     """
     if kind not in FAMILIES:
-        raise ValueError(f"unknown domain kind {kind!r}; expected one of {FAMILIES}")
+        raise ValueError(f"unknown domain kind {kind!r}; expected one of {tuple(FAMILIES)}")
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    expected = _FAMILY_PARAMS[kind]
+    expected = FAMILIES[kind][0]
     got = set(params)
     if got != expected:
         raise ValueError(

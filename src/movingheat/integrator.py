@@ -26,6 +26,11 @@ SCHEMES = ("explicit_em", "exponential_em")
 STABILITY_FACTOR = 1.9
 
 
+def saved_steps(n_steps: int, stride: int) -> np.ndarray:
+    """Indices of the saved steps: every stride-th step, plus the last."""
+    return np.unique(np.r_[np.arange(0, n_steps + 1, stride), n_steps])
+
+
 def explicit_dt_bound(domain: DomainMotion, n: int) -> float:
     """Step-size guard for explicit_em: dt <= 1.9 (delta0 / (n pi))^2."""
     return STABILITY_FACTOR * (domain.delta0 / (n * np.pi)) ** 2
@@ -182,17 +187,14 @@ def simulate(
         state = basis.project_initial(u0, config.n, config.domain)
 
     n_steps = config.n_steps
-    stride = config.snapshot_stride
-    saved_steps = list(range(0, n_steps + 1, stride))
-    if saved_steps[-1] != n_steps:
-        saved_steps.append(n_steps)
-    save_set = set(saved_steps)
+    steps = saved_steps(n_steps, config.snapshot_stride)
+    save_set = set(steps.tolist())
 
     ledger = EnergyLedger(e0=basis.l2_norm_sq(state))
     stream = NoiseStream(config.seed, path_index)
     m, dt, model, domain = config.model.m, config.dt, config.model, config.domain
 
-    n_saved = len(saved_steps)
+    n_saved = len(steps)
     times = np.empty(n_saved)
     coeffs = np.empty((n_saved, config.n))
     l2 = np.empty(n_saved)
@@ -203,7 +205,7 @@ def simulate(
 
     row = 0
 
-    def save(i: int, st: CoefficientState):
+    def save(st: CoefficientState):
         nonlocal row
         times[row] = st.t
         coeffs[row] = st.coeffs
@@ -214,7 +216,7 @@ def simulate(
         hs[row] = ledger.hs
         row += 1
 
-    save(0, state)
+    save(state)
     for i in range(n_steps):
         if model.kind == "zero":
             kick = np.zeros(config.n)
@@ -232,11 +234,9 @@ def simulate(
             raise NumericalError(f"step {i + 1}: {exc}") from None
         state = CoefficientState((i + 1) * dt, state.coeffs)
         if i + 1 in save_set:
-            save(i + 1, state)
+            save(state)
 
-    return Trajectory(
-        times, coeffs, l2, h1, visc, sto, hs, ledger.e0, np.array(saved_steps), config
-    )
+    return Trajectory(times, coeffs, l2, h1, visc, sto, hs, ledger.e0, steps, config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,22 +260,11 @@ class EnsembleSummary:
     config: SimulationConfig
 
 
-def _path_summary(args):
+def _path_series(args) -> np.ndarray:
+    """The (5, saved) series l2, h1, visc, sto, hs of one path."""
     config, u0, p = args
     traj = simulate(config, u0, path_index=p)
-    return (
-        p,
-        traj.l2_sq,
-        traj.h1_sq,
-        float(np.max(traj.l2_sq)),
-        float(np.trapezoid(traj.h1_sq, traj.times)),
-        float(traj.l2_sq[-1]),
-        float(traj.visc[-1]),
-        float(traj.sto[-1]),
-        float(traj.hs[-1]),
-        traj.times,
-        traj.e0,
-    )
+    return np.stack([traj.l2_sq, traj.h1_sq, traj.visc, traj.sto, traj.hs])
 
 
 def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> EnsembleSummary:
@@ -289,44 +278,33 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
     jobs = [(config, u0, p) for p in range(n_paths)]
     if workers > 1 and n_paths > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_path_summary, jobs, chunksize=max(1, n_paths // (4 * workers))))
+            chunk = max(1, n_paths // (4 * workers))
+            series = list(pool.map(_path_series, jobs, chunksize=chunk))  # in path order
     else:
-        results = [_path_summary(j) for j in jobs]
+        series = [_path_series(j) for j in jobs]
+    l2, h1, visc, sto, hs = np.stack(series, axis=1)  # each (n_paths, saved)
 
-    results.sort(key=lambda r: r[0])
-    times = results[0][9]
-    e0 = results[0][10]
-    l2_series = np.stack([r[1] for r in results])
-    h1_series = np.stack([r[2] for r in results])
-    sup = np.array([r[3] for r in results])
-    ysq = np.array([r[4] for r in results])
-    fin_l2 = np.array([r[5] for r in results])
-    fin_visc = np.array([r[6] for r in results])
-    fin_sto = np.array([r[7] for r in results])
-    fin_hs = np.array([r[8] for r in results])
-
+    times = saved_steps(config.n_steps, config.snapshot_stride) * config.dt
     if n_paths > 1:
-        se_l2 = np.std(l2_series, axis=0, ddof=1) / math.sqrt(n_paths)
-        se_h1 = np.std(h1_series, axis=0, ddof=1) / math.sqrt(n_paths)
+        se_l2 = np.std(l2, axis=0, ddof=1) / math.sqrt(n_paths)
+        se_h1 = np.std(h1, axis=0, ddof=1) / math.sqrt(n_paths)
     else:
-        se_l2 = np.zeros_like(times)
-        se_h1 = np.zeros_like(times)
+        se_l2 = se_h1 = np.zeros_like(times)
 
-    a_t = np.asarray(config.domain.a_at(times), dtype=float)
     return EnsembleSummary(
         times=times,
-        a_t=a_t,
-        mean_l2_sq=np.mean(l2_series, axis=0),
+        a_t=np.asarray(config.domain.a_at(times), dtype=float),
+        mean_l2_sq=np.mean(l2, axis=0),
         se_l2_sq=se_l2,
-        mean_h1_sq=np.mean(h1_series, axis=0),
+        mean_h1_sq=np.mean(h1, axis=0),
         se_h1_sq=se_h1,
-        sup_l2_sq=sup,
-        y_norm_sq=ysq,
-        final_l2_sq=fin_l2,
-        final_visc=fin_visc,
-        final_sto=fin_sto,
-        final_hs=fin_hs,
-        e0=e0,
+        sup_l2_sq=np.max(l2, axis=1),
+        y_norm_sq=np.trapezoid(h1, times, axis=1),
+        final_l2_sq=l2[:, -1],
+        final_visc=visc[:, -1],
+        final_sto=sto[:, -1],
+        final_hs=hs[:, -1],
+        e0=float(l2[0, 0]),  # every path starts from the same projected state
         n_paths=n_paths,
         config=config,
     )
@@ -341,9 +319,7 @@ class ModeInitial:
     a0: float = 1.0
 
     def __call__(self, x):
-        return self.amplitude * np.sqrt(2.0 / self.a0) * np.sin(
-            self.mode * np.pi * np.asarray(x, dtype=float) / self.a0
-        )
+        return basis.sine_modes(self.mode, np.asarray(x, dtype=float), self.a0, self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -356,10 +332,9 @@ class ModesInitial:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        root = np.sqrt(2.0 / self.a0)
         for k, c in enumerate(self.amplitudes, start=1):
             if c:
-                out = out + c * root * np.sin(k * np.pi * x / self.a0)
+                out = out + basis.sine_modes(k, x, self.a0, c)
         return out
 
 

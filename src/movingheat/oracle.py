@@ -20,6 +20,7 @@ from scipy.linalg import solve_banded
 from . import basis
 from .domain import DomainMotion
 from .errors import NumericalError
+from .integrator import saved_steps
 
 _PIVOT_FLOOR = 1e-14
 
@@ -36,7 +37,7 @@ class MappedGridSolution:
     domain: DomainMotion
 
     def values_at(self, t: float) -> np.ndarray:
-        idx = _time_index(self.times, t)
+        idx = _time_index(self.times, t, "finite-difference")
         return self.v[idx]
 
 
@@ -64,20 +65,16 @@ def fd_solve(
     v[0] = 0.0
     v[-1] = 0.0
 
-    saved_steps = list(range(0, n_steps + 1, save_stride))
-    if saved_steps[-1] != n_steps:
-        saved_steps.append(n_steps)
-    save_set = set(saved_steps)
-    out = np.empty((len(saved_steps), M + 1))
-    times = np.empty(len(saved_steps))
+    steps = saved_steps(n_steps, save_stride)
+    save_set = set(steps.tolist())
+    out = np.empty((len(steps), M + 1))
+    times = np.empty(len(steps))
     l2_hist = np.empty(n_steps + 1)
     step_times = np.arange(n_steps + 1) * dt_fd
 
-    row = 0
-    if 0 in save_set:
-        out[row] = v
-        times[row] = 0.0
-        row += 1
+    out[0] = v
+    times[0] = 0.0
+    row = 1
     l2_hist[0] = _mapped_l2(v, ys, a0)
 
     interior = ys[1:-1]
@@ -141,7 +138,7 @@ def compare_with_spectral(traj, sol: MappedGridSolution, t: float) -> float:
     The spectral field is synthesized at the mapped points x = a_t y_i and
     the squared difference integrated with the trapezoid rule.
     """
-    ti = _time_index(traj.times, t)
+    ti = _time_index(traj.times, t, "spectral")
     v = sol.values_at(t)
     a_t = traj.config.domain.a_at(t)
     xs = a_t * sol.ys
@@ -152,8 +149,8 @@ def compare_with_spectral(traj, sol: MappedGridSolution, t: float) -> float:
     return float(np.sqrt(np.trapezoid((u_spec - v) ** 2, xs)))
 
 
-def _time_index(times: np.ndarray, t: float) -> int:
+def _time_index(times: np.ndarray, t: float, grid: str) -> int:
     idx = int(np.argmin(np.abs(times - t)))
     if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} not among saved times")
+        raise ValueError(f"time {t} not among the {grid} saved times")
     return idx

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from movingheat.cli import main
+from movingheat.cli import main, write_csv
 
 STOCHASTIC_CFG = """
 [domain]
@@ -171,6 +171,18 @@ class TestOracleCompare:
         assert run("oracle-compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
         assert "deterministic-only" in capsys.readouterr().err
 
+    def test_misaligned_fd_grid_is_one(self, tmp_path, capsys):
+        # FD stride round(0.05 / dt_fd) = 123 saves t = 123 dt_fd, not the spectral t = 0.05
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(DETERMINISTIC_CFG.replace("t_end = 0.1", "t_end = 0.5"), encoding="utf-8")
+        out = tmp_path / "oc"
+        assert run("oracle-compare", "--config", cfg, "--out", out, "--fd-m", 128,
+                   "--fd-dt", repr(0.5 / 1234)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite-difference" in err
+        assert not (out / "oracle.csv").exists()
+
 
 class TestCouplingDump:
     def test_skew_symmetric_dump(self, tmp_path, cfg_path):
@@ -208,3 +220,63 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "simulate", boom)
         assert run("simulate", "--config", cfg_path, "--out", tmp_path / "y") == 2
+
+
+class TestOutputDirKey:
+    def test_out_dir_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "od.cfg"
+        cfg.write_text(STOCHASTIC_CFG + "out_dir = .\n", encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'out_dir'" in err
+
+
+class TestWriteCsv:
+    def test_cells_print_as_python_values(self, tmp_path):
+        floats = [-0.0, 5e-324, 1e16, 0.1 + 0.2, np.float64(2.0 / 3.0)]
+        ints = [np.int64(-3), 0, 7, np.int64(2**40), 12]
+        strs = ["a", "b_c", "x", "y", "z"]
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["f", "i", "s"], [floats, np.array(ints), strs])
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "f,i,s"
+        assert lines[-1] == ""
+        for line, f, i, s in zip(lines[1:-1], floats, ints, strs):
+            assert line == f"{float(f)!r},{int(i)},{s}"
+        assert lines[1:3] == ["-0.0,-3,a", "5e-324,0,b_c"]
+        assert lines[3].startswith("1e+16,") and lines[4].startswith("0.30000000000000004,")
+
+    def test_headerless_matrix(self, tmp_path):
+        m = np.array([[0.0, 0.1, -2.5], [1e-300, 3.0, 4.0]])
+        path = tmp_path / "m.csv"
+        write_csv(path, None, m.T)
+        assert path.read_text(encoding="utf-8") == "0.0,0.1,-2.5\n1e-300,3.0,4.0\n"
+        assert np.array_equal(np.loadtxt(path, delimiter=","), m)
+
+
+COMMAND_CASES = [
+    ("simulate", [], {"fields.csv", "trajectory.csv"}, set()),
+    ("ensemble", ["--workers", 1], {"ensemble.csv", "moments.csv"}, {"workers", "n_paths"}),
+    ("converge", ["--levels", "8,16", "--seeds", 1], {"converge.csv"}, {"levels", "seeds"}),
+    ("energy-check", [], {"energy.csv"}, set()),
+    ("oracle-compare", ["--fd-m", 64], {"oracle.csv"}, {"fd_m", "fd_dt"}),
+    ("coupling-dump", ["--n", 4, "--t", 0.1], {"coupling.csv"}, {"n", "t"}),
+]
+
+
+@pytest.mark.parametrize("command,extra,outputs,keys", COMMAND_CASES,
+                         ids=[c[0] for c in COMMAND_CASES])
+def test_manifest_lists_written_files(tmp_path, cfg_path, command, extra, outputs, keys):
+    cfg = cfg_path
+    if command == "oracle-compare":
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(DETERMINISTIC_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", out, *extra) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert manifest["command"] == command
+    assert set(manifest["outputs"]) == written == outputs
+    base = {"command", "version", "seed", "config_text", "outputs", "duration_s"}
+    assert set(manifest) == base | keys

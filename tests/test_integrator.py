@@ -15,8 +15,10 @@ from movingheat import (
     simulate,
     simulate_ensemble,
     step,
+    y_norm_sq,
     zero_model,
 )
+from movingheat.integrator import saved_steps
 
 
 def config(domain, **kw):
@@ -252,3 +254,47 @@ class TestEnsemble:
         assert np.array_equal(serial.mean_l2_sq, parallel.mean_l2_sq)
         assert np.array_equal(serial.sup_l2_sq, parallel.sup_l2_sq)
         assert np.array_equal(serial.final_sto, parallel.final_sto)
+
+    def test_reductions_match_per_path_loop(self, sin_domain):
+        # stride 7 does not divide the 100 steps, so the last step is saved on its own
+        model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=6)
+        cfg = SimulationConfig(domain=sin_domain, n=6, model=model, dt=1e-3,
+                               t_end=0.1, seed=5, n_paths=3, snapshot_stride=7)
+        u0 = ModeInitial(2, 0.7, 1.0)
+        summ = simulate_ensemble(cfg, u0)
+        trajs = [simulate(cfg, u0, path_index=p) for p in range(3)]
+        assert np.array_equal(summ.times, trajs[0].times)
+        assert summ.e0 == trajs[0].e0
+        for p, traj in enumerate(trajs):
+            assert summ.sup_l2_sq[p] == np.max(traj.l2_sq)
+            assert summ.y_norm_sq[p] == y_norm_sq(traj)
+            assert summ.final_l2_sq[p] == traj.l2_sq[-1]
+            assert summ.final_visc[p] == traj.visc[-1]
+            assert summ.final_sto[p] == traj.sto[-1]
+            assert summ.final_hs[p] == traj.hs[-1]
+
+
+@pytest.mark.parametrize("n_steps,stride,expected", [
+    (10, 5, [0, 5, 10]),
+    (10, 3, [0, 3, 6, 9, 10]),
+    (3, 7, [0, 3]),
+    (4, 1, [0, 1, 2, 3, 4]),
+])
+def test_saved_steps(n_steps, stride, expected):
+    assert saved_steps(n_steps, stride).tolist() == expected
+
+
+def test_initial_data_match_raw_sine_formula():
+    # the multiplication order (amplitude * sqrt(2/a0)) * sin(...) is part of the
+    # bitwise contract of saved runs
+    a0 = 1.3
+    x = np.linspace(0.0, a0, 41)
+    root = np.sqrt(2.0 / a0)
+    raw = 2.7 * root * np.sin(3 * np.pi * x / a0)
+    assert np.array_equal(ModeInitial(3, 2.7, a0)(x), raw)
+    amps = (1.0, 0.0, 0.3, -0.7)
+    raw = np.zeros_like(x)
+    for k, c in enumerate(amps, start=1):
+        if c:
+            raw = raw + c * root * np.sin(k * np.pi * x / a0)
+    assert np.array_equal(ModesInitial(amps, a0)(x), raw)
