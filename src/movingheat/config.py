@@ -2,13 +2,17 @@
 
 Format: UTF-8 text, ``[section]`` headers, ``key = value`` lines, ``#``
 comments.  Unknown sections or keys are hard errors; silent typos in
-numerical configs are how irreproducible results happen.
+numerical configs are how irreproducible results happen.  Numbers must be
+finite.  A section with a ``kind`` takes only the keys of that kind:
 
-Sections and keys:
-
-    [domain]  kind a0 slope amp omega T table_path
-    [noise]   kind gamma beta p m lipschitz_k matrix_path
-    [init]    kind mode amplitude amplitudes scale
+    [domain]  kind (required), T, and per kind
+                  constant: a0 | linear, exponential: a0 slope
+                  sinusoidal: a0 amp omega | table: table_path
+    [noise]   kind = zero (default): m
+                  moving_diagonal: gamma beta p m lipschitz_k
+                  general_matrix: matrix_path lipschitz_k m
+    [init]    kind = mode (default): mode amplitude
+                  modes: amplitudes | parabola: scale
     [sim]     n scheme dt t_end seed n_paths
     [output]  grid_size snapshot_stride
 """
@@ -16,7 +20,9 @@ Sections and keys:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +32,103 @@ from .domain import FAMILIES, make_domain
 from .errors import ConfigError
 from .integrator import ModeInitial, ModesInitial, ParabolaInitial, SimulationConfig
 
+_REQUIRED = object()
+
+
+def _float(text: str) -> float:
+    value = float(text) if _is_number(text) else math.nan
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
+def _int(text: str) -> int:
+    value = float(text) if _is_number(text) else math.nan
+    if not math.isfinite(value) or value != int(value):
+        raise ValueError("must be an integer")
+    return int(value)
+
+
+def _floats(text: str) -> tuple:
+    try:
+        return tuple(_float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError("must be comma-separated finite numbers") from None
+
+
+def _family(kind: str):
+    """The [domain] builder of a closed-form family: its parameters and T."""
+    return lambda get, base_dir: make_domain(
+        kind, {k: get(k, _float) for k in sorted(FAMILIES[kind][0])}, get("T", _float)
+    )
+
+
+def _table_domain(get, base_dir: Path):
+    ts, avals = _load_table(base_dir / get("table_path", str))
+    return make_domain("table", {"t": ts, "a": avals}, get("T", _float))
+
+
+def _general_matrix(get, n: int, base_dir: Path):
+    path = base_dir / get("matrix_path", str)
+    lip = get("lipschitz_k", _float)
+    try:
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read matrix {path}: {exc}") from None
+    model = noise_mod.general_matrix(table, lip)
+    m = get("m", _int, model.m)
+    if m != model.m:
+        keys = sorted(_KINDS["noise"]["general_matrix"][0])
+        raise ConfigError(f"[noise] kind=general_matrix takes keys {keys} with m equal to "
+                          f"the matrix's {model.m} rows, got m = {m}")
+    if table.shape[1] != n:
+        raise ConfigError(f"[noise] matrix has {table.shape[1]} columns but [sim] n = {n}")
+    return model
+
+
+def _mode_initial(get, a0: float):
+    mode = get("mode", _int, 1)
+    if mode < 1:
+        raise ConfigError(f"[init] mode must be >= 1, got {mode}")
+    return ModeInitial(mode, get("amplitude", _float, 1.0), a0)
+
+
+# section -> kind -> (keys of that kind, builder(get, *context)); ``get(key, conv,
+# default)`` reads the section.  Context: base_dir for [domain], n and base_dir for
+# [noise], a(0) for [init].
+_KINDS = {
+    "domain": {
+        **{kind: (keys | {"T"}, _family(kind)) for kind, (keys, _, _) in FAMILIES.items()},
+        "table": ({"table_path", "T"}, _table_domain),
+    },
+    "noise": {
+        "zero": ({"m"}, lambda get, n, base_dir: noise_mod.zero_model(get("m", _int, n))),
+        "moving_diagonal": (
+            {"gamma", "beta", "p", "m", "lipschitz_k"},
+            lambda get, n, base_dir: noise_mod.moving_diagonal(
+                get("gamma", _float, 0.0), get("beta", _float, 0.0), get("p", _float, 1.0),
+                get("m", _int, n), get("lipschitz_k", _float, None)),
+        ),
+        "general_matrix": ({"matrix_path", "lipschitz_k", "m"}, _general_matrix),
+    },
+    "init": {
+        "mode": ({"mode", "amplitude"}, _mode_initial),
+        "modes": ({"amplitudes"}, lambda get, a0: ModesInitial(get("amplitudes", _floats), a0)),
+        "parabola": ({"scale"}, lambda get, a0: ParabolaInitial(a0, get("scale", _float, 1.0))),
+    },
+}
+
+# [sim] and [output]: key -> (converter, default); t_end defaults to the horizon T
+_DEFAULTS = {
+    "sim": {"n": (_int, 16), "scheme": (str, "exponential_em"), "dt": (_float, 1e-3),
+            "t_end": (_float, None), "seed": (_int, 0), "n_paths": (_int, 1)},
+    "output": {"grid_size": (_int, 129), "snapshot_stride": (_int, 1)},
+}
+
 _SCHEMA = {
-    "domain": {"kind", "a0", "slope", "amp", "omega", "T", "table_path"},
-    "noise": {"kind", "gamma", "beta", "p", "m", "lipschitz_k", "matrix_path"},
-    "init": {"kind", "mode", "amplitude", "amplitudes", "scale"},
-    "sim": {"n", "scheme", "dt", "t_end", "seed", "n_paths"},
-    "output": {"grid_size", "snapshot_stride"},
+    **{name: {"kind"}.union(*(keys for keys, _ in kinds.values()))
+       for name, kinds in _KINDS.items()},
+    **{name: set(keys) for name, keys in _DEFAULTS.items()},
 }
 
 
@@ -61,69 +158,56 @@ def parse_run(path) -> RunSetup:
 def parse_run_text(text: str, base_dir: Path | None = None) -> RunSetup:
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     sections = _split_sections(text)
-
-    dom = sections.get("domain", {})
-    kind = _require(dom, "kind", "domain")
-    if kind not in FAMILIES:
-        raise ConfigError(f"[domain] kind must be one of {sorted(FAMILIES)}, got {kind!r}")
-    horizon = _get_float(dom, "T", "domain", required=True)
-    params_present = set(dom) - {"kind", "T"}
-    # a table domain reads its knots from the file named by table_path
-    expected = {"table_path"} if kind == "table" else FAMILIES[kind][0]
-    if params_present != expected:
-        raise ConfigError(
-            f"[domain] kind={kind} takes keys {sorted(expected)}, got {sorted(params_present)}"
-        )
-    if kind == "table":
-        ts, avals = _load_table(base_dir / dom["table_path"])
-        params = {"t": ts, "a": avals}
-    else:
-        params = {k: _get_float(dom, k, "domain", required=True) for k in expected}
-    try:
-        domain = make_domain(kind, params, horizon)
-    except ValueError as exc:
-        raise ConfigError(f"[domain] {exc}") from None
-
-    sim = sections.get("sim", {})
-    n = _get_int(sim, "n", "sim", default=16)
-    scheme = sim.get("scheme", "exponential_em")
-    dt = _get_float(sim, "dt", "sim", default=1e-3)
-    t_end = _get_float(sim, "t_end", "sim", default=horizon)
-    seed = _get_int(sim, "seed", "sim", default=0)
-    n_paths = _get_int(sim, "n_paths", "sim", default=1)
-
-    noi = sections.get("noise", {})
-    noise_kind = noi.get("kind", "zero")
-    model = _build_model(noise_kind, noi, n, base_dir)
-
-    out = sections.get("output", {})
-    grid_size = _get_int(out, "grid_size", "output", default=129)
-    snapshot_stride = _get_int(out, "snapshot_stride", "output", default=1)
-
-    config = SimulationConfig(
-        domain=domain,
-        n=n,
-        model=model,
-        dt=dt,
-        t_end=t_end,
-        scheme=scheme,
-        seed=seed,
-        n_paths=n_paths,
-        grid_size=grid_size,
-        snapshot_stride=snapshot_stride,
-    )
-
-    init = sections.get("init", {})
-    u0 = _build_initial(init, domain)
-
+    _, domain = _kind(sections, "domain", _REQUIRED, base_dir)
+    sim = _plain(sections, "sim", t_end=domain.horizon)
+    noise_kind, model = _kind(sections, "noise", "zero", sim["n"], base_dir)
+    out = _plain(sections, "output")
+    config = SimulationConfig(domain=domain, model=model, **sim, **out)
+    init_kind, u0 = _kind(sections, "init", "mode", float(domain.a_at(0.0)))
     canonical = _canonical_text(sections, defaults={
-        "sim": {"n": n, "scheme": scheme, "dt": dt, "t_end": t_end,
-                "seed": seed, "n_paths": n_paths},
-        "noise": {"kind": noise_kind},
-        "output": {"grid_size": grid_size, "snapshot_stride": snapshot_stride},
-        "init": {"kind": init.get("kind", "mode")},
+        "sim": sim, "noise": {"kind": noise_kind}, "output": out, "init": {"kind": init_kind},
     })
     return RunSetup(config, u0, canonical)
+
+
+def _kind(sections, name: str, default, *context):
+    """(kind, built value) of a section that selects a kind in ``_KINDS``.
+
+    Keys that belong to another kind of the section are rejected; the builder
+    reads values through ``_get`` bound to the section.
+    """
+    section = sections.get(name, {})
+    kinds = _KINDS[name]
+    kind = _get(section, name, "kind", str, default)
+    if kind not in kinds:
+        raise ConfigError(f"[{name}] kind must be one of {sorted(kinds)}, got {kind!r}")
+    keys, build = kinds[kind]
+    extra = set(section) - keys - {"kind"}
+    if extra:
+        raise ConfigError(f"[{name}] kind={kind} takes keys {sorted(keys)}, not {sorted(extra)}")
+    try:
+        return kind, build(partial(_get, section, name), *context)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
+
+
+def _plain(sections, name: str, **defaults) -> dict:
+    """Values of a section without kinds, defaults from ``_DEFAULTS`` or ``defaults``."""
+    section = sections.get(name, {})
+    return {key: _get(section, name, key, conv, defaults.get(key, default))
+            for key, (conv, default) in _DEFAULTS[name].items()}
+
+
+def _get(section: dict, name: str, key: str, conv, default=_REQUIRED):
+    """``conv`` of the key's value, ``default`` if absent; no default means required."""
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in [{name}]")
+        return default
+    try:
+        return conv(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {key} {exc}, got {section[key]!r}") from None
 
 
 def _split_sections(text: str) -> dict[str, dict[str, str]]:
@@ -160,60 +244,6 @@ def _split_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _build_model(kind: str, noi: dict, n: int, base_dir: Path):
-    m = _get_int(noi, "m", "noise", default=n)
-    try:
-        if kind == "zero":
-            extra = set(noi) - {"kind", "m"}
-            if extra:
-                raise ConfigError(f"[noise] kind=zero takes no keys {sorted(extra)}")
-            return noise_mod.zero_model(m)
-        if kind == "moving_diagonal":
-            gamma = _get_float(noi, "gamma", "noise", default=0.0)
-            beta = _get_float(noi, "beta", "noise", default=0.0)
-            p = _get_float(noi, "p", "noise", default=1.0)
-            lip = _get_float(noi, "lipschitz_k", "noise", default=None)
-            return noise_mod.moving_diagonal(gamma, beta, p, m, lip)
-        if kind == "general_matrix":
-            if "matrix_path" not in noi:
-                raise ConfigError("[noise] kind=general_matrix requires matrix_path")
-            lip = _get_float(noi, "lipschitz_k", "noise", required=True)
-            table = np.loadtxt(base_dir / noi["matrix_path"], delimiter=",", ndmin=2)
-            model = noise_mod.general_matrix(table, lip)
-            if table.shape[1] != n:
-                raise ConfigError(
-                    f"[noise] matrix has {table.shape[1]} columns but [sim] n = {n}"
-                )
-            return model
-    except ValueError as exc:
-        raise ConfigError(f"[noise] {exc}") from None
-    raise ConfigError(
-        f"[noise] kind must be one of {sorted(noise_mod.KINDS)}, got {kind!r}"
-    )
-
-
-def _build_initial(init: dict, domain):
-    kind = init.get("kind", "mode")
-    a0 = float(domain.a_at(0.0))
-    if kind == "mode":
-        mode = _get_int(init, "mode", "init", default=1)
-        amp = _get_float(init, "amplitude", "init", default=1.0)
-        if mode < 1:
-            raise ConfigError(f"[init] mode must be >= 1, got {mode}")
-        return ModeInitial(mode, amp, a0)
-    if kind == "modes":
-        raw = _require(init, "amplitudes", "init")
-        try:
-            amps = tuple(float(v) for v in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"[init] amplitudes must be comma-separated floats: {raw!r}")
-        return ModesInitial(amps, a0)
-    if kind == "parabola":
-        scale = _get_float(init, "scale", "init", default=1.0)
-        return ParabolaInitial(a0, scale)
-    raise ConfigError(f"[init] kind must be mode, modes or parabola, got {kind!r}")
-
-
 def _load_table(path: Path):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -245,38 +275,6 @@ def _canonical_text(sections, defaults) -> str:
             lines.append(f"{key} = {val}")
         lines.append("")
     return "\n".join(lines)
-
-
-def _require(section: dict, key: str, name: str) -> str:
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in [{name}]")
-    return section[key]
-
-
-def _get_float(section, key, name, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{name}]")
-        return default
-    try:
-        return float(section[key])
-    except ValueError:
-        raise ConfigError(f"[{name}] {key} must be a number, got {section[key]!r}")
-
-
-def _get_int(section, key, name, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{name}]")
-        return default
-    value = section[key]
-    try:
-        as_float = float(value)
-    except ValueError:
-        raise ConfigError(f"[{name}] {key} must be an integer, got {value!r}")
-    if as_float != int(as_float):
-        raise ConfigError(f"[{name}] {key} must be an integer, got {value!r}")
-    return int(as_float)
 
 
 def _is_number(s: str) -> bool:

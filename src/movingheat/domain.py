@@ -88,8 +88,9 @@ def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
     ``params`` holds the family parameters (for ``table``: arrays ``t`` and
     ``a`` of knots, interpolated by a natural cubic spline so the motion is
     C^1).  The bounds ``delta0``/``big_l`` come from a 1000-point sample,
-    shrunk/grown by 1% as a safety margin.  Raises ``ValueError`` if the
-    sampled minimum of a is not strictly positive.
+    shrunk/grown by 1% as a safety margin.  Raises ``ValueError`` if a
+    sampled a or a' is not finite or the sampled minimum of a is not
+    strictly positive.
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown domain kind {kind!r}; expected one of {tuple(FAMILIES)}")
@@ -120,9 +121,12 @@ def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
         clean = {k: float(v) for k, v in params.items()}
 
     probe = DomainMotion(kind, clean, float(horizon), np.nan, np.nan, spline)
-    ts = np.linspace(0.0, horizon, _N_SAMPLE)
-    avals = np.asarray(probe.a_at(ts), dtype=float)
-    apvals = np.asarray(probe.a_prime_at(ts), dtype=float)
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned about
+        ts = np.linspace(0.0, horizon, _N_SAMPLE)
+        avals = np.asarray(probe.a_at(ts), dtype=float)
+        apvals = np.asarray(probe.a_prime_at(ts), dtype=float)
+    if not (np.all(np.isfinite(avals)) and np.all(np.isfinite(apvals))):
+        raise ValueError(f"domain motion has non-finite a(t) or a'(t) on [0, {horizon}]")
     a_min = float(np.min(avals))
     if a_min <= 0.0:
         raise ValueError(

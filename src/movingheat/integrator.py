@@ -33,7 +33,8 @@ def saved_steps(n_steps: int, stride: int) -> np.ndarray:
 
 def explicit_dt_bound(domain: DomainMotion, n: int) -> float:
     """Step-size guard for explicit_em: dt <= 1.9 (delta0 / (n pi))^2."""
-    return STABILITY_FACTOR * (domain.delta0 / (n * np.pi)) ** 2
+    ratio = domain.delta0 / (n * np.pi)
+    return STABILITY_FACTOR * (ratio * ratio)  # float ** 2 raises on overflow, * gives inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +64,7 @@ class SimulationConfig:
                 f"t_end={self.t_end} must lie in (0, horizon={self.domain.horizon}]"
             )
         ratio = self.t_end / self.dt
-        steps = round(ratio)
+        steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 1 or abs(ratio - steps) > 0.5 * np.spacing(ratio):
             raise ConfigError(
                 f"t_end/dt = {ratio!r} is not an integer; the time grid must be uniform"
@@ -231,7 +232,7 @@ def simulate(
         try:
             state = _advance(state, config, kick, zero_eigenvalues)
         except NumericalError as exc:
-            raise NumericalError(f"step {i + 1}: {exc}") from None
+            raise NumericalError(f"path {path_index}, step {i + 1}: {exc}") from None
         state = CoefficientState((i + 1) * dt, state.coeffs)
         if i + 1 in save_set:
             save(state)

@@ -17,29 +17,24 @@ import numpy as np
 
 from .basis import CoefficientState
 
-KINDS = ("zero", "moving_diagonal", "general_matrix")
-
 
 @dataclass(frozen=True, eq=False)
 class DiffusionModel:
-    """Structured noise coefficients sigma_jk with a declared Lipschitz bound.
+    """Affine noise coefficients sigma_jk(u) = table_jk + delta_jk q_j (gamma + beta A_j).
 
-    ``m`` is the number of driving Brownian motions.  For
-    ``moving_diagonal``: sigma_jk = delta_jk q_j (gamma + beta A_j) with
-    q_j = j^(-decay_p).  For ``general_matrix``: a constant (m, n) table.
+    ``m`` is the number of driving Brownian motions and ``kind`` names the
+    constructor.  ``moving_diagonal`` holds the diagonal part (weights
+    q_j = j^(-p)), ``general_matrix`` the constant (m, n) table, ``zero``
+    neither; a missing part is None and costs nothing per step.
     """
 
     kind: str
     m: int
     gamma: float = 0.0
     beta: float = 0.0
-    decay_p: float = 1.0
+    q: np.ndarray | None = None
     lipschitz_k: float = 0.0
     table: np.ndarray | None = None
-
-    def mode_weights(self, count: int) -> np.ndarray:
-        """q_j = j^(-p) for j = 1..count."""
-        return np.arange(1, count + 1, dtype=float) ** (-self.decay_p)
 
 
 def zero_model(m: int = 1) -> DiffusionModel:
@@ -69,7 +64,7 @@ def moving_diagonal(
     q = np.arange(1, m + 1, dtype=float) ** (-decay_p)
     if lipschitz_k is None:
         lipschitz_k = max(gamma * float(np.sqrt(np.sum(q**2))), beta * float(np.max(q)))
-    return DiffusionModel("moving_diagonal", m, gamma, beta, decay_p, float(lipschitz_k))
+    return DiffusionModel("moving_diagonal", m, gamma, beta, q, float(lipschitz_k))
 
 
 def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
@@ -79,8 +74,8 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
     the range condition stays the caller's obligation.
     """
     table = np.atleast_2d(np.asarray(table, dtype=float))
-    if table.ndim != 2 or table.size == 0:
-        raise ValueError("coefficient table must be a nonempty 2-D array")
+    if table.ndim != 2 or table.size == 0 or not np.all(np.isfinite(table)):
+        raise ValueError("coefficient table must be a nonempty, finite 2-D array")
     hs = float(np.sqrt(np.sum(table**2)))
     if lipschitz_k < hs:
         raise ValueError(
@@ -92,31 +87,44 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
     )
 
 
+def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
+    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n)."""
+    d = min(model.m, coeffs.shape[0])
+    return model.q[:d] * (model.gamma + model.beta * coeffs[:d])
+
+
+def _sigma(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
+    """Dense (m, n) coefficient matrix sigma_jk at the coefficients ``coeffs``."""
+    sigma = np.zeros((model.m, coeffs.shape[0]))
+    if model.q is not None:
+        diag = _diagonal(model, coeffs)
+        sigma[range(diag.size), range(diag.size)] = diag
+    if model.table is not None:
+        cols = min(coeffs.shape[0], model.table.shape[1])
+        sigma[:, :cols] += model.table[:, :cols]
+    return sigma
+
+
 def sigma_coeff(model: DiffusionModel, j: int, k: int, state: CoefficientState) -> float:
     """Single coefficient sigma_jk at the given state."""
     if not 1 <= j <= model.m:
         raise ValueError(f"noise index j={j} outside 1..{model.m}")
     if not 1 <= k <= state.n:
         raise ValueError(f"mode index k={k} outside 1..{state.n}")
-    if model.kind == "zero":
-        return 0.0
-    if model.kind == "moving_diagonal":
-        if j != k:
-            return 0.0
-        return float(j) ** (-model.decay_p) * (model.gamma + model.beta * state.coeffs[j - 1])
-    return float(model.table[j - 1, k - 1]) if k - 1 < model.table.shape[1] else 0.0
+    return float(_sigma(model, state.coeffs)[j - 1, k - 1])
 
 
 def hs_norm_sq(model: DiffusionModel, state: CoefficientState) -> float:
-    """Squared Hilbert-Schmidt norm: sum over j <= m, k <= n of sigma_jk^2."""
-    if model.kind == "zero":
-        return 0.0
-    if model.kind == "moving_diagonal":
-        d = min(model.m, state.n)
-        q = model.mode_weights(d)
-        return float(np.sum((q * (model.gamma + model.beta * state.coeffs[:d])) ** 2))
-    cols = min(state.n, model.table.shape[1])
-    return float(np.sum(model.table[:, :cols] ** 2))
+    """Squared Hilbert-Schmidt norm: sum over j <= m, k <= n of sigma_jk^2.
+
+    Summed part by part: no constructor gives a model both parts.
+    """
+    total = 0.0
+    if model.q is not None:
+        total += float(np.sum(_diagonal(model, state.coeffs) ** 2))
+    if model.table is not None:
+        total += float(np.sum(model.table[:, : min(state.n, model.table.shape[1])] ** 2))
+    return total
 
 
 def noise_kick(model: DiffusionModel, state: CoefficientState, increment: np.ndarray) -> np.ndarray:
@@ -125,15 +133,12 @@ def noise_kick(model: DiffusionModel, state: CoefficientState, increment: np.nda
     if increment.shape != (model.m,):
         raise ValueError(f"increment has shape {increment.shape}, expected ({model.m},)")
     kick = np.zeros(state.n)
-    if model.kind == "zero":
-        return kick
-    if model.kind == "moving_diagonal":
-        d = min(model.m, state.n)
-        q = model.mode_weights(d)
-        kick[:d] = q * (model.gamma + model.beta * state.coeffs[:d]) * increment[:d]
-        return kick
-    cols = min(state.n, model.table.shape[1])
-    kick[:cols] = model.table[:, :cols].T @ increment
+    if model.q is not None:
+        diag = _diagonal(model, state.coeffs)
+        kick[: diag.size] = diag * increment[: diag.size]
+    if model.table is not None:
+        cols = min(state.n, model.table.shape[1])
+        kick[:cols] += model.table[:, :cols].T @ increment
     return kick
 
 
@@ -189,30 +194,19 @@ def check_assumptions(
         u = CoefficientState(t, rng.normal(scale=2.0, size=n))
         v = CoefficientState(t, rng.normal(scale=2.0, size=n))
         du = float(np.linalg.norm(u.coeffs - v.coeffs))
-        diff_sq = sum(
-            (sigma_coeff(model, j, k, u) - sigma_coeff(model, j, k, v)) ** 2
-            for j in range(1, model.m + 1)
-            for k in range(1, n + 1)
-        )
+        diff = float(np.linalg.norm(_sigma(model, u.coeffs) - _sigma(model, v.coeffs)))
         if du > 0 and model.lipschitz_k > 0:
-            worst_lip = max(worst_lip, np.sqrt(diff_sq) / (model.lipschitz_k * du))
+            worst_lip = max(worst_lip, diff / (model.lipschitz_k * du))
         norm_u = float(np.linalg.norm(u.coeffs))
         if model.lipschitz_k > 0:
             growth = np.sqrt(hs_norm_sq(model, u)) / (model.lipschitz_k * (norm_u + 1.0))
             worst_growth = max(worst_growth, growth)
-    max_offdiag = 0.0
-    if model.kind == "moving_diagonal":
-        u = CoefficientState(t, rng.normal(size=n))
-        max_offdiag = max(
-            abs(sigma_coeff(model, j, k, u))
-            for j in range(1, model.m + 1)
-            for k in range(1, n + 1)
-            if j != k
-        )
+    off = _sigma(model, rng.normal(size=n))
+    np.fill_diagonal(off, 0.0)
     return {
         "lipschitz_ratio": float(worst_lip),
         "growth_ratio": float(worst_growth),
-        "max_offdiagonal": float(max_offdiag),
+        "max_offdiagonal": float(np.max(np.abs(off))),
     }
 
 

@@ -232,6 +232,36 @@ class TestOutputDirKey:
         assert "'out_dir'" in err
 
 
+class TestWrongKindKeys:
+    @pytest.mark.parametrize("section", [
+        "[noise]\nkind = moving_diagonal\nmatrix_path = doesnotexist.csv\n",
+        "[noise]\nkind = general_matrix\nmatrix_path = s.csv\nlipschitz_k = 1\ngamma = 0.1\n",
+        "[noise]\nkind = general_matrix\nmatrix_path = s.csv\nlipschitz_k = 1\np = 2\n",
+        "[noise]\nkind = general_matrix\nmatrix_path = s.csv\nlipschitz_k = 1\nm = 3\n",
+        "[init]\nkind = mode\nscale = 2\n",
+        "[init]\nkind = mode\namplitudes = 1, 2\n",
+    ])
+    def test_exit_one_with_the_kinds_keys(self, tmp_path, capsys, section):
+        (tmp_path / "s.csv").write_text("0.5,0.0\n0.0,0.25\n", encoding="utf-8")
+        cfg = tmp_path / "wk.cfg"
+        cfg.write_text("[domain]\nkind = constant\na0 = 1.0\nT = 1.0\n[sim]\nn = 2\n"
+                       + section, encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [") and err.count("\n") == 1
+        assert "takes keys [" in err
+
+    def test_unreadable_matrix_is_one(self, tmp_path, capsys):
+        cfg = tmp_path / "gm.cfg"
+        cfg.write_text("[domain]\nkind = constant\na0 = 1.0\nT = 1.0\n[sim]\nn = 2\n"
+                       "[noise]\nkind = general_matrix\nmatrix_path = nope.csv\n"
+                       "lipschitz_k = 1\n", encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read matrix {tmp_path / 'nope.csv'}: ")
+        assert err.count("\n") == 1
+
+
 class TestWriteCsv:
     def test_cells_print_as_python_values(self, tmp_path):
         floats = [-0.0, 5e-324, 1e16, 0.1 + 0.2, np.float64(2.0 / 3.0)]

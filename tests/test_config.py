@@ -1,8 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from movingheat import ConfigError
-from movingheat.config import parse_config, parse_run
+from movingheat import config as config_mod
+from movingheat.config import _KINDS, _SCHEMA, parse_config, parse_run
 from movingheat.integrator import ModeInitial, ModesInitial, ParabolaInitial
 
 MINIMAL = """
@@ -149,3 +153,85 @@ class TestCanonicalText:
         assert (a.n, a.dt, a.t_end, a.seed, a.scheme) == (b.n, b.dt, b.t_end, b.seed, b.scheme)
         assert a.model.gamma == b.model.gamma
         assert a.domain.a_at(0.3) == b.domain.a_at(0.3)
+
+    def test_canonical_text_fills_defaults_in_schema_order(self, tmp_path):
+        # user keys keep their order and spelling; defaults print as parsed values
+        text = ("[sim]\nseed = 4\nn = 8\n[domain]\nT = 2\nkind = linear\nslope = 0.5\n"
+                "a0 = 1\n[noise]\nm = 4\nkind = moving_diagonal\n[init]\nkind=parabola\n")
+        assert parse_run(write(tmp_path, text)).text == (
+            "[domain]\nT = 2\nkind = linear\nslope = 0.5\na0 = 1\n\n"
+            "[noise]\nkind = moving_diagonal\nm = 4\n\n[init]\nkind = parabola\n\n"
+            "[sim]\nn = 8\nscheme = exponential_em\ndt = 0.001\nt_end = 2.0\nseed = 4\n"
+            "n_paths = 1\n\n[output]\ngrid_size = 129\nsnapshot_stride = 1\n"
+        )
+
+
+class TestWrongKindKeys:
+    @pytest.mark.parametrize("section,kind,key,value", [
+        ("noise", "moving_diagonal", "matrix_path", "doesnotexist.csv"),
+        ("noise", "general_matrix", "gamma", "0.1"),
+        ("noise", "general_matrix", "p", "2"),
+        ("noise", "zero", "beta", "0.5"),
+        ("init", "mode", "scale", "2"),
+        ("init", "mode", "amplitudes", "1, 2"),
+        ("init", "parabola", "mode", "3"),
+    ])
+    def test_key_of_another_kind_is_rejected(self, tmp_path, section, kind, key, value):
+        (tmp_path / "sigma.csv").write_text("0.5,0.0\n0.0,0.25\n", encoding="utf-8")
+        extra = "matrix_path = sigma.csv\nlipschitz_k = 1\n" if kind == "general_matrix" else ""
+        text = (MINIMAL + "\n[sim]\nn = 2\n"
+                + f"\n[{section}]\nkind = {kind}\n{extra}{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        keys = sorted(_KINDS[section][kind][0])
+        assert str(err.value) == f"[{section}] kind={kind} takes keys {keys}, not [{key!r}]"
+
+    def test_general_matrix_m_must_equal_rows(self, tmp_path):
+        (tmp_path / "sigma.csv").write_text("0.5,0.0\n0.0,0.25\n", encoding="utf-8")
+        text = (MINIMAL + "\n[sim]\nn = 2\n\n[noise]\nkind = general_matrix\n"
+                + "matrix_path = sigma.csv\nm = 3\nlipschitz_k = 1.0\n")
+        keys = sorted(_KINDS["noise"]["general_matrix"][0])
+        with pytest.raises(ConfigError, match="2 rows, got m = 3") as err:
+            parse_config(write(tmp_path, text))
+        assert f"takes keys {keys}" in str(err.value)
+
+    def test_schema_is_the_union_of_the_kinds(self):
+        assert _SCHEMA["domain"] == {"kind", "T", "a0", "slope", "amp", "omega", "table_path"}
+        assert _SCHEMA["noise"] == {"kind", "gamma", "beta", "p", "m", "lipschitz_k",
+                                    "matrix_path"}
+        assert _SCHEMA["init"] == {"kind", "mode", "amplitude", "amplitudes", "scale"}
+
+    def test_docstring_lists_every_kind_and_key(self):
+        doc = config_mod.__doc__
+        for kinds in _KINDS.values():
+            for kind, (keys, _) in kinds.items():
+                assert kind in doc
+                for key in keys:
+                    assert re.search(rf"\b{key}\b", doc), key
+
+
+_CONSTANT = "[domain]\nkind = constant\na0 = 1.0\n"
+
+
+@pytest.mark.parametrize("text,match", [
+    (MINIMAL + "[sim]\nn = inf\n", r"\[sim\] n must be an integer, got 'inf'"),
+    (MINIMAL + "[sim]\nseed = -inf\n", r"\[sim\] seed must be an integer"),
+    (_CONSTANT + "T = inf\n", r"\[domain\] T must be a finite number, got 'inf'"),
+    (MINIMAL + "[noise]\nkind = moving_diagonal\ngamma = nan\n",
+     r"\[noise\] gamma must be a finite number, got 'nan'"),
+    (MINIMAL + "[init]\nkind = modes\namplitudes = 1, nan\n",
+     r"\[init\] amplitudes must be comma-separated finite numbers"),
+    (MINIMAL + "[init]\nkind = mode\namplitude = 1e400\n", r"\[init\] amplitude must be a finite"),
+    (_CONSTANT + "T = 1e308\n[sim]\ndt = 1e-320\n", r"t_end/dt = inf is not an integer"),
+    (_CONSTANT + "T = 1e308\n", r"t_end/dt = inf is not an integer"),
+    ("[domain]\nkind = exponential\na0 = 1.0\nslope = 1000\nT = 1.0\n",
+     r"\[domain\] domain motion has non-finite a\(t\) or a'\(t\)"),
+    ("[domain]\nkind = linear\na0 = 1e308\nslope = 1e308\nT = 1.0\n",
+     r"\[domain\] domain motion has non-finite a\(t\) or a'\(t\)"),
+])
+def test_non_finite_and_overflowing_values_are_config_errors(tmp_path, text, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ConfigError, match=match) as err:
+            parse_config(write(tmp_path, text))
+    assert "\n" not in str(err.value)

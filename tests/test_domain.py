@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,15 @@ def test_time_outside_horizon_rejected():
         d.a_prime_at(-0.2)
     # sub-ulp overshoot from a floating time grid is tolerated
     assert d.a_at(1.0 + 1e-12) == 1.0
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("exponential", {"a0": 1.0, "slope": 1000.0}),
+    ("linear", {"a0": 1e308, "slope": 1e308}),
+    ("sinusoidal", {"a0": 10.0, "amp": 5.0, "omega": 1e308}),
+])
+def test_non_finite_samples_are_rejected(kind, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            make_domain(kind, params, 1.0)

@@ -11,6 +11,7 @@ from movingheat import (
     coupling_matrix,
     drift,
     explicit_dt_bound,
+    make_domain,
     moving_diagonal,
     simulate,
     simulate_ensemble,
@@ -42,6 +43,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unstable") as err:
             config(unit_domain, n=64, scheme="explicit_em", dt=0.01, t_end=0.5)
         assert f"{bound:.6g}" in str(err.value)
+
+    def test_stability_bound_overflows_to_inf(self):
+        # (delta0 / pi)^2 is beyond the float range: no bound, not an OverflowError
+        wide = make_domain("constant", {"a0": 1e308}, 0.5)
+        assert explicit_dt_bound(wide, 1) == np.inf
+        assert config(wide, n=1, scheme="explicit_em", dt=0.25, t_end=0.5).n_steps == 2
 
     def test_explicit_under_bound_accepted(self, unit_domain):
         cfg = config(unit_domain, n=4, scheme="explicit_em", dt=1e-3, t_end=0.1)
@@ -298,3 +305,14 @@ def test_initial_data_match_raw_sine_formula():
         if c:
             raw = raw + c * root * np.sin(k * np.pi * x / a0)
     assert np.array_equal(ModesInitial(amps, a0)(x), raw)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_numerical_failure_names_the_path(unit_domain, workers):
+    # n = 1 is the scalar product A_k = prod (1 + beta dB_i) e^(lambda dt): at beta = 2000
+    # path 2 overflows at step 198, paths 0, 1 and 3 stay below 1e302
+    cfg = SimulationConfig(domain=unit_domain, n=1, model=moving_diagonal(0.0, 2000.0, 1.0, 1),
+                           dt=1e-3, t_end=0.2, n_paths=4)
+    with pytest.raises(NumericalError, match=r"^path 2, step 198: non-finite coefficients"):
+        simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0), workers=workers)

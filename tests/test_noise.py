@@ -86,6 +86,11 @@ class TestNoiseKick:
         with pytest.raises(ValueError):
             noise_kick(model, state_of(1.0), np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("bad", [[[1.0, np.nan]], [[np.inf]], np.zeros((0, 2))])
+    def test_general_matrix_rejects_non_finite_or_empty_tables(self, bad):
+        with pytest.raises(ValueError, match="nonempty, finite"):
+            general_matrix(bad, lipschitz_k=10.0)
+
     def test_general_matrix_rejects_small_k(self):
         with pytest.raises(ValueError, match="lipschitz_k"):
             general_matrix([[1.0, 0.0], [0.0, 2.0]], lipschitz_k=1.0)
@@ -152,3 +157,49 @@ def test_moving_diagonal_offdiagonal_exactly_zero():
 def test_decay_p_validation():
     with pytest.raises(ValueError, match="decay_p"):
         moving_diagonal(gamma=0.1, beta=0.0, decay_p=0.5, m=4)
+
+
+def test_max_offdiagonal_is_measured_for_a_table():
+    model = general_matrix([[1.0, 0.3], [0.0, 0.5]], lipschitz_k=1.2)
+    assert check_assumptions(model, n=2, n_pairs=5)["max_offdiagonal"] == 0.3
+    for diagonal in (zero_model(4), moving_diagonal(gamma=0.7, beta=0.3, decay_p=1.0, m=6)):
+        assert check_assumptions(diagonal, n=5, n_pairs=5)["max_offdiagonal"] == 0.0
+
+
+@pytest.mark.parametrize("m,n,gamma", [(6, 4, 0.4), (4, 6, 0.4), (5, 5, 0.0)])
+def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
+    # kick and HS norm are part of the bitwise contract of saved runs; with gamma = 0
+    # and A_1 = 0 the first kick entry is -0.0, which must survive
+    beta, p = 0.7, 1.5
+    model = moving_diagonal(gamma=gamma, beta=beta, decay_p=p, m=m)
+    rng = np.random.default_rng(3)
+    st = CoefficientState(0.0, np.r_[0.0, rng.normal(size=n - 1)])
+    db = np.r_[-0.2, rng.normal(size=m - 1)]
+    d = min(m, n)
+    q = np.arange(1, d + 1, dtype=float) ** (-p)
+    kick = np.zeros(n)
+    kick[:d] = q * (gamma + beta * st.coeffs[:d]) * db[:d]
+    assert noise_kick(model, st, db).tobytes() == kick.tobytes()
+    assert hs_norm_sq(model, st) == float(np.sum((q * (gamma + beta * st.coeffs[:d])) ** 2))
+
+
+def test_general_matrix_bits_match_the_raw_formula():
+    table = np.random.default_rng(4).normal(size=(4, 3))
+    table[:, 1] = 0.0
+    model = general_matrix(table, lipschitz_k=10.0)
+    st = state_of(0.3, -1.0, 2.0, 0.5)  # n = 4 > 3 table columns
+    db = np.array([-0.1, -0.2, -0.05, -0.3])
+    kick = np.zeros(4)
+    kick[:3] = table.T @ db
+    assert noise_kick(model, st, db).tobytes() == kick.tobytes()
+    assert hs_norm_sq(model, st) == float(np.sum(table**2))
+    assert sigma_coeff(model, 2, 3, st) == table[1, 2]
+    assert sigma_coeff(model, 2, 4, st) == 0.0
+
+
+def test_models_hold_only_their_parts():
+    assert zero_model(3).q is None and zero_model(3).table is None
+    md = moving_diagonal(gamma=0.1, beta=0.0, decay_p=2.0, m=3)
+    assert md.table is None and np.array_equal(md.q, [1.0, 0.25, 1.0 / 9.0])
+    gm = general_matrix(np.eye(2), lipschitz_k=2.0)
+    assert gm.q is None and gm.table.shape == (2, 2)
