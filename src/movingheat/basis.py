@@ -47,17 +47,12 @@ class FieldSnapshot:
 
 def eigenvalue(k: int, t: float, domain: DomainMotion) -> float:
     """k-th Dirichlet eigenvalue -(k pi / a_t)^2; strictly negative."""
-    _check_mode(k)
-    a = domain.a_at(t)
-    return -((k * np.pi / a) ** 2)
+    return float(eigenvalues(k, t, domain)[-1])
 
 
 def eigenvalues(n: int, t: float, domain: DomainMotion) -> np.ndarray:
-    """Vector of the first n eigenvalues at time t."""
-    _check_mode(n)
-    a = domain.a_at(t)
-    ks = np.arange(1, n + 1, dtype=float)
-    return -((ks * np.pi / a) ** 2)
+    """Vector of the first n eigenvalues -(k pi / a_t)^2 at time t."""
+    return -((mode_numbers(n) / domain.a_at(t)) ** 2)
 
 
 def eigenfunction(k: int, t: float, x, domain: DomainMotion):
@@ -75,45 +70,54 @@ def sine_modes(ks, x, a, scale=1.0):
     return scale * np.sqrt(2.0 / a) * np.sin(ks * np.pi * x / a)
 
 
+@lru_cache(maxsize=16)
+def mode_numbers(n: int) -> np.ndarray:
+    """Read-only table of k pi for k = 1..n, built once per n."""
+    _check_mode(n)
+    k_pi = np.arange(1, n + 1, dtype=float) * np.pi
+    k_pi.flags.writeable = False
+    return k_pi
+
+
+@lru_cache(maxsize=16)
+def coupling_pattern(n: int) -> np.ndarray:
+    """Read-only (n, n) table C_n of the coupling b_jk(t) = (a'_t/a_t) C_jk, built once per n.
+
+    C_jk = (-1)^(j+k) 2jk/(j^2-k^2) off the diagonal, +0.0 on it.  The strict
+    upper triangle is computed and mirrored with a sign flip, so C_n is
+    exactly skew-symmetric.
+    """
+    _check_mode(n)
+    ks = np.arange(1, n + 1, dtype=float)
+    j, k = ks[:, None], ks[None, :]
+    sign = np.where((j + k) % 2, -1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
+        upper = np.triu(sign * (2.0 * j * k / (j * j - k * k)), 1)
+    c = upper - upper.T
+    c.flags.writeable = False
+    return c
+
+
 def coupling(j: int, k: int, t: float, domain: DomainMotion) -> float:
     """Mode-coupling coefficient b_jk(t) = integral of e_j d/dt e_k over (0, a_t).
 
-    Closed form: (-1)^(j+k) (a'_t/a_t) 2jk/(j^2-k^2) off the diagonal, 0 on it.
-    Computed once for j < k and negated for j > k, so b_jk == -b_kj bitwise.
+    The [j-1, k-1] entry of ``coupling_matrix``, so b_jk == -b_kj bitwise;
+    builds the max(j, k) table.
     """
-    _check_mode(j)
-    _check_mode(k)
-    if j == k:
-        return 0.0
-    if j > k:
-        return -_coupling_upper(k, j, t, domain)
-    return _coupling_upper(j, k, t, domain)
-
-
-def _coupling_upper(j: int, k: int, t: float, domain: DomainMotion) -> float:
-    ratio = domain.a_prime_at(t) / domain.a_at(t)
-    sign = -1.0 if (j + k) % 2 else 1.0
-    return sign * ratio * (2.0 * j * k / (j * j - k * k))
+    _check_mode(min(j, k))  # coupling_pattern checks the larger index
+    return float(coupling_matrix(max(j, k), t, domain)[j - 1, k - 1])
 
 
 def coupling_matrix(n: int, t: float, domain: DomainMotion) -> np.ndarray:
-    """Dense (n, n) matrix with entry [j-1, k-1] = b_jk(t).
+    """Dense (n, n) matrix b(t) = (a'_t/a_t) C_n, entry [j-1, k-1] = b_jk(t).
 
-    Exactly skew-symmetric: the strict upper triangle (j < k) is computed
-    from the closed form and mirrored with a sign flip.
+    Exactly skew-symmetric, with a +0.0 diagonal whatever the sign of a'_t,
+    and all +0.0 on a static domain.
     """
-    _check_mode(n)
-    b = np.zeros((n, n))
+    c = coupling_pattern(n)
     ratio = domain.a_prime_at(t) / domain.a_at(t)
-    if ratio == 0.0 or n == 1:
-        return b
-    jj, kk = np.triu_indices(n, 1)
-    j = (jj + 1).astype(float)
-    k = (kk + 1).astype(float)
-    sign = np.where((jj + kk) % 2, -1.0, 1.0)  # (-1)^(j+k) with j+k = jj+kk+2
-    upper = sign * ratio * (2.0 * j * k / (j * j - k * k))
-    b[jj, kk] = upper
-    b[kk, jj] = -upper
+    b = ratio * c if ratio else np.zeros((n, n))
+    np.fill_diagonal(b, 0.0)  # a negative ratio leaves -0.0 there
     return b
 
 
@@ -195,8 +199,7 @@ def l2_norm_sq(state: CoefficientState) -> float:
 
 def h1_norm_sq(state: CoefficientState, domain: DomainMotion) -> float:
     """||u(t)||^2 in H^1_0(0, a_t): -sum_k lambda_k(t) A_k^2."""
-    lam = eigenvalues(state.n, state.t, domain)
-    return float(np.dot(-lam, state.coeffs**2))
+    return float(np.dot(-eigenvalues(state.n, state.t, domain), state.coeffs**2))
 
 
 def _check_mode(k: int) -> None:

@@ -5,7 +5,7 @@ directory and drops a ``manifest.json`` recording the fully resolved
 configuration, so a run can be reproduced bitwise from its manifest.
 Floats are written with shortest round-trip formatting.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
+Exit codes: 0 success, 1 invalid configuration or out of memory, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run_command(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

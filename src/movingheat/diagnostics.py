@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import mode_numbers
+
 
 @dataclass
 class EnergyLedger:
@@ -40,13 +42,7 @@ def energy_residual(traj, t_index: int) -> float:
     """Discrete energy-identity residual at the t_index-th saved step."""
     if not 0 <= t_index < len(traj.times):
         raise IndexError(f"t_index {t_index} outside saved range 0..{len(traj.times) - 1}")
-    return float(
-        traj.l2_sq[t_index]
-        - traj.e0
-        + traj.visc[t_index]
-        - traj.sto[t_index]
-        - traj.hs[t_index]
-    )
+    return float(energy_residuals(traj)[t_index])
 
 
 def energy_residuals(traj) -> np.ndarray:
@@ -158,8 +154,7 @@ def level_distance(traj_n, traj_2n, domain) -> tuple[float, float]:
     d_x = float(np.sqrt(np.max(l2_sq)))
 
     a_vals = np.asarray(domain.a_at(traj_n.times), dtype=float)
-    ks = np.arange(1, traj_2n.coeffs.shape[1] + 1, dtype=float)
-    neg_lam = (ks[None, :] * np.pi / a_vals[:, None]) ** 2
+    neg_lam = (mode_numbers(traj_2n.coeffs.shape[1]) / a_vals[:, None]) ** 2
     h1_sq = np.sum(neg_lam[:, :n] * diff**2, axis=1) + np.sum(
         neg_lam[:, n:] * tail**2, axis=1
     )

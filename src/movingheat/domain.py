@@ -9,10 +9,12 @@ stability heuristics rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+if TYPE_CHECKING:  # imported where a table domain is built: scipy is slow to load
+    from scipy.interpolate import CubicSpline
 
 # family -> (parameter names, a(t), a'(t)); each function takes the motion and t
 FAMILIES = {
@@ -115,6 +117,8 @@ def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
             raise ValueError(
                 f"table knots cover [{ts[0]}, {ts[-1]}], need [0, {horizon}]"
             )
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(ts, vals, bc_type="natural")
         clean = {"t": ts, "a": vals}
     else:

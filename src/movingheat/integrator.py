@@ -20,7 +20,7 @@ from .basis import CoefficientState
 from .diagnostics import EnergyLedger
 from .domain import DomainMotion
 from .errors import ConfigError, NumericalError
-from .noise import DiffusionModel, NoiseStream, draw_increment
+from .noise import MAX_INDEX, DiffusionModel, NoiseStream, draw_increment
 
 SCHEMES = ("explicit_em", "exponential_em")
 STABILITY_FACTOR = 1.9
@@ -69,6 +69,8 @@ class SimulationConfig:
             raise ConfigError(
                 f"t_end/dt = {ratio!r} is not an integer; the time grid must be uniform"
             )
+        if steps > MAX_INDEX:
+            raise ConfigError(f"t_end/dt = {steps} steps exceeds the noise stream's {MAX_INDEX}")
         if self.scheme == "explicit_em":
             bound = explicit_dt_bound(self.domain, self.n)
             if self.dt > bound:
@@ -78,8 +80,8 @@ class SimulationConfig:
                 )
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.n_paths < 1:
-            raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 1 <= self.n_paths <= MAX_INDEX:
+            raise ConfigError(f"n_paths must lie in [1, {MAX_INDEX}], got {self.n_paths}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")
         if self.snapshot_stride < 1:
@@ -191,7 +193,6 @@ def simulate(
     steps = saved_steps(n_steps, config.snapshot_stride)
     save_set = set(steps.tolist())
 
-    ledger = EnergyLedger(e0=basis.l2_norm_sq(state))
     stream = NoiseStream(config.seed, path_index)
     m, dt, model, domain = config.model.m, config.dt, config.model, config.domain
 
@@ -212,30 +213,37 @@ def simulate(
         coeffs[row] = st.coeffs
         l2[row] = basis.l2_norm_sq(st)
         h1[row] = basis.h1_norm_sq(st, domain)
+        if not (math.isfinite(l2[row]) and math.isfinite(h1[row])):
+            raise NumericalError(f"non-finite norms at t={st.t:.6g}")
         visc[row] = ledger.visc
         sto[row] = ledger.sto
         hs[row] = ledger.hs
         row += 1
 
-    save(state)
-    for i in range(n_steps):
-        if model.kind == "zero":
-            kick = np.zeros(config.n)
-            stream.step_index += 1  # keep the stream aligned with stochastic runs
-            hs_sq = 0.0
-        else:
-            incr = draw_increment(stream, m, dt)
-            kick = noise.noise_kick(model, state, incr)
-            hs_sq = noise.hs_norm_sq(model, state)
-        sto_inc = 2.0 * float(np.dot(state.coeffs, kick))
-        ledger.record_step(basis.h1_norm_sq(state, domain), sto_inc, hs_sq, dt)
-        try:
-            state = _advance(state, config, kick, zero_eigenvalues)
-        except NumericalError as exc:
-            raise NumericalError(f"path {path_index}, step {i + 1}: {exc}") from None
-        state = CoefficientState((i + 1) * dt, state.coeffs)
-        if i + 1 in save_set:
+    i = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise here
+            ledger = EnergyLedger(e0=basis.l2_norm_sq(state))
             save(state)
+            for i in range(1, n_steps + 1):
+                if model.kind == "zero":
+                    kick = np.zeros(config.n)
+                    stream.step_index += 1  # keep the stream aligned with stochastic runs
+                    hs_sq = 0.0
+                else:
+                    incr = draw_increment(stream, m, dt)
+                    kick = noise.noise_kick(model, state, incr)
+                    hs_sq = noise.hs_norm_sq(model, state)
+                sto_inc = 2.0 * float(np.dot(state.coeffs, kick))
+                ledger.record_step(basis.h1_norm_sq(state, domain), sto_inc, hs_sq, dt)
+                if not all(map(math.isfinite, (ledger.visc, ledger.sto, ledger.hs))):
+                    raise NumericalError(f"non-finite energy ledger at t={i * dt:.6g}")
+                state = _advance(state, config, kick, zero_eigenvalues)
+                state = CoefficientState(i * dt, state.coeffs)
+                if i in save_set:
+                    save(state)
+    except NumericalError as exc:
+        raise NumericalError(f"path {path_index}, step {i}: {exc}") from None
 
     return Trajectory(times, coeffs, l2, h1, visc, sto, hs, ledger.e0, steps, config)
 

@@ -17,6 +17,9 @@ import numpy as np
 
 from .basis import CoefficientState
 
+# Philox keys hold the path and step indices in 32 bits each
+MAX_INDEX = 2**32
+
 
 @dataclass(frozen=True, eq=False)
 class DiffusionModel:
@@ -152,21 +155,26 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int, path_index: int = 0, step_index: int = 0):
-        if seed < 0 or path_index < 0 or step_index < 0:
-            raise ValueError("seed, path_index and step_index must be nonnegative")
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
+        _check_index("path_index", path_index)
+        _check_index("step_index", step_index)
         self.seed = int(seed)
         self.path_index = int(path_index)
         self.step_index = int(step_index)
 
     def generator_at(self, step_index: int) -> np.random.Generator:
+        _check_index("step_index", step_index)
         key = np.array(
-            [
-                np.uint64(self.seed),
-                np.uint64(((self.path_index & 0xFFFFFFFF) << 32) | (step_index & 0xFFFFFFFF)),
-            ],
+            [np.uint64(self.seed), np.uint64((self.path_index << 32) | step_index)],
             dtype=np.uint64,
         )
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_index(name: str, index: int) -> None:
+    if not 0 <= index < MAX_INDEX:
+        raise ValueError(f"{name} must lie in [0, {MAX_INDEX}), got {index}")
 
 
 def draw_increment(stream: NoiseStream, m: int, dt: float) -> np.ndarray:

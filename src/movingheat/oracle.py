@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import basis
 from .domain import DomainMotion
@@ -50,6 +49,8 @@ def fd_solve(
     save_stride: int = 1,
 ) -> MappedGridSolution:
     """Crank-Nicolson march of the mapped equation on an (M+1)-point grid."""
+    from scipy.linalg import solve_banded  # imported here: scipy is slow to load
+
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M}")
     if dt_fd <= 0:

@@ -234,3 +234,64 @@ class TestSynthesisAndNorms:
             lhs = h1_norm_sq(state, sin_domain)
             rhs = (np.pi / sin_domain.big_l) ** 2 * l2_norm_sq(state)
             assert lhs >= rhs * (1 - 1e-12)
+
+
+# one domain per family at a time inside its horizon, with the sign of a' there
+TABLE_DOMAINS = {
+    "constant": (("constant", {"a0": 1.3}, 1.0), 0.4, 0),
+    "linear": (("linear", {"a0": 1.0, "slope": 0.3}, 1.0), 0.4, 1),
+    "exponential": (("exponential", {"a0": 1.0, "slope": -0.2}, 1.0), 0.4, -1),
+    "table": (("table", {"t": np.linspace(0.0, 1.0, 6),
+                         "a": 1.0 + 0.3 * np.sin(np.linspace(0.0, 4.0, 6))}, 1.0), 0.2, 1),
+    "sinusoidal+": (("sinusoidal", {"a0": 1.0, "amp": 0.5, "omega": 1.0}, 3.0), 0.3, 1),
+    "sinusoidal-": (("sinusoidal", {"a0": 1.0, "amp": 0.5, "omega": 1.0}, 3.0), 2.5, -1),
+}
+
+
+class TestModeTables:
+    @pytest.fixture(params=list(TABLE_DOMAINS), scope="class")
+    def case(self, request):
+        from movingheat import make_domain
+
+        args, t, sign = TABLE_DOMAINS[request.param]
+        domain = make_domain(*args)
+        assert np.sign(domain.a_prime_at(t)) == sign
+        return domain, t, sign
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+    def test_scalars_are_the_table_entries(self, case, n):
+        domain, t, _ = case
+        b = coupling_matrix(n, t, domain)
+        lam = eigenvalues(n, t, domain)
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                assert np.float64(coupling(j, k, t, domain)).tobytes() == b[j - 1, k - 1].tobytes()
+            assert np.float64(eigenvalue(j, t, domain)).tobytes() == lam[j - 1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+    def test_skew_with_positive_zero_diagonal(self, case, n):
+        domain, t, sign = case
+        b = coupling_matrix(n, t, domain)
+        assert np.all(b + b.T == 0.0)
+        assert not np.any(np.signbit(np.diag(b)))
+        if sign == 0:
+            assert not np.any(np.signbit(b)) and np.all(b == 0.0)
+        else:
+            assert np.count_nonzero(b) == n * n - n
+
+    def test_fresh_writable_arrays(self, case):
+        domain, t, _ = case
+        for table in (coupling_matrix, eigenvalues):
+            first = table(16, t, domain)
+            expected = first.copy()
+            assert first.flags.writeable
+            first[...] = 7.0
+            second = table(16, t, domain)
+            assert second is not first and second.tobytes() == expected.tobytes()
+
+    def test_pattern_is_read_only(self):
+        from movingheat.basis import coupling_pattern, mode_numbers
+
+        for table in (coupling_pattern(8), mode_numbers(8)):
+            with pytest.raises(ValueError):
+                table[0] = 1.0

@@ -310,3 +310,76 @@ def test_manifest_lists_written_files(tmp_path, cfg_path, command, extra, output
     assert set(manifest["outputs"]) == written == outputs
     base = {"command", "version", "seed", "config_text", "outputs", "duration_s"}
     assert set(manifest) == base | keys
+
+
+OVERFLOW_CFG = """
+[domain]
+kind = constant
+a0 = 1.0
+T = 1.0
+
+[noise]
+kind = moving_diagonal
+gamma = 0
+beta = 2000
+p = 1
+m = 1
+
+[init]
+kind = mode
+mode = 1
+
+[sim]
+n = 1
+dt = 1e-3
+t_end = 0.2
+n_paths = 2
+"""
+
+
+class TestFailureReports:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowed_norms_exit_two_with_one_line(self, tmp_path, capfd, workers):
+        # |A|^2 overflows long before A does: the run fails instead of writing inf
+        cfg = tmp_path / "over.cfg"
+        cfg.write_text(OVERFLOW_CFG, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("ensemble", "--config", cfg, "--out", out, "--workers", workers) == 2
+        err = capfd.readouterr().err
+        assert err == "numerical failure: path 0, step 100: non-finite energy ledger at t=0.1\n"
+        assert not (out / "moments.csv").exists()
+
+    def test_out_of_memory_exits_one_with_one_line(self, tmp_path, capfd):
+        # numpy refuses the 8 PB request for the m = n noise weights before allocating
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(OVERFLOW_CFG.replace("n = 1\n", "n = 1e15\n").replace("m = 1\n", ""),
+                       encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy serves only table domains and the finite-difference oracle; it is
+    # imported where they are built
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import movingheat
+
+    script = (
+        "import sys, numpy as np\n"
+        "import movingheat.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "from movingheat import make_domain, ParabolaInitial\n"
+        "from movingheat.oracle import fd_solve\n"
+        "d = make_domain('table', {'t': np.linspace(0, 1, 5), 'a': np.linspace(1, 1.2, 5)}, 1.0)\n"
+        "sol = fd_solve(d, ParabolaInitial(1.0), 16, 0.01, 0.1)\n"
+        "assert np.all(np.isfinite(sol.v)) and sol.times[-1] == 0.1\n"
+    )
+    src = str(Path(movingheat.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

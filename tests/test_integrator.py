@@ -307,12 +307,43 @@ def test_initial_data_match_raw_sine_formula():
     assert np.array_equal(ModesInitial(amps, a0)(x), raw)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def overflowing_config(domain):
+    # n = 1 is the scalar product A_k = prod (1 + beta dB_i) e^(lambda dt): at beta = 2000
+    # the HS term (beta A)^2 of the ledger overflows first, at steps 100, 104, 96 and 102
+    # of paths 0 to 3
+    return SimulationConfig(domain=domain, n=1, model=moving_diagonal(0.0, 2000.0, 1.0, 1),
+                            dt=1e-3, t_end=0.2, n_paths=4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_numerical_failure_names_the_path(unit_domain, workers):
-    # n = 1 is the scalar product A_k = prod (1 + beta dB_i) e^(lambda dt): at beta = 2000
-    # path 2 overflows at step 198, paths 0, 1 and 3 stay below 1e302
-    cfg = SimulationConfig(domain=unit_domain, n=1, model=moving_diagonal(0.0, 2000.0, 1.0, 1),
-                           dt=1e-3, t_end=0.2, n_paths=4)
-    with pytest.raises(NumericalError, match=r"^path 2, step 198: non-finite coefficients"):
-        simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0), workers=workers)
+    with pytest.raises(NumericalError,
+                       match=r"^path 0, step 100: non-finite energy ledger at t=0\.1$"):
+        simulate_ensemble(overflowing_config(unit_domain), ModeInitial(1, 1.0, 1.0),
+                          workers=workers)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numerical_failure_names_a_later_path(unit_domain):
+    with pytest.raises(NumericalError,
+                       match=r"^path 2, step 96: non-finite energy ledger at t=0\.096$"):
+        simulate(overflowing_config(unit_domain), ModeInitial(1, 1.0, 1.0), path_index=2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_saved_norm_is_a_failure(unit_domain):
+    # |A|^2 = 1e400 overflows although A itself is finite
+    cfg = config(unit_domain, n=1, model=zero_model(1))
+    with pytest.raises(NumericalError, match=r"^path 0, step 0: non-finite norms at t=0$"):
+        simulate(cfg, CoefficientState(0.0, np.array([1e200])))
+
+
+def test_path_and_step_counts_fit_the_noise_keys(unit_domain):
+    # paths and steps are 32-bit words of the Philox key: 2^32 of each, no more
+    assert config(unit_domain, n_paths=2**32).n_paths == 2**32
+    with pytest.raises(ConfigError, match="n_paths"):
+        config(unit_domain, n_paths=2**32 + 1)
+    assert config(unit_domain, dt=2.0**-32, t_end=1.0).n_steps == 2**32
+    with pytest.raises(ConfigError, match="steps exceeds"):
+        config(unit_domain, dt=2.0**-33, t_end=1.0)

@@ -123,6 +123,26 @@ class TestIncrements:
         assert stream.step_index == 2
         assert not np.array_equal(first, second)
 
+    def test_key_layout(self):
+        # key = (seed, path << 32 | step): the increments of every valid run stay the same
+        rng = np.random.Generator(np.random.Philox(key=[9, (4 << 32) | 17]))
+        expected = rng.standard_normal(8) * np.sqrt(1e-3)
+        assert draw_increment(NoiseStream(9, 4, 17), 8, 1e-3).tobytes() == expected.tobytes()
+
+    def test_path_index_beyond_32_bits_is_rejected(self):
+        # path 2^32 would replay path 0's increments
+        NoiseStream(1, path_index=2**32 - 1)
+        with pytest.raises(ValueError, match="path_index"):
+            NoiseStream(1, path_index=2**32)
+
+    def test_step_index_beyond_32_bits_is_rejected(self):
+        stream = NoiseStream(1, step_index=2**32 - 1)
+        draw_increment(stream, 2, 1e-3)
+        with pytest.raises(ValueError, match="step_index"):
+            draw_increment(stream, 2, 1e-3)
+        with pytest.raises(ValueError, match="step_index"):
+            NoiseStream(1, step_index=2**32)
+
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             draw_increment(NoiseStream(1), 4, 0.0)
