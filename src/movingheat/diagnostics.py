@@ -20,19 +20,20 @@ from .basis import mode_numbers
 
 @dataclass
 class EnergyLedger:
-    """Running discrete sums of the energy-balance terms.
+    """Running discrete sums of the energy-balance terms of P paths.
 
-    r(t) = |u(t)|^2 - e0 + visc(t) - sto(t) - hs(t) should vanish as dt -> 0:
-    ``visc`` accumulates 2 ||u(t_i)||^2 dt, ``sto`` accumulates
-    2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.
+    r(t) = |u(t)|^2 - |u(0)|^2 + visc(t) - sto(t) - hs(t) should vanish as
+    dt -> 0: ``visc`` accumulates 2 ||u(t_i)||^2 dt, ``sto`` accumulates
+    2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.  They
+    are (P,) views of the rows of ``sums``, which may be the caller's array.
     """
 
-    e0: float
-    visc: float = 0.0
-    sto: float = 0.0
-    hs: float = 0.0
+    sums: np.ndarray  # (3, P)
 
-    def record_step(self, h1_sq: float, sto_increment: float, hs_sq: float, dt: float) -> None:
+    def __post_init__(self):
+        self.visc, self.sto, self.hs = self.sums
+
+    def record_step(self, h1_sq, sto_increment, hs_sq, dt: float) -> None:
         self.visc += 2.0 * h1_sq * dt
         self.sto += sto_increment
         self.hs += hs_sq * dt
@@ -123,6 +124,8 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     gradient distance d_y.  Both split over the common first n modes plus
     the tail of the finer solution.
     """
+    if n_seeds < 1:
+        raise ValueError(f"number of seeds must be >= 1, got {n_seeds}")
     levels = list(levels)
     for lo, hi in zip(levels, levels[1:]):
         if hi != 2 * lo:
@@ -143,9 +146,7 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
 
 def level_distance(traj_n, traj_2n, domain) -> tuple[float, float]:
     """(sup-in-time L^2 distance, integrated H^1 distance^2) between levels."""
-    if traj_n.times.shape != traj_2n.times.shape or not np.array_equal(
-        traj_n.times, traj_2n.times
-    ):
+    if not np.array_equal(traj_n.times, traj_2n.times):  # False on a shape mismatch too
         raise ValueError("trajectories must share the same saved time grid")
     n = traj_n.coeffs.shape[1]
     diff = traj_2n.coeffs[:, :n] - traj_n.coeffs

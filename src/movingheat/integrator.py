@@ -10,8 +10,10 @@ plain Euler-Maruyama scheme is retained behind a step-size guard.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -20,10 +22,12 @@ from .basis import CoefficientState
 from .diagnostics import EnergyLedger
 from .domain import DomainMotion
 from .errors import ConfigError, NumericalError
-from .noise import MAX_INDEX, DiffusionModel, NoiseStream, draw_increment
+from .noise import MAX_INDEX, MAX_MODES, DiffusionModel, NoiseStream, draw_increment
 
 SCHEMES = ("explicit_em", "exponential_em")
 STABILITY_FACTOR = 1.9
+# Rows of one (paths, n) block of the ensemble stepper; bounds its working set
+MAX_BLOCK_ROWS = 256
 
 
 def saved_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -55,8 +59,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.n < 1:
-            raise ConfigError(f"truncation n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_MODES:
+            raise ConfigError(f"truncation n must lie in [1, {MAX_MODES}], got {self.n}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not 0 < self.t_end <= self.domain.horizon:
@@ -65,7 +69,7 @@ class SimulationConfig:
             )
         ratio = self.t_end / self.dt
         steps = round(ratio) if math.isfinite(ratio) else 0
-        if steps < 1 or abs(ratio - steps) > 0.5 * np.spacing(ratio):
+        if steps < 1 or abs(ratio - steps) > 0.5 * math.ulp(ratio):  # finite at the largest float
             raise ConfigError(
                 f"t_end/dt = {ratio!r} is not an integer; the time grid must be uniform"
             )
@@ -114,138 +118,124 @@ class Trajectory:
         return CoefficientState(float(self.times[index]), self.coeffs[index].copy())
 
 
-def drift(state: CoefficientState, domain: DomainMotion) -> np.ndarray:
-    """Full drift vector: coupling transfer plus diagonal decay."""
-    b = basis.coupling_matrix(state.n, state.t, domain)
-    lam = basis.eigenvalues(state.n, state.t, domain)
-    return b.T @ state.coeffs + lam * state.coeffs
-
-
-def step(
-    state: CoefficientState,
-    config: SimulationConfig,
-    increment: np.ndarray,
-    zero_eigenvalues: bool = False,
-) -> CoefficientState:
+def step(state: CoefficientState, config: SimulationConfig, increment: np.ndarray,
+         zero_eigenvalues: bool = False) -> CoefficientState:
     """Advance one time step; ``zero_eigenvalues`` is a diagnostic hook that
     drops the decay term so pure coupling transport can be studied."""
-    kick = noise.noise_kick(config.model, state, increment)
-    return _advance(state, config, kick, zero_eigenvalues)
-
-
-def _advance(
-    state: CoefficientState,
-    config: SimulationConfig,
-    kick: np.ndarray,
-    zero_eigenvalues: bool,
-) -> CoefficientState:
-    t, dt, domain = state.t, config.dt, config.domain
-    a = state.coeffs
-    b = basis.coupling_matrix(state.n, t, domain)
-    coupling_part = b.T @ a
-    if config.scheme == "explicit_em":
-        lam = (
-            np.zeros(state.n)
-            if zero_eigenvalues
-            else basis.eigenvalues(state.n, t, domain)
-        )
-        new = a + (coupling_part + lam * a) * dt + kick
-    else:
-        lam_mid = (
-            np.zeros(state.n)
-            if zero_eigenvalues
-            else basis.eigenvalues(state.n, t + 0.5 * dt, domain)
-        )
-        new = np.exp(lam_mid * dt) * (a + coupling_part * dt + kick)
+    kick = noise.noise_kick(config.model, state.coeffs, increment)
+    new = _update(config, state.t, state.coeffs[None], kick[None], zero_eigenvalues)[0]
     if not np.all(np.isfinite(new)):
-        raise NumericalError(
-            f"non-finite coefficients at t={t + dt:.6g}"
-            + (
-                f"; explicit_em stability requires dt <= "
-                f"{explicit_dt_bound(domain, state.n):.6g}"
-                if config.scheme == "explicit_em"
-                else ""
-            )
-        )
-    return CoefficientState(t + dt, new)
+        raise NumericalError(_coefficient_failure(config, state.t + config.dt))
+    return CoefficientState(state.t + config.dt, new)
 
 
-def simulate(
-    config: SimulationConfig,
-    u0,
-    path_index: int = 0,
-    zero_eigenvalues: bool = False,
-) -> Trajectory:
-    """Project u0, step to t_end, and record strided snapshots plus ledger.
+def _update(config: SimulationConfig, t: float, a: np.ndarray, kick: np.ndarray,
+            zero_eigenvalues: bool) -> np.ndarray:
+    """The scheme's step from t to t + dt of the (P, n) coefficients ``a``, row by row."""
+    n, dt, domain = config.n, config.dt, config.domain
+    b = basis.coupling_matrix(n, t, domain)
+    coupling_part = np.matmul(a[:, None, :], b)[:, 0, :]  # row p: b.T @ a[p]
+    if config.scheme == "explicit_em":
+        lam = 0.0 if zero_eigenvalues else basis.eigenvalues(n, t, domain)
+        return a + (coupling_part + lam * a) * dt + kick
+    lam_mid = 0.0 if zero_eigenvalues else basis.eigenvalues(n, t + 0.5 * dt, domain)
+    return np.exp(lam_mid * dt) * (a + coupling_part * dt + kick)
 
-    ``u0`` is either a callable on (0, a_0) or a ready CoefficientState.
-    The noise stream is keyed by (config.seed, path_index, step), so reruns
-    are bitwise identical and the snapshot stride cannot change the path.
-    """
+
+def _coefficient_failure(config: SimulationConfig, t: float) -> str:
+    if config.scheme != "explicit_em":
+        return f"non-finite coefficients at t={t:.6g}"
+    return (f"non-finite coefficients at t={t:.6g}; explicit_em stability requires "
+            f"dt <= {explicit_dt_bound(config.domain, config.n):.6g}")
+
+
+def _initial_coeffs(config: SimulationConfig, u0) -> np.ndarray:
+    """Coefficients at t = 0: u0 projected, or a ready CoefficientState's own."""
     if isinstance(u0, CoefficientState):
         if u0.n != config.n:
             raise ConfigError(f"initial state has n={u0.n}, config has n={config.n}")
-        state = CoefficientState(0.0, np.asarray(u0.coeffs, dtype=float).copy())
-    else:
-        state = basis.project_initial(u0, config.n, config.domain)
+        return np.asarray(u0.coeffs, dtype=float)
+    return basis.project_initial(u0, config.n, config.domain).coeffs
 
-    n_steps = config.n_steps
-    steps = saved_steps(n_steps, config.snapshot_stride)
-    save_set = set(steps.tolist())
 
-    stream = NoiseStream(config.seed, path_index)
-    m, dt, model, domain = config.model.m, config.dt, config.model, config.domain
+def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalues=False,
+                keep_coeffs=False):
+    """Step paths[r], as row r of one (P, n) block, from the coefficients a0 to t_end.
 
-    n_saved = len(steps)
-    times = np.empty(n_saved)
-    coeffs = np.empty((n_saved, config.n))
-    l2 = np.empty(n_saved)
-    h1 = np.empty(n_saved)
-    visc = np.empty(n_saved)
-    sto = np.empty(n_saved)
-    hs = np.empty(n_saved)
+    Rows draw from their own (seed, path, step) keys and every product is taken
+    row by row, so a row's bits do not depend on the rows beside it.  Returns the
+    (5, P, saved) series l2, h1, visc, sto, hs and, with ``keep_coeffs``, the
+    (P, saved, n) saved coefficients.  A row fails at the first non-finite value
+    of its ledger, coefficients or saved norms, checked in that order; the error
+    names the lowest failed path.
+    """
+    n, m, dt, model, domain = config.n, config.model.m, config.dt, config.model, config.domain
+    saved = saved_steps(config.n_steps, config.snapshot_stride).tolist()
+    n_rows = len(paths)
+    streams = [NoiseStream(config.seed, p) for p in paths]
+    increments = np.empty((n_rows, m))
+    series = np.empty((5, n_rows, len(saved)))
+    coeffs = np.empty((n_rows, len(saved), n)) if keep_coeffs else None
+    failures: dict[int, str] = {}  # row -> its first failure
 
-    row = 0
+    def fail(values, i, message):  # rows run along the last axis of ``values``
+        for r in np.flatnonzero(~np.isfinite(values).reshape(-1, n_rows).all(axis=0)).tolist():
+            failures.setdefault(r, f"path {paths[r]}, step {i}: {message}")
 
-    def save(st: CoefficientState):
-        nonlocal row
-        times[row] = st.t
-        coeffs[row] = st.coeffs
-        l2[row] = basis.l2_norm_sq(st)
-        h1[row] = basis.h1_norm_sq(st, domain)
-        if not (math.isfinite(l2[row]) and math.isfinite(h1[row])):
-            raise NumericalError(f"non-finite norms at t={st.t:.6g}")
-        visc[row] = ledger.visc
-        sto[row] = ledger.sto
-        hs[row] = ledger.hs
-        row += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked
+        a = np.tile(a0, (n_rows, 1))
+        # l2, h1 and the ledger sums of each row; h1 is also the next step's ledger term
+        cur = np.zeros((5, n_rows))
+        l2, h1 = cur[0], cur[1]
+        np.vecdot(a, a, out=l2)
+        np.vecdot(-basis.eigenvalues(n, 0.0, domain), a**2, out=h1)
+        ledger = EnergyLedger(cur[2:])
+        row = 0
+        for i in range(config.n_steps + 1):
+            if i:
+                for r, stream in enumerate(streams):
+                    increments[r] = draw_increment(stream, m, dt)
+                kick = noise.noise_kick(model, a, increments)
+                ledger.record_step(h1, 2.0 * np.vecdot(a, kick), noise.hs_norm_sq(model, a), dt)
+                t = (i - 1) * dt
+                a = _update(config, t, a, kick, zero_eigenvalues)
+                np.vecdot(-basis.eigenvalues(n, i * dt, domain), a**2, out=h1)
+            is_saved = i == saved[row]
+            if is_saved:
+                np.vecdot(a, a, out=l2)
+            # non-finite coefficients make h1 non-finite: one sum catches every failure
+            if not math.isfinite(cur.sum()):
+                if i:
+                    fail(ledger.sums, i, f"non-finite energy ledger at t={i * dt:.6g}")
+                    fail(a.T, i, _coefficient_failure(config, t + dt))
+                if is_saved:
+                    fail(cur[:2], i, f"non-finite norms at t={i * dt:.6g}")
+                if 0 in failures:
+                    break
+            if is_saved:
+                series[:, :, row] = cur
+                if keep_coeffs:
+                    coeffs[:, row] = a
+                row += 1
+    if failures:
+        raise NumericalError(failures[min(failures)])
+    return series, coeffs
 
-    i = 0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise here
-            ledger = EnergyLedger(e0=basis.l2_norm_sq(state))
-            save(state)
-            for i in range(1, n_steps + 1):
-                if model.kind == "zero":
-                    kick = np.zeros(config.n)
-                    stream.step_index += 1  # keep the stream aligned with stochastic runs
-                    hs_sq = 0.0
-                else:
-                    incr = draw_increment(stream, m, dt)
-                    kick = noise.noise_kick(model, state, incr)
-                    hs_sq = noise.hs_norm_sq(model, state)
-                sto_inc = 2.0 * float(np.dot(state.coeffs, kick))
-                ledger.record_step(basis.h1_norm_sq(state, domain), sto_inc, hs_sq, dt)
-                if not all(map(math.isfinite, (ledger.visc, ledger.sto, ledger.hs))):
-                    raise NumericalError(f"non-finite energy ledger at t={i * dt:.6g}")
-                state = _advance(state, config, kick, zero_eigenvalues)
-                state = CoefficientState(i * dt, state.coeffs)
-                if i in save_set:
-                    save(state)
-    except NumericalError as exc:
-        raise NumericalError(f"path {path_index}, step {i}: {exc}") from None
 
-    return Trajectory(times, coeffs, l2, h1, visc, sto, hs, ledger.e0, steps, config)
+def simulate(config: SimulationConfig, u0, path_index: int = 0,
+             zero_eigenvalues: bool = False) -> Trajectory:
+    """Project u0, step to t_end, and record strided snapshots plus ledger.
+
+    ``u0`` is either a callable on (0, a_0) or a ready CoefficientState.
+    The path is row [path_index] of the block stepper: its noise is keyed by
+    (config.seed, path_index, step), so reruns are bitwise identical and the
+    snapshot stride cannot change the path.
+    """
+    (l2, h1, visc, sto, hs), coeffs = _step_paths(
+        config, _initial_coeffs(config, u0), [path_index], zero_eigenvalues, keep_coeffs=True)
+    steps = saved_steps(config.n_steps, config.snapshot_stride)
+    return Trajectory(steps * config.dt, coeffs[0], l2[0], h1[0], visc[0], sto[0], hs[0],
+                      float(l2[0, 0]), steps, config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,29 +259,35 @@ class EnsembleSummary:
     config: SimulationConfig
 
 
-def _path_series(args) -> np.ndarray:
-    """The (5, saved) series l2, h1, visc, sto, hs of one path."""
-    config, u0, p = args
-    traj = simulate(config, u0, path_index=p)
-    return np.stack([traj.l2_sq, traj.h1_sq, traj.visc, traj.sto, traj.hs])
+def _blocks(n_paths: int, workers: int) -> list[range]:
+    """Contiguous path blocks: as many as ``workers``, each at most MAX_BLOCK_ROWS rows."""
+    count = max(min(workers, n_paths), -(-n_paths // MAX_BLOCK_ROWS))
+    bounds = [b * n_paths // count for b in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> EnsembleSummary:
     """Run config.n_paths independent paths and reduce deterministically.
 
-    Per-path results land in arrays indexed by path number before any
-    reduction, so means and standard errors do not depend on worker count
-    or completion order.
+    The blocks of paths go to a pool of at most ``workers`` processes, never
+    more than there are blocks or usable CPUs.  Per-path results land in
+    arrays indexed by path number before any reduction, so means and standard
+    errors do not depend on worker count or completion order, and a failure
+    names the lowest failed path.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     n_paths = config.n_paths
-    jobs = [(config, u0, p) for p in range(n_paths)]
-    if workers > 1 and n_paths > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, n_paths // (4 * workers))
-            series = list(pool.map(_path_series, jobs, chunksize=chunk))  # in path order
+    blocks = _blocks(n_paths, workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = min(workers, len(blocks), cpus or 1)
+    args = (repeat(config), repeat(_initial_coeffs(config, u0)), blocks)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            parts = list(pool.map(_step_paths, *args))  # in path order
     else:
-        series = [_path_series(j) for j in jobs]
-    l2, h1, visc, sto, hs = np.stack(series, axis=1)  # each (n_paths, saved)
+        parts = list(map(_step_paths, *args))
+    l2, h1, visc, sto, hs = np.concatenate([series for series, _ in parts], axis=1)
 
     times = saved_steps(config.n_steps, config.snapshot_stride) * config.dt
     if n_paths > 1:

@@ -19,6 +19,7 @@ from .basis import CoefficientState
 
 # Philox keys hold the path and step indices in 32 bits each
 MAX_INDEX = 2**32
+MAX_MODES = 4096  # cap on the truncations n and m; the dense (n, n) coupling is 128 MiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +80,7 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
     table = np.atleast_2d(np.asarray(table, dtype=float))
     if table.ndim != 2 or table.size == 0 or not np.all(np.isfinite(table)):
         raise ValueError("coefficient table must be a nonempty, finite 2-D array")
+    _check_m(table.shape[0])
     hs = float(np.sqrt(np.sum(table**2)))
     if lipschitz_k < hs:
         raise ValueError(
@@ -91,9 +93,9 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
 
 
 def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
-    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n)."""
-    d = min(model.m, coeffs.shape[0])
-    return model.q[:d] * (model.gamma + model.beta * coeffs[:d])
+    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n), per row of ``coeffs``."""
+    d = min(model.m, coeffs.shape[-1])
+    return model.q[:d] * (model.gamma + model.beta * coeffs[..., :d])
 
 
 def _sigma(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
@@ -117,31 +119,32 @@ def sigma_coeff(model: DiffusionModel, j: int, k: int, state: CoefficientState) 
     return float(_sigma(model, state.coeffs)[j - 1, k - 1])
 
 
-def hs_norm_sq(model: DiffusionModel, state: CoefficientState) -> float:
-    """Squared Hilbert-Schmidt norm: sum over j <= m, k <= n of sigma_jk^2.
-
-    Summed part by part: no constructor gives a model both parts.
-    """
-    total = 0.0
+def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
+    """Squared Hilbert-Schmidt norm, the sum over j <= m, k <= n of sigma_jk^2, for each
+    row of the (..., n) coefficients; summed part by part (no constructor gives both)."""
     if model.q is not None:
-        total += float(np.sum(_diagonal(model, state.coeffs) ** 2))
+        total = np.sum(_diagonal(model, coeffs) ** 2, axis=-1)
+    else:
+        total = np.zeros(coeffs.shape[:-1])
     if model.table is not None:
-        total += float(np.sum(model.table[:, : min(state.n, model.table.shape[1])] ** 2))
+        total = total + np.sum(model.table[:, : min(coeffs.shape[-1], model.table.shape[1])] ** 2)
     return total
 
 
-def noise_kick(model: DiffusionModel, state: CoefficientState, increment: np.ndarray) -> np.ndarray:
-    """Coefficient-space kick: kick_k = sum_j sigma_jk dB_j."""
+def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray) -> np.ndarray:
+    """Coefficient-space kick kick_k = sum_j sigma_jk dB_j for each row of the (..., n)
+    coefficients and the (..., m) increments, every row computed on its own."""
     increment = np.asarray(increment, dtype=float)
-    if increment.shape != (model.m,):
-        raise ValueError(f"increment has shape {increment.shape}, expected ({model.m},)")
-    kick = np.zeros(state.n)
+    shape = coeffs.shape[:-1] + (model.m,)
+    if increment.shape != shape:
+        raise ValueError(f"increment has shape {increment.shape}, expected {shape}")
+    kick = np.zeros(coeffs.shape)
     if model.q is not None:
-        diag = _diagonal(model, state.coeffs)
-        kick[: diag.size] = diag * increment[: diag.size]
+        diag = _diagonal(model, coeffs)
+        kick[..., : diag.shape[-1]] = diag * increment[..., : diag.shape[-1]]
     if model.table is not None:
-        cols = min(state.n, model.table.shape[1])
-        kick[:cols] += model.table[:, :cols].T @ increment
+        cols = min(coeffs.shape[-1], model.table.shape[1])
+        kick[..., :cols] += np.matmul(increment[..., None, :], model.table[:, :cols])[..., 0, :]
     return kick
 
 
@@ -186,26 +189,24 @@ def draw_increment(stream: NoiseStream, m: int, dt: float) -> np.ndarray:
     return rng.standard_normal(m) * np.sqrt(dt)
 
 
-def check_assumptions(
-    model: DiffusionModel, n: int, t: float = 0.0, n_pairs: int = 200, seed: int = 0
-) -> dict:
+def check_assumptions(model: DiffusionModel, n: int, n_pairs: int = 200, seed: int = 0) -> dict:
     """Empirical check of the Lipschitz, growth and diagonality properties.
 
-    Draws ``n_pairs`` random state pairs on the same time slice and returns
-    the worst observed ratios; a conforming model keeps lipschitz and growth
-    ratios <= 1.
+    Draws ``n_pairs`` random pairs of n-mode coefficient vectors (sigma does
+    not depend on time) and returns the worst observed ratios; a conforming
+    model keeps lipschitz and growth ratios <= 1.
     """
     rng = np.random.default_rng(seed)
     worst_lip = 0.0
     worst_growth = 0.0
     for _ in range(n_pairs):
-        u = CoefficientState(t, rng.normal(scale=2.0, size=n))
-        v = CoefficientState(t, rng.normal(scale=2.0, size=n))
-        du = float(np.linalg.norm(u.coeffs - v.coeffs))
-        diff = float(np.linalg.norm(_sigma(model, u.coeffs) - _sigma(model, v.coeffs)))
+        u = rng.normal(scale=2.0, size=n)
+        v = rng.normal(scale=2.0, size=n)
+        du = float(np.linalg.norm(u - v))
+        diff = float(np.linalg.norm(_sigma(model, u) - _sigma(model, v)))
         if du > 0 and model.lipschitz_k > 0:
             worst_lip = max(worst_lip, diff / (model.lipschitz_k * du))
-        norm_u = float(np.linalg.norm(u.coeffs))
+        norm_u = float(np.linalg.norm(u))
         if model.lipschitz_k > 0:
             growth = np.sqrt(hs_norm_sq(model, u)) / (model.lipschitz_k * (norm_u + 1.0))
             worst_growth = max(worst_growth, growth)
@@ -219,5 +220,5 @@ def check_assumptions(
 
 
 def _check_m(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"noise truncation m must be a positive integer, got {m!r}")
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_MODES:
+        raise ValueError(f"noise truncation m must be an integer in [1, {MAX_MODES}], got {m!r}")

@@ -350,13 +350,34 @@ class TestFailureReports:
         assert not (out / "moments.csv").exists()
 
     def test_out_of_memory_exits_one_with_one_line(self, tmp_path, capfd):
-        # numpy refuses the 8 PB request for the m = n noise weights before allocating
+        # m = n = 1e15 is beyond the 4096 cap on both truncations
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(OVERFLOW_CFG.replace("n = 1\n", "n = 1e15\n").replace("m = 1\n", ""),
                        encoding="utf-8")
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
         err = capfd.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unallocatable_grid_exits_one_with_one_line(self, tmp_path, capfd):
+        # numpy refuses the 8 PB request for the field grid before allocating
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(OVERFLOW_CFG.replace("t_end = 0.2", "t_end = 0.01")
+                       + "[output]\ngrid_size = 1e15\n", encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("ensemble", "--workers", 0, "workers must be >= 1, got 0"),
+        ("ensemble", "--workers", -3, "workers must be >= 1, got -3"),
+        ("converge", "--seeds", 0, "number of seeds must be >= 1, got 0"),
+    ])
+    def test_bad_workers_or_seeds_exit_one(self, tmp_path, capfd, cfg_path, command, flag,
+                                           value, message):
+        out = tmp_path / "o"
+        assert run(command, "--config", cfg_path, "--out", out, flag, value) == 1
+        assert capfd.readouterr().err == f"error: {message}\n"
+        assert not any(out.glob("*.csv"))
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -224,10 +224,19 @@ _CONSTANT = "[domain]\nkind = constant\na0 = 1.0\n"
     (MINIMAL + "[init]\nkind = mode\namplitude = 1e400\n", r"\[init\] amplitude must be a finite"),
     (_CONSTANT + "T = 1e308\n[sim]\ndt = 1e-320\n", r"t_end/dt = inf is not an integer"),
     (_CONSTANT + "T = 1e308\n", r"t_end/dt = inf is not an integer"),
+    # the largest float: np.spacing overflows there (found by the fuzz test)
+    (_CONSTANT + "T = 1.7976931348623157e308\n[sim]\ndt = 1\n",
+     r"steps exceeds the noise stream's 4294967296$"),
     ("[domain]\nkind = exponential\na0 = 1.0\nslope = 1000\nT = 1.0\n",
      r"\[domain\] domain motion has non-finite a\(t\) or a'\(t\)"),
     ("[domain]\nkind = linear\na0 = 1e308\nslope = 1e308\nT = 1.0\n",
      r"\[domain\] domain motion has non-finite a\(t\) or a'\(t\)"),
+    (MINIMAL + "[noise]\nkind = moving_diagonal\nm = 16\n[sim]\nn = 1e8\n",
+     r"^truncation n must lie in \[1, 4096\], got 100000000$"),
+    (MINIMAL + "[sim]\nn = 1e8\n",  # m defaults to n
+     r"^\[noise\] noise truncation m must be an integer in \[1, 4096\], got 100000000$"),
+    (MINIMAL + "[noise]\nkind = moving_diagonal\nm = 1e8\n",
+     r"^\[noise\] noise truncation m must be an integer in \[1, 4096\], got 100000000$"),
 ])
 def test_non_finite_and_overflowing_values_are_config_errors(tmp_path, text, match):
     with warnings.catch_warnings():

@@ -9,8 +9,8 @@ from movingheat import (
     NumericalError,
     SimulationConfig,
     coupling_matrix,
-    drift,
     explicit_dt_bound,
+    general_matrix,
     make_domain,
     moving_diagonal,
     simulate,
@@ -19,6 +19,7 @@ from movingheat import (
     y_norm_sq,
     zero_model,
 )
+from movingheat import integrator
 from movingheat.integrator import saved_steps
 
 
@@ -59,6 +60,9 @@ class TestConfigValidation:
             config(unit_domain, scheme="milstein")
         with pytest.raises(ConfigError):
             config(unit_domain, n=0)
+        assert config(unit_domain, n=4096).n == 4096
+        with pytest.raises(ConfigError, match=r"^truncation n must lie in \[1, 4096\], got 4097$"):
+            config(unit_domain, n=4097)
         with pytest.raises(ConfigError):
             config(unit_domain, snapshot_stride=0)
         with pytest.raises(ConfigError):
@@ -66,18 +70,6 @@ class TestConfigValidation:
 
 
 class TestDrift:
-    def test_static_domain_pure_decay(self, unit_domain):
-        state = CoefficientState(0.2, np.array([1.0, -2.0, 0.5]))
-        lam = -((np.arange(1, 4) * np.pi) ** 2)
-        assert np.allclose(drift(state, unit_domain), lam * state.coeffs, rtol=1e-14)
-
-    def test_two_mode_example(self, lin_domain):
-        # a = 1, a' = 1, A = (1, 0): drift = (lambda_1, b_12)
-        state = CoefficientState(0.0, np.array([1.0, 0.0]))
-        d = drift(state, lin_domain)
-        assert d[0] == pytest.approx(-np.pi**2, rel=1e-14)
-        assert d[1] == pytest.approx(4.0 / 3.0, rel=1e-14)
-
     def test_coupling_quadratic_form_vanishes_exactly(self, sin_domain):
         # pair (j,k)/(k,j) contributions cancel bitwise because the matrix is
         # bitwise skew and (A_j A_k) b_jk == -(A_k A_j) b_kj
@@ -262,14 +254,28 @@ class TestEnsemble:
         assert np.array_equal(serial.sup_l2_sq, parallel.sup_l2_sq)
         assert np.array_equal(serial.final_sto, parallel.final_sto)
 
-    def test_reductions_match_per_path_loop(self, sin_domain):
-        # stride 7 does not divide the 100 steps, so the last step is saved on its own
-        model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=6)
-        cfg = SimulationConfig(domain=sin_domain, n=6, model=model, dt=1e-3,
-                               t_end=0.1, seed=5, n_paths=3, snapshot_stride=7)
-        u0 = ModeInitial(2, 0.7, 1.0)
-        summ = simulate_ensemble(cfg, u0)
-        trajs = [simulate(cfg, u0, path_index=p) for p in range(3)]
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix", "zero"])
+    @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_reductions_match_per_path_loop(self, sin_domain, n, scheme, kind, workers):
+        # 5 paths in one block at 1 worker and in blocks [0], [1, 2], [3, 4] at 3 workers: a
+        # row's bits must not depend on its block.  Stride 7 does not divide the 64 steps,
+        # so the last step is saved on its own.
+        models = {
+            "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=6),
+            "general_matrix": general_matrix(
+                np.random.default_rng(n).normal(scale=0.3, size=(5, n)), lipschitz_k=100.0),
+            "zero": zero_model(4),
+        }
+        dt = 2.0**-10
+        while scheme == "explicit_em" and dt > explicit_dt_bound(sin_domain, n):
+            dt /= 2
+        cfg = SimulationConfig(domain=sin_domain, n=n, model=models[kind], dt=dt, t_end=64 * dt,
+                               scheme=scheme, seed=5, n_paths=5, snapshot_stride=7)
+        u0 = ModeInitial(1, 0.7, 1.0)
+        summ = simulate_ensemble(cfg, u0, workers=workers)
+        trajs = [simulate(cfg, u0, path_index=p) for p in range(5)]
         assert np.array_equal(summ.times, trajs[0].times)
         assert summ.e0 == trajs[0].e0
         for p, traj in enumerate(trajs):
@@ -279,6 +285,65 @@ class TestEnsemble:
             assert summ.final_visc[p] == traj.visc[-1]
             assert summ.final_sto[p] == traj.sto[-1]
             assert summ.final_hs[p] == traj.hs[-1]
+        for name, col in (("l2_sq", summ.mean_l2_sq), ("h1_sq", summ.mean_h1_sq)):
+            rows = np.stack([getattr(traj, name) for traj in trajs])
+            assert col.tobytes() == np.mean(rows, axis=0).tobytes()
+        # any rows, in any order, step as they do alone
+        a0 = trajs[0].coeffs[0]
+        (l2, h1, visc, sto, hs), coeffs = integrator._step_paths(cfg, a0, [4, 1, 3],
+                                                                 keep_coeffs=True)
+        for r, p in enumerate([4, 1, 3]):
+            assert coeffs[r].tobytes() == trajs[p].coeffs.tobytes()
+            assert sto[r].tobytes() == trajs[p].sto.tobytes()
+            assert h1[r].tobytes() == trajs[p].h1_sq.tobytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs blocks in-process."""
+
+    sizes: list = []
+    blocks: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        jobs = list(zip(*iterables))
+        RecordingPool.blocks.append([list(job[-1]) for job in jobs])
+        return [fn(*job) for job in jobs]
+
+
+@pytest.mark.parametrize("n_paths,workers,cpus,size,blocks", [
+    (12, 4, 2, 2, 4),    # test_workers_bitwise_identical: 4 blocks through 2 processes
+    (16, 8, 2, 2, 8),    # criterion 9 on a 2-CPU host
+    (16, 8, 64, 8, 8),
+    (3, 8, 64, 3, 3),    # never more processes than blocks
+    (600, 2, 64, 2, 3),  # blocks hold at most MAX_BLOCK_ROWS = 256 paths
+    (12, 4, 1, None, 4),  # one usable CPU: no pool
+])
+def test_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch, unit_domain, n_paths, workers,
+                                                cpus, size, blocks):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "blocks", [])
+    monkeypatch.setattr(integrator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    cfg = config(unit_domain, n=2, model=zero_model(1), t_end=0.01, n_paths=n_paths)
+    summ = simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0), workers=workers)
+    assert summ.final_l2_sq.shape == (n_paths,)
+    assert RecordingPool.sizes == ([] if size is None else [size])
+    assert len(integrator._blocks(n_paths, workers)) == blocks
+    if size is not None:
+        (submitted,) = RecordingPool.blocks
+        assert len(submitted) == blocks
+        assert sum(submitted, []) == list(range(n_paths))  # contiguous, in path order
+        assert max(map(len, submitted)) <= integrator.MAX_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("n_steps,stride,expected", [
@@ -322,6 +387,23 @@ def test_numerical_failure_names_the_path(unit_domain, workers):
                        match=r"^path 0, step 100: non-finite energy ledger at t=0\.1$"):
         simulate_ensemble(overflowing_config(unit_domain), ModeInitial(1, 1.0, 1.0),
                           workers=workers)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers):
+    # seed 8: paths 0 and 3 reach t_end, path 2 fails at step 93 and path 1 at step 96;
+    # at 1 worker the one block must step past path 2's failure and report path 1
+    cfg = overflowing_config(unit_domain).with_updates(seed=8, t_end=0.1)
+    message = r"^path 1, step 96: non-finite energy ledger at t=0\.096$"
+    with pytest.raises(NumericalError, match=message):
+        simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0), workers=workers)
+    with pytest.raises(NumericalError, match=message):
+        simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=1)
+    with pytest.raises(NumericalError, match=r"^path 2, step 93: "):
+        simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=2)
+    simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=0)
+    simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=3)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

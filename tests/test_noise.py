@@ -49,21 +49,21 @@ class TestSigmaCoeff:
 
 class TestHsNorm:
     def test_zero(self):
-        assert hs_norm_sq(zero_model(3), state_of(1.0, 1.0, 1.0)) == 0.0
+        assert hs_norm_sq(zero_model(3), state_of(1.0, 1.0, 1.0).coeffs) == 0.0
 
     def test_additive_sum_of_weights(self):
         model = moving_diagonal(gamma=1.0, beta=0.0, decay_p=1.0, m=3)
-        val = hs_norm_sq(model, state_of(0.0, 0.0, 0.0))
+        val = hs_norm_sq(model, state_of(0.0, 0.0, 0.0).coeffs)
         assert val == pytest.approx(1.0 + 0.25 + 1.0 / 9.0, rel=1e-14)
 
     def test_mixed(self):
         model = moving_diagonal(gamma=0.5, beta=0.5, decay_p=1.0, m=2)
-        assert hs_norm_sq(model, state_of(1.0, 1.0)) == pytest.approx(1.25, rel=1e-14)
+        assert hs_norm_sq(model, state_of(1.0, 1.0).coeffs) == pytest.approx(1.25, rel=1e-14)
 
 
 class TestNoiseKick:
     def test_zero_model(self):
-        kick = noise_kick(zero_model(3), state_of(1.0, 2.0), np.array([0.3, -0.2, 0.5]))
+        kick = noise_kick(zero_model(3), state_of(1.0, 2.0).coeffs, np.array([0.3, -0.2, 0.5]))
         assert np.all(kick == 0.0)
         assert kick.shape == (2,)
 
@@ -71,20 +71,20 @@ class TestNoiseKick:
         model = moving_diagonal(gamma=0.2, beta=0.5, decay_p=1.0, m=3)
         st = state_of(1.0, -1.0, 2.0)
         db = np.array([0.1, 0.2, -0.1])
-        kick = noise_kick(model, st, db)
+        kick = noise_kick(model, st.coeffs, db)
         q = np.array([1.0, 0.5, 1.0 / 3.0])
         expected = q * (0.2 + 0.5 * st.coeffs) * db
         assert np.allclose(kick, expected, rtol=1e-14)
 
     def test_general_matrix_example(self):
         model = general_matrix([[1.0, 0.0], [0.0, 2.0]], lipschitz_k=3.0)
-        kick = noise_kick(model, state_of(0.0, 0.0), np.array([0.1, -0.2]))
+        kick = noise_kick(model, state_of(0.0, 0.0).coeffs, np.array([0.1, -0.2]))
         assert kick == pytest.approx([0.1, -0.4], rel=1e-15)
 
     def test_length_mismatch(self):
         model = moving_diagonal(gamma=0.2, beta=0.0, m=3)
         with pytest.raises(ValueError):
-            noise_kick(model, state_of(1.0), np.array([0.1, 0.2]))
+            noise_kick(model, state_of(1.0).coeffs, np.array([0.1, 0.2]))
 
     @pytest.mark.parametrize("bad", [[[1.0, np.nan]], [[np.inf]], np.zeros((0, 2))])
     def test_general_matrix_rejects_non_finite_or_empty_tables(self, bad):
@@ -199,8 +199,8 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
     q = np.arange(1, d + 1, dtype=float) ** (-p)
     kick = np.zeros(n)
     kick[:d] = q * (gamma + beta * st.coeffs[:d]) * db[:d]
-    assert noise_kick(model, st, db).tobytes() == kick.tobytes()
-    assert hs_norm_sq(model, st) == float(np.sum((q * (gamma + beta * st.coeffs[:d])) ** 2))
+    assert noise_kick(model, st.coeffs, db).tobytes() == kick.tobytes()
+    assert hs_norm_sq(model, st.coeffs) == float(np.sum((q * (gamma + beta * st.coeffs[:d])) ** 2))
 
 
 def test_general_matrix_bits_match_the_raw_formula():
@@ -211,8 +211,8 @@ def test_general_matrix_bits_match_the_raw_formula():
     db = np.array([-0.1, -0.2, -0.05, -0.3])
     kick = np.zeros(4)
     kick[:3] = table.T @ db
-    assert noise_kick(model, st, db).tobytes() == kick.tobytes()
-    assert hs_norm_sq(model, st) == float(np.sum(table**2))
+    assert noise_kick(model, st.coeffs, db).tobytes() == kick.tobytes()
+    assert hs_norm_sq(model, st.coeffs) == float(np.sum(table**2))
     assert sigma_coeff(model, 2, 3, st) == table[1, 2]
     assert sigma_coeff(model, 2, 4, st) == 0.0
 
@@ -223,3 +223,13 @@ def test_models_hold_only_their_parts():
     assert md.table is None and np.array_equal(md.q, [1.0, 0.25, 1.0 / 9.0])
     gm = general_matrix(np.eye(2), lipschitz_k=2.0)
     assert gm.q is None and gm.table.shape == (2, 2)
+
+
+def test_truncations_are_capped():
+    # 4096 modes: the dense (n, n) coupling table is then 128 MiB
+    assert zero_model(4096).m == moving_diagonal(0.1, 0.0, m=4096).m == 4096
+    assert general_matrix(np.ones((4096, 1)), lipschitz_k=100.0).m == 4096
+    for build in (lambda: zero_model(4097), lambda: moving_diagonal(0.1, 0.0, m=4097),
+                  lambda: general_matrix(np.ones((4097, 1)), lipschitz_k=100.0)):
+        with pytest.raises(ValueError, match=r"in \[1, 4096\], got 4097$"):
+            build()
