@@ -52,7 +52,12 @@ def eigenvalue(k: int, t: float, domain: DomainMotion) -> float:
 
 def eigenvalues(n: int, t: float, domain: DomainMotion) -> np.ndarray:
     """Vector of the first n eigenvalues -(k pi / a_t)^2 at time t."""
-    return -((mode_numbers(n) / domain.a_at(t)) ** 2)
+    return interval_eigenvalues(n, domain.a_at(t))
+
+
+def interval_eigenvalues(n: int, a) -> np.ndarray:
+    """The first n Dirichlet eigenvalues -(k pi / a)^2 of (0, a), broadcast over the modes."""
+    return -((mode_numbers(n) / a) ** 2)
 
 
 def eigenfunction(k: int, t: float, x, domain: DomainMotion):
@@ -114,8 +119,12 @@ def coupling_matrix(n: int, t: float, domain: DomainMotion) -> np.ndarray:
     Exactly skew-symmetric, with a +0.0 diagonal whatever the sign of a'_t,
     and all +0.0 on a static domain.
     """
+    return scaled_coupling(n, domain.a_prime_at(t) / domain.a_at(t))
+
+
+def scaled_coupling(n: int, ratio) -> np.ndarray:
+    """The coupling matrix (a'/a) C_n for the boundary ratio ``ratio`` = a'/a."""
     c = coupling_pattern(n)
-    ratio = domain.a_prime_at(t) / domain.a_at(t)
     b = ratio * c if ratio else np.zeros((n, n))
     np.fill_diagonal(b, 0.0)  # a negative ratio leaves -0.0 there
     return b

@@ -5,13 +5,15 @@ directory and drops a ``manifest.json`` recording the fully resolved
 configuration, so a run can be reproduced bitwise from its manifest.
 Floats are written with shortest round-trip formatting.
 
-Exit codes: 0 success, 1 invalid configuration or out of memory, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, invalid configuration or out of memory,
+2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from . import __version__, basis, diagnostics, oracle
 from .config import parse_run
 from .errors import ConfigError, NumericalError
 from .integrator import simulate, simulate_ensemble
+from .noise import MAX_MODES
 
 
 def write_csv(path: Path, header, columns) -> None:
@@ -58,11 +61,11 @@ def _version_string() -> str:
 def cmd_simulate(args, setup, trajectory_csv, fields_csv):
     cfg = setup.config
     traj = simulate(cfg, setup.u0)
-    a_t = [cfg.domain.a_at(t) for t in traj.times]
     write_csv(
         trajectory_csv,
         ["step", "t", "a_t", "l2_sq", "h1_sq"] + [f"A_{k}" for k in range(1, cfg.n + 1)],
-        [traj.steps, traj.times, a_t, traj.l2_sq, traj.h1_sq, *traj.coeffs.T],
+        [traj.steps, traj.times, cfg.domain.a_at(traj.times), traj.l2_sq, traj.h1_sq,
+         *traj.coeffs.T],
     )
     snaps = [basis.synthesize(traj.state_at(i), cfg.grid_size, cfg.domain)
              for i in range(len(traj.times))]
@@ -75,23 +78,22 @@ def cmd_simulate(args, setup, trajectory_csv, fields_csv):
 
 def cmd_ensemble(args, setup, ensemble_csv, moments_csv):
     summary = simulate_ensemble(setup.config, setup.u0, workers=args.workers)
+    final, n_paths = summary.final_l2_sq, summary.n_paths
+    if n_paths >= 2:
+        rows = diagnostics.moment_report(summary).rows()
+        rows.append(("final_l2_sq", *diagnostics.mean_and_se(final, "final_l2_sq")))
+        rows.append(("energy_balance", *diagnostics.mean_energy_balance(summary)))
+    else:
+        rows = [(name, *diagnostics.mean_and_se(values, name)) for name, values in
+                (("sup_l2_sq", summary.sup_l2_sq), ("y_norm_sq", summary.y_norm_sq),
+                 ("final_l2_sq", final))]
+    # every statistic is computed before either file is written
     write_csv(
         ensemble_csv,
         ["t", "a_t", "mean_l2_sq", "se_l2_sq", "mean_h1_sq", "se_h1_sq"],
         [summary.times, summary.a_t, summary.mean_l2_sq, summary.se_l2_sq,
          summary.mean_h1_sq, summary.se_h1_sq],
     )
-    final, n_paths = summary.final_l2_sq, summary.n_paths
-    if n_paths >= 2:
-        rows = diagnostics.moment_report(summary).rows()
-        rows.append(("final_l2_sq", np.mean(final), np.std(final, ddof=1) / np.sqrt(n_paths)))
-        rows.append(("energy_balance", *diagnostics.mean_energy_balance(summary)))
-    else:
-        rows = [
-            ("sup_l2_sq", summary.sup_l2_sq[0], 0.0),
-            ("y_norm_sq", summary.y_norm_sq[0], 0.0),
-            ("final_l2_sq", final[0], 0.0),
-        ]
     write_csv(moments_csv, ["stat", "value", "stderr"], zip(*rows))
     return {"workers": args.workers, "n_paths": n_paths}
 
@@ -123,8 +125,13 @@ def cmd_oracle_compare(args, setup, oracle_csv):
         raise ConfigError("oracle-compare is deterministic-only; set [noise] kind = zero")
     traj = simulate(cfg, setup.u0)
     dt_fd = args.fd_dt if args.fd_dt is not None else cfg.dt
-    stride = max(1, round(cfg.snapshot_stride * cfg.dt / dt_fd))
-    sol = oracle.fd_solve(cfg.domain, setup.u0, args.fd_m, dt_fd, cfg.t_end, save_stride=stride)
+    if not dt_fd > 0:
+        raise ConfigError(f"--fd-dt must be positive, got {dt_fd}")
+    stride = cfg.snapshot_stride * cfg.dt / dt_fd
+    if not math.isfinite(stride):
+        raise ConfigError(f"--fd-dt {dt_fd!r} is too small: the save stride overflows")
+    sol = oracle.fd_solve(cfg.domain, setup.u0, args.fd_m, dt_fd, cfg.t_end,
+                          save_stride=max(1, round(stride)))
     # a spectral save time missing from the FD save grid raises ValueError: exit 1
     disc = [oracle.compare_with_spectral(traj, sol, float(t)) for t in traj.times]
     write_csv(oracle_csv, ["t", "discrepancy_l2"], [traj.times, disc])
@@ -132,6 +139,8 @@ def cmd_oracle_compare(args, setup, oracle_csv):
 
 
 def cmd_coupling_dump(args, setup, coupling_csv):
+    if not 1 <= args.n <= MAX_MODES:
+        raise ConfigError(f"--n must lie in [1, {MAX_MODES}], got {args.n}")
     b = basis.coupling_matrix(args.n, args.t, setup.config.domain)
     write_csv(coupling_csv, None, b.T)
     return {"n": args.n, "t": args.t}
@@ -185,8 +194,22 @@ def run_command(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, a subcommand's included, as invalid configuration."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for name, value in vars(namespace).items():
+            if isinstance(value, list):  # what argparse makes of "--flag=--"
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="movingheat",
         description="Spectral solver for the stochastic heat equation on a moving interval",
     )
@@ -201,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run_command(args)
+        return run_command(build_parser().parse_args(argv))
     except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

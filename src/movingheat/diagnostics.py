@@ -11,11 +11,13 @@ refinement ratio tests assert.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import mode_numbers
+from .basis import interval_eigenvalues
+from .errors import NumericalError
 
 
 @dataclass
@@ -90,21 +92,31 @@ def moment_report(ensemble) -> MomentReport:
     ysq = ensemble.y_norm_sq
     if sup.shape[0] < 2:
         raise ValueError("moment_report needs at least 2 paths")
-    return MomentReport(
-        n_paths=sup.shape[0],
-        e_sup_l2_sq=float(np.mean(sup)),
-        se_sup_l2_sq=_se(sup),
-        e_y_norm_sq=float(np.mean(ysq)),
-        se_y_norm_sq=_se(ysq),
-        e_sup_l2_sq_p2=float(np.mean(sup**2)),
-        se_sup_l2_sq_p2=_se(sup**2),
-        e_y_norm_sq_p2=float(np.mean(ysq**2)),
-        se_y_norm_sq_p2=_se(ysq**2),
-    )
+    with np.errstate(over="ignore"):  # an overflowed square fails its statistic
+        columns = {"sup_l2_sq": sup, "y_norm_sq": ysq, "sup_l2_sq_p2": sup**2,
+                   "y_norm_sq_p2": ysq**2}
+    stats = [float(x) for name, values in columns.items() for x in mean_and_se(values, name)]
+    return MomentReport(sup.shape[0], *stats)
 
 
-def _se(values: np.ndarray) -> float:
-    return float(np.std(values, ddof=1) / np.sqrt(values.shape[0]))
+def mean_and_se(values: np.ndarray, name: str, times=None):
+    """Mean and standard error over the paths (axis 0) of ``values``, (P,) or (P, T).
+
+    A single path has standard error 0.  A non-finite result raises
+    ``NumericalError`` naming ``name`` and, when the columns are per-time, the
+    first time ``times[j]`` at which it fails.
+    """
+    n_paths = values.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are reported
+        mean = np.mean(values, axis=0)
+        se = (np.std(values, axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1
+              else np.zeros_like(mean))
+    for stat, result in (("mean", mean), ("standard error", se)):
+        bad = ~np.isfinite(result)
+        if bad.any():
+            when = "" if times is None else f" at t={times[np.argmax(bad)]:.6g}"
+            raise NumericalError(f"non-finite {stat} of {name} over {n_paths} paths{when}")
+    return mean, se
 
 
 @dataclass(frozen=True)
@@ -155,7 +167,7 @@ def level_distance(traj_n, traj_2n, domain) -> tuple[float, float]:
     d_x = float(np.sqrt(np.max(l2_sq)))
 
     a_vals = np.asarray(domain.a_at(traj_n.times), dtype=float)
-    neg_lam = (mode_numbers(traj_2n.coeffs.shape[1]) / a_vals[:, None]) ** 2
+    neg_lam = -interval_eigenvalues(traj_2n.coeffs.shape[1], a_vals[:, None])
     h1_sq = np.sum(neg_lam[:, :n] * diff**2, axis=1) + np.sum(
         neg_lam[:, n:] * tail**2, axis=1
     )
@@ -170,10 +182,6 @@ def mean_energy_balance(ensemble) -> tuple[float, float]:
     mean |u(T)|^2 - e0 + mean visc(T) - mean hs(T) should vanish within
     Monte Carlo error.
     """
-    defect = (
-        ensemble.final_l2_sq
-        - ensemble.e0
-        + ensemble.final_visc
-        - ensemble.final_hs
-    )
-    return float(np.mean(defect)), _se(defect)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
+        defect = ensemble.final_l2_sq - ensemble.e0 + ensemble.final_visc - ensemble.final_hs
+    return tuple(float(x) for x in mean_and_se(defect, "energy_balance"))

@@ -69,15 +69,16 @@ class DomainMotion:
 
     def _check_time(self, t):
         slack = _T_SLACK * max(1.0, self.horizon)
+        lo, hi = -slack, self.horizon + slack  # NaN fails both range tests below
         if type(t) is float or np.ndim(t) == 0:
             t = float(t)
-            if t < -slack or t > self.horizon + slack:
+            if not lo <= t <= hi:
                 raise ValueError(
                     f"time {t!r} outside [0, {self.horizon}] for domain motion"
                 )
             return min(max(t, 0.0), self.horizon)
         t = np.asarray(t, dtype=float)
-        if np.any(t < -slack) or np.any(t > self.horizon + slack):
+        if not (np.all(t >= lo) and np.all(t <= hi)):
             raise ValueError(
                 f"time array outside [0, {self.horizon}] for domain motion"
             )

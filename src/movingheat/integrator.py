@@ -19,7 +19,7 @@ import numpy as np
 
 from . import basis, noise
 from .basis import CoefficientState
-from .diagnostics import EnergyLedger
+from .diagnostics import EnergyLedger, mean_and_se
 from .domain import DomainMotion
 from .errors import ConfigError, NumericalError
 from .noise import MAX_INDEX, MAX_MODES, DiffusionModel, NoiseStream, draw_increment
@@ -123,23 +123,34 @@ def step(state: CoefficientState, config: SimulationConfig, increment: np.ndarra
     """Advance one time step; ``zero_eigenvalues`` is a diagnostic hook that
     drops the decay term so pure coupling transport can be studied."""
     kick = noise.noise_kick(config.model, state.coeffs, increment)
-    new = _update(config, state.t, state.coeffs[None], kick[None], zero_eigenvalues)[0]
+    new = _update(config, state.coeffs[None], kick[None], *_boundary(config, state.t),
+                  zero_eigenvalues)[0]
     if not np.all(np.isfinite(new)):
         raise NumericalError(_coefficient_failure(config, state.t + config.dt))
     return CoefficientState(state.t + config.dt, new)
 
 
-def _update(config: SimulationConfig, t: float, a: np.ndarray, kick: np.ndarray,
-            zero_eigenvalues: bool) -> np.ndarray:
-    """The scheme's step from t to t + dt of the (P, n) coefficients ``a``, row by row."""
-    n, dt, domain = config.n, config.dt, config.domain
-    b = basis.coupling_matrix(n, t, domain)
-    coupling_part = np.matmul(a[:, None, :], b)[:, 0, :]  # row p: b.T @ a[p]
+def _boundary(config: SimulationConfig, t):
+    """a'/a at the step start times ``t`` (scalar or array) and a at the scheme's decay
+    time: the step start for explicit_em, the step midpoint for exponential_em."""
+    domain = config.domain
+    ratio = domain.a_prime_at(t) / domain.a_at(t)
     if config.scheme == "explicit_em":
-        lam = 0.0 if zero_eigenvalues else basis.eigenvalues(n, t, domain)
+        return ratio, domain.a_at(t)
+    return ratio, domain.a_at(t + 0.5 * config.dt)
+
+
+def _update(config: SimulationConfig, a: np.ndarray, kick: np.ndarray, ratio, a_decay,
+            zero_eigenvalues: bool) -> np.ndarray:
+    """The scheme's step of the (P, n) coefficients ``a``, row by row, from the
+    boundary ratio a'/a at the step start and a at the decay time."""
+    n, dt = config.n, config.dt
+    b = basis.scaled_coupling(n, ratio)
+    coupling_part = np.matmul(a[:, None, :], b)[:, 0, :]  # row p: b.T @ a[p]
+    lam = 0.0 if zero_eigenvalues else basis.interval_eigenvalues(n, a_decay)
+    if config.scheme == "explicit_em":
         return a + (coupling_part + lam * a) * dt + kick
-    lam_mid = 0.0 if zero_eigenvalues else basis.eigenvalues(n, t + 0.5 * dt, domain)
-    return np.exp(lam_mid * dt) * (a + coupling_part * dt + kick)
+    return np.exp(lam * dt) * (a + coupling_part * dt + kick)
 
 
 def _coefficient_failure(config: SimulationConfig, t: float) -> str:
@@ -169,8 +180,11 @@ def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalue
     of its ledger, coefficients or saved norms, checked in that order; the error
     names the lowest failed path.
     """
-    n, m, dt, model, domain = config.n, config.model.m, config.dt, config.model, config.domain
+    n, m, dt, model = config.n, config.model.m, config.dt, config.model
     saved = saved_steps(config.n_steps, config.snapshot_stride).tolist()
+    times = np.arange(config.n_steps + 1) * dt
+    a_t = config.domain.a_at(times)
+    ratio, a_decay = _boundary(config, times[:-1])
     n_rows = len(paths)
     streams = [NoiseStream(config.seed, p) for p in paths]
     increments = np.empty((n_rows, m))
@@ -188,7 +202,7 @@ def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalue
         cur = np.zeros((5, n_rows))
         l2, h1 = cur[0], cur[1]
         np.vecdot(a, a, out=l2)
-        np.vecdot(-basis.eigenvalues(n, 0.0, domain), a**2, out=h1)
+        np.vecdot(-basis.interval_eigenvalues(n, a_t[0]), a**2, out=h1)
         ledger = EnergyLedger(cur[2:])
         row = 0
         for i in range(config.n_steps + 1):
@@ -197,19 +211,18 @@ def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalue
                     increments[r] = draw_increment(stream, m, dt)
                 kick = noise.noise_kick(model, a, increments)
                 ledger.record_step(h1, 2.0 * np.vecdot(a, kick), noise.hs_norm_sq(model, a), dt)
-                t = (i - 1) * dt
-                a = _update(config, t, a, kick, zero_eigenvalues)
-                np.vecdot(-basis.eigenvalues(n, i * dt, domain), a**2, out=h1)
+                a = _update(config, a, kick, ratio[i - 1], a_decay[i - 1], zero_eigenvalues)
+                np.vecdot(-basis.interval_eigenvalues(n, a_t[i]), a**2, out=h1)
             is_saved = i == saved[row]
             if is_saved:
                 np.vecdot(a, a, out=l2)
             # non-finite coefficients make h1 non-finite: one sum catches every failure
             if not math.isfinite(cur.sum()):
                 if i:
-                    fail(ledger.sums, i, f"non-finite energy ledger at t={i * dt:.6g}")
-                    fail(a.T, i, _coefficient_failure(config, t + dt))
+                    fail(ledger.sums, i, f"non-finite energy ledger at t={times[i]:.6g}")
+                    fail(a.T, i, _coefficient_failure(config, times[i]))
                 if is_saved:
-                    fail(cur[:2], i, f"non-finite norms at t={i * dt:.6g}")
+                    fail(cur[:2], i, f"non-finite norms at t={times[i]:.6g}")
                 if 0 in failures:
                     break
             if is_saved:
@@ -290,21 +303,20 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
     l2, h1, visc, sto, hs = np.concatenate([series for series, _ in parts], axis=1)
 
     times = saved_steps(config.n_steps, config.snapshot_stride) * config.dt
-    if n_paths > 1:
-        se_l2 = np.std(l2, axis=0, ddof=1) / math.sqrt(n_paths)
-        se_h1 = np.std(h1, axis=0, ddof=1) / math.sqrt(n_paths)
-    else:
-        se_l2 = se_h1 = np.zeros_like(times)
+    mean_l2, se_l2 = mean_and_se(l2, "l2_sq", times)
+    mean_h1, se_h1 = mean_and_se(h1, "h1_sq", times)
+    with np.errstate(over="ignore"):  # an overflowed integral fails its moment statistic
+        y_norm_sq = np.trapezoid(h1, times, axis=1)
 
     return EnsembleSummary(
         times=times,
         a_t=np.asarray(config.domain.a_at(times), dtype=float),
-        mean_l2_sq=np.mean(l2, axis=0),
+        mean_l2_sq=mean_l2,
         se_l2_sq=se_l2,
-        mean_h1_sq=np.mean(h1, axis=0),
+        mean_h1_sq=mean_h1,
         se_h1_sq=se_h1,
         sup_l2_sq=np.max(l2, axis=1),
-        y_norm_sq=np.trapezoid(h1, times, axis=1),
+        y_norm_sq=y_norm_sq,
         final_l2_sq=l2[:, -1],
         final_visc=visc[:, -1],
         final_sto=sto[:, -1],

@@ -12,6 +12,7 @@ shares nothing with the spectral solver and is used to validate it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,6 @@ from . import basis
 from .domain import DomainMotion
 from .errors import NumericalError
 from .integrator import saved_steps
-
-_PIVOT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,89 +47,62 @@ def fd_solve(
     t_end: float,
     save_stride: int = 1,
 ) -> MappedGridSolution:
-    """Crank-Nicolson march of the mapped equation on an (M+1)-point grid."""
-    from scipy.linalg import solve_banded  # imported here: scipy is slow to load
+    """Crank-Nicolson march of the mapped equation on an (M+1)-point grid.
+
+    The boundary is sampled once, at every step time, and the operator L(t_i)
+    is built once per time: step i+1 reuses it on its right-hand side.  A
+    non-finite state or norm, or a singular system, raises ``NumericalError``.
+    """
+    from scipy.linalg.lapack import dgtsv  # imported here: scipy is slow to load
 
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M}")
-    if dt_fd <= 0:
+    if not dt_fd > 0:
         raise ValueError(f"dt_fd must be positive, got {dt_fd}")
-    n_steps = round(t_end / dt_fd)
-    if abs(t_end / dt_fd - n_steps) > 1e-9 or n_steps < 1:
-        raise ValueError(f"t_end/dt_fd = {t_end / dt_fd} must be an integer")
+    ratio = t_end / dt_fd
+    n_steps = round(ratio) if math.isfinite(ratio) else 0
+    if abs(ratio - n_steps) > 1e-9 or n_steps < 1:
+        raise ValueError(f"t_end/dt_fd = {ratio} must be an integer")
 
     ys = np.linspace(0.0, 1.0, M + 1)
+    interior = ys[1:-1]
     dy = 1.0 / M
-    a0 = domain.a_at(0.0)
-    v = np.asarray(u0(a0 * ys), dtype=float).copy()
+    half = 0.5 * dt_fd
+    step_times = np.arange(n_steps + 1) * dt_fd
+    a, a_prime = domain.a_at(step_times), domain.a_prime_at(step_times)
+    v = np.asarray(u0(a[0] * ys), dtype=float).copy()
     v[0] = 0.0
     v[-1] = 0.0
 
     steps = saved_steps(n_steps, save_stride)
-    save_set = set(steps.tolist())
     out = np.empty((len(steps), M + 1))
-    times = np.empty(len(steps))
     l2_hist = np.empty(n_steps + 1)
-    step_times = np.arange(n_steps + 1) * dt_fd
+    row = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms are reported
+        for i in range(n_steps + 1):
+            # lower, main and upper diagonals of L(t_i) on the interior nodes
+            diff = 1.0 / (a[i] * a[i] * dy * dy)
+            conv = a_prime[i] * interior / (a[i] * 2.0 * dy)
+            lower, main, upper = diff - conv, -2.0 * diff, diff + conv
+            if i:  # solve (I - dt/2 L(t_i)) v(t_i) = rhs = (I + dt/2 L(t_{i-1})) v(t_{i-1})
+                x, info = dgtsv(-half * lower[1:], np.full(M - 1, 1.0 - half * main),
+                                -half * upper[:-1], rhs)[3:]
+                v[1:-1] = x
+                if info:
+                    raise NumericalError(f"singular Crank-Nicolson system at "
+                                         f"t={step_times[i]:.6g} (LAPACK gtsv info {info})")
+            l2_hist[i] = np.sqrt(a[i] * np.trapezoid(v**2, ys))
+            if not math.isfinite(l2_hist[i]):
+                raise NumericalError(f"non-finite finite-difference state or L2 norm at "
+                                     f"t={step_times[i]:.6g}")
+            if i == steps[row]:
+                out[row] = v
+                row += 1
+            rhs = v[1:-1] + half * (main * v[1:-1] + lower * v[:-2] + upper * v[2:])
 
-    out[0] = v
-    times[0] = 0.0
-    row = 1
-    l2_hist[0] = _mapped_l2(v, ys, a0)
-
-    interior = ys[1:-1]
-    for i in range(n_steps):
-        t0 = i * dt_fd
-        t1 = (i + 1) * dt_fd
-        lo0, di0, up0 = _operator_diagonals(domain, t0, interior, dy)
-        lo1, di1, up1 = _operator_diagonals(domain, t1, interior, dy)
-
-        # rhs = (I + dt/2 L(t0)) v on the interior
-        half = 0.5 * dt_fd
-        rhs = v[1:-1] + half * (di0 * v[1:-1] + lo0 * v[:-2] + up0 * v[2:])
-
-        # lhs = I - dt/2 L(t1), tridiagonal in banded storage
-        main = 1.0 - half * di1
-        lower = -half * lo1
-        upper = -half * up1
-        if float(np.min(np.abs(main))) < _PIVOT_FLOOR:
-            raise NumericalError(
-                f"near-singular Crank-Nicolson system at t={t1:.6g} "
-                f"(diagonal entry below {_PIVOT_FLOOR})"
-            )
-        ab = np.zeros((3, M - 1))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = main
-        ab[2, :-1] = lower[1:]
-        try:
-            v_int = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"singular linear system at t={t1:.6g}: {exc}") from None
-        v = np.concatenate(([0.0], v_int, [0.0]))
-        l2_hist[i + 1] = _mapped_l2(v, ys, domain.a_at(t1))
-        if i + 1 in save_set:
-            out[row] = v
-            times[row] = t1
-            row += 1
-
+    times = steps * dt_fd
     times[-1] = t_end
     return MappedGridSolution(ys, times, out, l2_hist, step_times, domain)
-
-
-def _operator_diagonals(domain, t, interior, dy):
-    """Lower/main/upper diagonals of L(t) on the interior nodes."""
-    a = domain.a_at(t)
-    ap = domain.a_prime_at(t)
-    diff = 1.0 / (a * a * dy * dy)
-    conv = ap * interior / (a * 2.0 * dy)
-    lower = diff - conv
-    main = np.full_like(interior, -2.0 * diff)
-    upper = diff + conv
-    return lower, main, upper
-
-
-def _mapped_l2(v, ys, a_t):
-    return float(np.sqrt(a_t * np.trapezoid(v**2, ys)))
 
 
 def compare_with_spectral(traj, sol: MappedGridSolution, t: float) -> float:

@@ -167,6 +167,21 @@ class TestOracleCompare:
         final = float(lines[-1].split(",")[1])
         assert final <= 1e-3
 
+    @pytest.mark.parametrize("fd_dt,message", [
+        ("0", "--fd-dt must be positive, got 0.0"),
+        ("-1e-3", "--fd-dt must be positive, got -0.001"),
+        ("nan", "--fd-dt must be positive, got nan"),
+        ("5e-324", "--fd-dt 5e-324 is too small: the save stride overflows"),
+    ])
+    def test_bad_fd_dt_is_one(self, tmp_path, capfd, fd_dt, message):
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(DETERMINISTIC_CFG, encoding="utf-8")
+        out = tmp_path / "oc"
+        assert run("oracle-compare", "--config", cfg, "--out", out, "--fd-m", 32,
+                   f"--fd-dt={fd_dt}") == 1
+        assert capfd.readouterr().err == f"error: {message}\n"
+        assert not (out / "oracle.csv").exists()
+
     def test_rejects_noise(self, tmp_path, cfg_path, capsys):
         assert run("oracle-compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
         assert "deterministic-only" in capsys.readouterr().err
@@ -367,6 +382,19 @@ class TestFailureReports:
         err = capfd.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowed_statistics_exit_two_with_one_line(self, tmp_path, capfd, workers):
+        # every path ends finite, but the spread of |A|^2 overflows the standard error
+        cfg = tmp_path / "over.cfg"
+        cfg.write_text(OVERFLOW_CFG.replace("t_end = 0.2", "t_end = 0.1")
+                       .replace("n_paths = 2", "n_paths = 4\nseed = 4"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("ensemble", "--config", cfg, "--out", out, "--workers", workers) == 2
+        err = capfd.readouterr().err
+        assert err == ("numerical failure: non-finite standard error of l2_sq over 4 paths "
+                       "at t=0.052\n")
+        assert not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("command,flag,value,message", [
         ("ensemble", "--workers", 0, "workers must be >= 1, got 0"),
         ("ensemble", "--workers", -3, "workers must be >= 1, got -3"),
@@ -376,6 +404,49 @@ class TestFailureReports:
                                            value, message):
         out = tmp_path / "o"
         assert run(command, "--config", cfg_path, "--out", out, flag, value) == 1
+        assert capfd.readouterr().err == f"error: {message}\n"
+        assert not any(out.glob("*.csv"))
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["ensemble", "--config", "{cfg}", "--workers", "abc"],
+         "argument --workers: invalid int value: 'abc'"),
+        (["ensemble", "--workers", "1"], "the following arguments are required: --config"),
+        (["coupling-dump", "--config", "{cfg}", "--n", "4", "--t", "-inf"],
+         "argument --t: expected one argument"),
+        (["converge", "--config", "{cfg}", "--levels=--"],
+         "argument --levels: expected one argument"),
+        (["ensemble", "--config", "{cfg}", "--workers=--"],
+         "argument --workers: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from 'simulate', "
+                     "'ensemble', 'converge', 'energy-check', 'oracle-compare', "
+                     "'coupling-dump')"),
+    ])
+    def test_exit_one_with_one_line(self, tmp_path, capfd, cfg_path, argv, message):
+        argv = [a.format(cfg=cfg_path) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")] if argv else argv) == 1
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["ensemble", "--help"]])
+    def test_help_exits_zero(self, capfd, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capfd.readouterr().out.startswith("usage: movingheat")
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--n", "4", "--t", "nan"], "time nan outside [0, 1.0] for domain motion"),
+        (["--n", "4", "--t=-inf"], "time -inf outside [0, 1.0] for domain motion"),
+        (["--n", "4097"], "--n must lie in [1, 4096], got 4097"),
+        (["--n", "0"], "--n must lie in [1, 4096], got 0"),
+    ])
+    def test_coupling_dump_rejects_time_and_size(self, tmp_path, capfd, cfg_path, extra,
+                                                 message):
+        out = tmp_path / "o"
+        assert run("coupling-dump", "--config", cfg_path, "--out", out, *extra) == 1
         assert capfd.readouterr().err == f"error: {message}\n"
         assert not any(out.glob("*.csv"))
 

@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from movingheat import (
     ModeInitial,
     ModesInitial,
+    NumericalError,
     ParabolaInitial,
     SimulationConfig,
     eigenvalues,
@@ -20,6 +24,7 @@ from movingheat import (
     y_norm_sq,
     zero_model,
 )
+from movingheat.diagnostics import mean_and_se
 
 
 def decay_residual_oracle(lam, T, h):
@@ -135,6 +140,41 @@ class TestMeanEnergyBalance:
         summ = simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0), workers=4)
         defect, se = mean_energy_balance(summ)
         assert abs(defect) <= 3 * se
+
+
+class TestMeanAndSe:
+    def test_columns_and_scalars(self):
+        values = np.random.default_rng(5).normal(size=(7, 3))
+        mean, se = mean_and_se(values, "x", np.arange(3.0))
+        assert mean.tobytes() == np.mean(values, axis=0).tobytes()
+        assert se.tobytes() == (np.std(values, axis=0, ddof=1) / math.sqrt(7)).tobytes()
+        mean, se = mean_and_se(values[:, 1], "x")
+        assert (mean, se) == (np.mean(values[:, 1]), np.std(values[:, 1], ddof=1) / np.sqrt(7))
+
+    def test_single_path_has_zero_standard_error(self):
+        mean, se = mean_and_se(np.array([[1.5, -2.0]]), "x", np.arange(2.0))
+        assert mean.tolist() == [1.5, -2.0] and se.tolist() == [0.0, 0.0]
+        assert mean_and_se(np.array([3.0]), "x") == (3.0, 0.0)
+
+    @pytest.mark.parametrize("values,message", [
+        (np.array([[1.0, 1e308], [1.0, -1e308], [1.0, 1e308]]),
+         "non-finite standard error of l2_sq over 3 paths at t=0.5"),
+        (np.array([[1.0, 1.0, 1e308], [1.0, 1e308, 1e308]]),
+         "non-finite mean of l2_sq over 2 paths at t=1"),
+        (np.array([[0.0, np.nan]]), "non-finite mean of l2_sq over 1 paths at t=0.5"),
+    ])
+    def test_per_time_failure_names_statistic_and_time(self, values, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^{message}$"):
+                mean_and_se(values, "l2_sq", np.array([0.0, 0.5, 1.0])[:values.shape[1]])
+
+    def test_scalar_failure_names_statistic(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^non-finite standard error of y_norm_sq_p2 "
+                                                     "over 2 paths$"):
+                mean_and_se(np.array([1e308, -1e308]), "y_norm_sq_p2")
 
 
 class TestSelfConvergence:

@@ -123,3 +123,42 @@ def test_non_finite_samples_are_rejected(kind, params):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
             make_domain(kind, params, 1.0)
+
+
+def test_nan_time_rejected():
+    d = make_domain("constant", {"a0": 1.0}, 1.0)
+    for t in (float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="time nan outside"):
+            d.a_at(t)
+        with pytest.raises(ValueError, match="time nan outside"):
+            d.a_prime_at(t)
+    with pytest.raises(ValueError, match="time array outside"):
+        d.a_at(np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="time array outside"):
+        d.a_prime_at([0.0, np.nan])
+
+
+FAMILY_CASES = [
+    ("constant", {"a0": 1.3}),
+    ("linear", {"a0": 1.0, "slope": -0.4}),
+    ("sinusoidal", {"a0": 1.0, "amp": 0.5, "omega": 7.0}),
+    ("exponential", {"a0": 0.8, "slope": 0.6}),
+    ("table", {"t": np.linspace(0.0, 1.0, 9), "a": [1.0, 1.2, 0.9, 1.1, 1.3, 0.95, 1.0, 1.15,
+                                                    1.05]}),
+]
+
+
+@pytest.mark.parametrize("kind,params", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
+@pytest.mark.parametrize("dt,n_steps", [(1.0, 1), (1.0 / 3.0, 3), (1e-3, 1000), (1e-4, 5000)])
+def test_array_evaluation_matches_scalar_bitwise(kind, params, dt, n_steps):
+    # the solvers sample a and a' once, as arrays over the step times t_i = i dt and the
+    # midpoints t_i + dt/2; the SIMD loops of np.sin and np.exp must give the scalar bits
+    d = make_domain(kind, params, 1.0)
+    times = np.arange(n_steps + 1) * dt
+    mids = times[:-1] + 0.5 * dt
+    for motion in (d.a_at, d.a_prime_at):
+        scalar = np.array([motion(i * dt) for i in range(n_steps + 1)], dtype=float)
+        assert np.asarray(motion(times), dtype=float).tobytes() == scalar.tobytes()
+        scalar = np.array([motion((i - 1) * dt + 0.5 * dt) for i in range(1, n_steps + 1)],
+                          dtype=float)
+        assert np.asarray(motion(mids), dtype=float).tobytes() == scalar.tobytes()

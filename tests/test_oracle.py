@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from movingheat import (
     MappedGridSolution,
     ModeInitial,
+    NumericalError,
     ParabolaInitial,
     SimulationConfig,
     compare_with_spectral,
@@ -112,3 +115,127 @@ class TestValidation:
     def test_bad_dt(self, unit_domain):
         with pytest.raises(ValueError):
             fd_solve(unit_domain, lambda x: x, M=32, dt_fd=3e-4, t_end=0.1)
+
+    @pytest.mark.parametrize("dt_fd", [float("nan"), 0.0, -1e-3])
+    def test_non_positive_dt_rejected(self, unit_domain, dt_fd):
+        with pytest.raises(ValueError, match="dt_fd must be positive"):
+            fd_solve(unit_domain, lambda x: x, M=32, dt_fd=dt_fd, t_end=0.1)
+
+    def test_dt_below_the_float_range_of_the_step_count(self, unit_domain):
+        with pytest.raises(ValueError, match="t_end/dt_fd = inf must be an integer"):
+            fd_solve(unit_domain, lambda x: x, M=32, dt_fd=5e-324, t_end=0.1)
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("scale", [1e308, 1e300])
+    def test_overflowing_state_is_a_numerical_error(self, unit_domain, scale):
+        # |v|^2 overflows at t = 0; with 1e308 the first right-hand side overflows too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite finite-difference state or L2 "
+                                                     "norm at t=0$"):
+                fd_solve(unit_domain, ParabolaInitial(1.0, scale), M=32, dt_fd=1e-3, t_end=0.1)
+
+    def test_non_finite_state_later_names_its_time(self, sin_domain, monkeypatch):
+        import scipy.linalg.lapack
+
+        solve = scipy.linalg.lapack.dgtsv
+        calls = []
+
+        def poisoned(*args):  # the third solve returns NaN
+            calls.append(1)
+            du2, d, du, x, info = solve(*args)
+            return du2, d, du, x * (np.nan if len(calls) == 3 else 1.0), info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="L2 norm at t=0.003$"):
+                fd_solve(sin_domain, ParabolaInitial(1.0, 1.0), M=32, dt_fd=1e-3, t_end=0.1)
+
+    def test_lapack_failure_is_a_numerical_error(self, unit_domain, monkeypatch):
+        import scipy.linalg.lapack
+
+        solve = scipy.linalg.lapack.dgtsv
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv",
+                            lambda *args: (*solve(*args)[:4], 5))
+        with pytest.raises(NumericalError, match=r"singular Crank-Nicolson system at "
+                                                 r"t=0.001 \(LAPACK gtsv info 5\)"):
+            fd_solve(unit_domain, ParabolaInitial(1.0, 1.0), M=32, dt_fd=1e-3, t_end=0.1)
+
+
+def banded_reference(domain, u0, M, dt_fd, n_steps):
+    """The Crank-Nicolson march written step by step: both operators rebuilt from scalar
+    boundary calls every step and each system solved by ``solve_banded``."""
+    from scipy.linalg import solve_banded
+
+    ys = np.linspace(0.0, 1.0, M + 1)
+    dy, half, interior = 1.0 / M, 0.5 * dt_fd, ys[1:-1]
+
+    def operator(t):
+        a, ap = domain.a_at(t), domain.a_prime_at(t)
+        diff = 1.0 / (a * a * dy * dy)
+        conv = ap * interior / (a * 2.0 * dy)
+        return diff - conv, np.full_like(interior, -2.0 * diff), diff + conv
+
+    v = np.asarray(u0(domain.a_at(0.0) * ys), dtype=float).copy()
+    v[0] = v[-1] = 0.0
+    states, norms = [v], [np.sqrt(domain.a_at(0.0) * np.trapezoid(v**2, ys))]
+    for i in range(n_steps):
+        lo0, di0, up0 = operator(i * dt_fd)
+        lo1, di1, up1 = operator((i + 1) * dt_fd)
+        rhs = v[1:-1] + half * (di0 * v[1:-1] + lo0 * v[:-2] + up0 * v[2:])
+        ab = np.zeros((3, M - 1))
+        ab[0, 1:] = (-half * up1)[:-1]
+        ab[1] = 1.0 - half * di1
+        ab[2, :-1] = (-half * lo1)[1:]
+        v = np.concatenate(([0.0], solve_banded((1, 1), ab, rhs), [0.0]))
+        states.append(v)
+        norms.append(np.sqrt(domain.a_at((i + 1) * dt_fd) * np.trapezoid(v**2, ys)))
+    return np.array(states), np.array(norms)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("sinusoidal", {"a0": 1.0, "amp": 0.5, "omega": 3.0}),
+    ("exponential", {"a0": 1.0, "slope": -0.7}),
+    ("linear", {"a0": 1.0, "slope": 0.4}),
+    ("table", {"t": np.linspace(0.0, 1.0, 6), "a": [1.0, 1.2, 0.9, 1.1, 1.3, 1.0]}),
+])
+def test_matches_the_banded_step_by_step_march_bitwise(kind, params):
+    domain = make_domain(kind, params, 1.0)
+    u0 = ParabolaInitial(1.0, 1.0)
+    sol = fd_solve(domain, u0, M=48, dt_fd=2e-3, t_end=0.2)
+    states, norms = banded_reference(domain, u0, 48, 2e-3, 100)
+    assert sol.v.tobytes() == states.tobytes()
+    assert sol.l2_history.tobytes() == norms.tobytes()
+
+
+def count_boundary_calls(monkeypatch):
+    from movingheat.domain import DomainMotion
+
+    counts = {"a_at": 0, "a_prime_at": 0}
+    for name in counts:
+        method = getattr(DomainMotion, name)
+
+        def counted(self, t, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, t)
+
+        monkeypatch.setattr(DomainMotion, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("solver", ["fd_solve", "simulate"])
+def test_boundary_calls_do_not_grow_with_the_step_count(monkeypatch, sin_domain, solver):
+    counts = count_boundary_calls(monkeypatch)
+    seen = []
+    for steps in (10, 40):
+        dt = 0.2 / steps
+        if solver == "fd_solve":
+            fd_solve(sin_domain, ParabolaInitial(1.0, 1.0), M=32, dt_fd=dt, t_end=0.2)
+        else:
+            simulate(SimulationConfig(domain=sin_domain, n=6, model=zero_model(1), dt=dt,
+                                      t_end=0.2, snapshot_stride=steps), ParabolaInitial(1.0, 1.0))
+        seen.append(dict(counts))
+        counts.update(a_at=0, a_prime_at=0)
+    assert seen[0] == seen[1]
