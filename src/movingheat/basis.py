@@ -179,10 +179,14 @@ def composite_gauss_nodes(lo: float, hi: float, panels: int, nodes_per_panel: in
 
 def evaluate(state: CoefficientState, xs, domain: DomainMotion) -> np.ndarray:
     """Field values sum_k A_k e_k(t, x) at the given points."""
-    a = domain.a_at(state.t)
+    return sine_series(state.coeffs, xs, domain.a_at(state.t))
+
+
+def sine_series(coeffs: np.ndarray, xs, a) -> np.ndarray:
+    """sum_k coeffs[k-1] sqrt(2/a) sin(k pi x / a) at the points ``xs`` of [0, a]."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ks = np.arange(1, state.n + 1, dtype=float)[:, None]
-    return state.coeffs @ sine_modes(ks, xs[None, :], a)
+    ks = np.arange(1, coeffs.shape[0] + 1, dtype=float)[:, None]
+    return coeffs @ sine_modes(ks, xs[None, :], a)
 
 
 def synthesize(state: CoefficientState, grid_size: int, domain: DomainMotion) -> FieldSnapshot:
@@ -195,7 +199,7 @@ def synthesize(state: CoefficientState, grid_size: int, domain: DomainMotion) ->
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     a = domain.a_at(state.t)
     xs = np.linspace(0.0, a, grid_size)
-    values = evaluate(state, xs, domain)
+    values = sine_series(state.coeffs, xs, a)
     values[0] = 0.0
     values[-1] = 0.0
     return FieldSnapshot(state.t, xs, values)

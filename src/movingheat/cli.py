@@ -2,7 +2,8 @@
 
 Every command reads a config file, writes its CSV products into the output
 directory and drops a ``manifest.json`` recording the fully resolved
-configuration, so a run can be reproduced bitwise from its manifest.
+configuration and the layout of the increment stream, so a run can be
+reproduced bitwise from its manifest.
 Floats are written with shortest round-trip formatting.
 
 Exit codes: 0 success, 1 usage error, invalid configuration or out of memory,
@@ -26,7 +27,7 @@ from . import __version__, basis, diagnostics, oracle
 from .config import parse_run
 from .errors import ConfigError, NumericalError
 from .integrator import simulate, simulate_ensemble
-from .noise import MAX_MODES
+from .noise import MAX_MODES, STREAM
 
 
 def write_csv(path: Path, header, columns) -> None:
@@ -183,6 +184,7 @@ def run_command(args) -> int:
         "command": args.command,
         "version": _version_string(),
         "seed": setup.config.seed,
+        "noise_stream": STREAM,
         "config_text": setup.text,
         "outputs": sorted(outputs),
         "duration_s": time.monotonic() - started,

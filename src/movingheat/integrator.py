@@ -22,7 +22,7 @@ from .basis import CoefficientState
 from .diagnostics import EnergyLedger, mean_and_se
 from .domain import DomainMotion
 from .errors import ConfigError, NumericalError
-from .noise import MAX_INDEX, MAX_MODES, DiffusionModel, NoiseStream, draw_increment
+from .noise import MAX_INDEX, MAX_MODES, MAX_SEED, DiffusionModel, NoiseStream, draw_increment
 
 SCHEMES = ("explicit_em", "exponential_em")
 STABILITY_FACTOR = 1.9
@@ -82,8 +82,8 @@ class SimulationConfig:
                     f"explicit_em is unstable at dt={self.dt} for n={self.n}: "
                     f"requires dt <= {bound:.6g}"
                 )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < MAX_SEED:
+            raise ConfigError(f"seed must lie in [0, {MAX_SEED}), got {self.seed}")
         if not 1 <= self.n_paths <= MAX_INDEX:
             raise ConfigError(f"n_paths must lie in [1, {MAX_INDEX}], got {self.n_paths}")
         if self.grid_size < 2:
@@ -173,10 +173,11 @@ def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalue
                 keep_coeffs=False):
     """Step paths[r], as row r of one (P, n) block, from the coefficients a0 to t_end.
 
-    Rows draw from their own (seed, path, step) keys and every product is taken
-    row by row, so a row's bits do not depend on the rows beside it.  Returns the
-    (5, P, saved) series l2, h1, visc, sto, hs and, with ``keep_coeffs``, the
-    (P, saved, n) saved coefficients.  A row fails at the first non-finite value
+    Each row draws from its own (seed, path) stream, several steps of the whole
+    block at a time, and every product is taken row by row, so a row's bits do not
+    depend on the rows beside it or on how the steps are grouped into draws.
+    Returns the (5, P, saved) series l2, h1, visc, sto, hs and, with
+    ``keep_coeffs``, the (P, saved, n) saved coefficients.  A row fails at the first non-finite value
     of its ledger, coefficients or saved norms, checked in that order; the error
     names the lowest failed path.
     """
@@ -187,7 +188,7 @@ def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalue
     ratio, a_decay = _boundary(config, times[:-1])
     n_rows = len(paths)
     streams = [NoiseStream(config.seed, p) for p in paths]
-    increments = np.empty((n_rows, m))
+    chunk = noise.steps_per_draw(n_rows, m)
     series = np.empty((5, n_rows, len(saved)))
     coeffs = np.empty((n_rows, len(saved), n)) if keep_coeffs else None
     failures: dict[int, str] = {}  # row -> its first failure
@@ -207,9 +208,10 @@ def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalue
         row = 0
         for i in range(config.n_steps + 1):
             if i:
-                for r, stream in enumerate(streams):
-                    increments[r] = draw_increment(stream, m, dt)
-                kick = noise.noise_kick(model, a, increments)
+                if (i - 1) % chunk == 0:  # the (P, S, m) increments of steps i-1 .. i+S-2
+                    increments = draw_increment(
+                        streams, i - 1, min(chunk, config.n_steps + 1 - i), m, dt)
+                kick = noise.noise_kick(model, a, increments[:, (i - 1) % chunk])
                 ledger.record_step(h1, 2.0 * np.vecdot(a, kick), noise.hs_norm_sq(model, a), dt)
                 a = _update(config, a, kick, ratio[i - 1], a_decay[i - 1], zero_eigenvalues)
                 np.vecdot(-basis.interval_eigenvalues(n, a_t[i]), a**2, out=h1)
@@ -240,8 +242,8 @@ def simulate(config: SimulationConfig, u0, path_index: int = 0,
     """Project u0, step to t_end, and record strided snapshots plus ledger.
 
     ``u0`` is either a callable on (0, a_0) or a ready CoefficientState.
-    The path is row [path_index] of the block stepper: its noise is keyed by
-    (config.seed, path_index, step), so reruns are bitwise identical and the
+    The path is row [path_index] of the block stepper: its noise is the
+    (config.seed, path_index) stream, so reruns are bitwise identical and the
     snapshot stride cannot change the path.
     """
     (l2, h1, visc, sto, hs), coeffs = _step_paths(

@@ -5,8 +5,12 @@ driving Brownian motion to the k-th moving-basis mode.  The flagship
 ``moving_diagonal`` family acts diagonally in the moving basis with mode
 weights q_j = j^(-p), which keeps the operator's range inside functions
 vanishing outside the current interval; a fixed-in-space additive noise
-would not.  Increments come from a counter-based Philox stream keyed by
-(seed, path, step), so any path/step is reproducible on any worker.
+would not.  Each path draws its increments from one counter-based
+Philox4x64-10 stream keyed by (seed, path); step s of an m-wide stream owns
+the counter blocks s B + 1 .. s B + B, B = ceil(m/4), and turns them into
+normals by Box-Muller.  Every increment is a pure function of
+(seed, path, step, j), so any path or step is reproducible on any worker and
+a run may draw many steps of many paths at once.
 """
 
 from __future__ import annotations
@@ -17,8 +21,14 @@ import numpy as np
 
 from .basis import CoefficientState
 
-# Philox keys hold the path and step indices in 32 bits each
+# Path and step indices lie below 2^32; step * ceil(m/4) then never wraps the counter
 MAX_INDEX = 2**32
+MAX_SEED = 2**64  # the seed is one 64-bit word of the Philox key
+# The increment stream's layout; every manifest names it, since a change of it
+# changes every noisy output
+STREAM = "philox4x64-10 key=(seed,path) counter=step*ceil(m/4) box-muller-53"
+# uint64 words per bulk draw; bounds the working set of draw_increment
+DRAW_BUDGET = 2**15
 MAX_MODES = 4096  # cap on the truncations n and m; the dense (n, n) coupling is 128 MiB
 
 
@@ -148,31 +158,54 @@ def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray)
     return kick
 
 
-class NoiseStream:
-    """Counter-based Gaussian increment source for one Monte Carlo path.
+def words_per_step(m: int) -> int:
+    """Raw 64-bit words one step of an m-wide stream owns: ceil(m/4) Philox blocks."""
+    return 4 * -(-m // 4)
 
-    Each step's draws come from a fresh Philox generator keyed by
-    (seed, path_index, step_index): identical keys give bitwise identical
-    increments, distinct keys give independent streams, so paths can be
-    generated in any order on any worker.
+
+def steps_per_draw(rows: int, m: int) -> int:
+    """Steps per bulk draw of ``rows`` streams: as many as fit DRAW_BUDGET words, at least one."""
+    return max(1, DRAW_BUDGET // (rows * words_per_step(m)))
+
+
+class NoiseStream:
+    """The increment stream of one Monte Carlo path: Philox4x64-10 keyed by (seed, path).
+
+    Identical keys give bitwise identical increments, distinct keys give
+    independent streams, and the counter carries the step, so paths and steps
+    can be drawn in any order and any grouping on any worker.
     """
 
-    def __init__(self, seed: int, path_index: int = 0, step_index: int = 0):
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
+    def __init__(self, seed: int, path_index: int = 0):
+        if not 0 <= seed < MAX_SEED:
+            raise ValueError(f"seed must lie in [0, {MAX_SEED}), got {seed}")
         _check_index("path_index", path_index)
-        _check_index("step_index", step_index)
         self.seed = int(seed)
         self.path_index = int(path_index)
-        self.step_index = int(step_index)
 
-    def generator_at(self, step_index: int) -> np.random.Generator:
+    def generator_at(self, step_index: int, m: int,
+                     bit_generator: np.random.Philox | None = None) -> np.random.Philox:
+        """This path's Philox positioned at the first word of step ``step_index`` of an
+        m-wide stream.  Re-keys ``bit_generator`` when one is given: a new Philox costs
+        OS entropy for a seed sequence it does not use."""
         _check_index("step_index", step_index)
-        key = np.array(
-            [np.uint64(self.seed), np.uint64((self.path_index << 32) | step_index)],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        if bit_generator is None:
+            bit_generator = np.random.Philox(0)
+        # numpy bumps the counter before each block: counter s B with an empty
+        # buffer makes s B + 1 the next block
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.array([step_index * (words_per_step(m) // 4), 0, 0, 0],
+                                    dtype=np.uint64),
+                "key": np.array([self.seed, self.path_index], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return bit_generator
 
 
 def _check_index(name: str, index: int) -> None:
@@ -180,13 +213,30 @@ def _check_index(name: str, index: int) -> None:
         raise ValueError(f"{name} must lie in [0, {MAX_INDEX}), got {index}")
 
 
-def draw_increment(stream: NoiseStream, m: int, dt: float) -> np.ndarray:
-    """m independent N(0, dt) draws for the stream's current step, then advance."""
+def draw_increment(streams, step_index: int, steps: int, m: int, dt: float) -> np.ndarray:
+    """(P, steps, m) independent N(0, dt) draws: steps step_index, step_index + 1, ...
+    of each of the P ``streams``.
+
+    Each pair of 53-bit uniforms (u, v) gives r cos(2 pi v), r sin(2 pi v) with
+    r = sqrt(-2 dt log1p(-u)) (Box-Muller); an odd m drops the last sine.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    rng = stream.generator_at(stream.step_index)
-    stream.step_index += 1
-    return rng.standard_normal(m) * np.sqrt(dt)
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_index("step_index", step_index + steps - 1)
+    words = words_per_step(m)
+    raw = np.empty((len(streams), steps * words), dtype=np.uint64)
+    bit_generator = np.random.Philox(0)
+    for row, stream in zip(raw, streams):
+        row[:] = stream.generator_at(step_index, m, bit_generator).random_raw(row.size)
+    u = (raw.reshape(-1, steps, words)[..., : 2 * -(-m // 2)] >> 11) * 2.0**-53
+    radius = np.sqrt(-2.0 * dt * np.log1p(-u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    normals = np.empty(u.shape)
+    normals[..., 0::2] = radius * np.cos(angle)
+    normals[..., 1::2] = radius * np.sin(angle)
+    return normals[..., :m]
 
 
 def check_assumptions(model: DiffusionModel, n: int, n_pairs: int = 200, seed: int = 0) -> dict:

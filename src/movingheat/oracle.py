@@ -115,8 +115,7 @@ def compare_with_spectral(traj, sol: MappedGridSolution, t: float) -> float:
     v = sol.values_at(t)
     a_t = traj.config.domain.a_at(t)
     xs = a_t * sol.ys
-    state = traj.state_at(ti)
-    u_spec = basis.evaluate(state, xs, traj.config.domain)
+    u_spec = basis.sine_series(traj.coeffs[ti], xs, a_t)
     u_spec[0] = 0.0
     u_spec[-1] = 0.0
     return float(np.sqrt(np.trapezoid((u_spec - v) ** 2, xs)))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from movingheat import noise
 from movingheat.cli import main, write_csv
 
 STOCHASTIC_CFG = """
@@ -323,8 +324,10 @@ def test_manifest_lists_written_files(tmp_path, cfg_path, command, extra, output
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert manifest["command"] == command
     assert set(manifest["outputs"]) == written == outputs
-    base = {"command", "version", "seed", "config_text", "outputs", "duration_s"}
+    base = {"command", "version", "seed", "noise_stream", "config_text", "outputs", "duration_s"}
     assert set(manifest) == base | keys
+    # a manifest without this key, or with another layout, replays its config, not its bytes
+    assert manifest["noise_stream"] == noise.STREAM
 
 
 OVERFLOW_CFG = """
@@ -361,7 +364,7 @@ class TestFailureReports:
         out = tmp_path / "o"
         assert run("ensemble", "--config", cfg, "--out", out, "--workers", workers) == 2
         err = capfd.readouterr().err
-        assert err == "numerical failure: path 0, step 100: non-finite energy ledger at t=0.1\n"
+        assert err == "numerical failure: path 0, step 102: non-finite energy ledger at t=0.102\n"
         assert not (out / "moments.csv").exists()
 
     def test_out_of_memory_exits_one_with_one_line(self, tmp_path, capfd):
@@ -372,6 +375,15 @@ class TestFailureReports:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
         err = capfd.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_seed_beyond_64_bits_exits_one_with_one_line(self, tmp_path, capfd):
+        # the seed is one 64-bit word of the Philox key
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(OVERFLOW_CFG.replace("n_paths = 2", "seed = 18446744073709551616"),
+                       encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capfd.readouterr().err == (
+            "error: seed must lie in [0, 18446744073709551616), got 18446744073709551616\n")
 
     def test_unallocatable_grid_exits_one_with_one_line(self, tmp_path, capfd):
         # numpy refuses the 8 PB request for the field grid before allocating
@@ -387,12 +399,12 @@ class TestFailureReports:
         # every path ends finite, but the spread of |A|^2 overflows the standard error
         cfg = tmp_path / "over.cfg"
         cfg.write_text(OVERFLOW_CFG.replace("t_end = 0.2", "t_end = 0.1")
-                       .replace("n_paths = 2", "n_paths = 4\nseed = 4"), encoding="utf-8")
+                       .replace("n_paths = 2", "n_paths = 4\nseed = 23"), encoding="utf-8")
         out = tmp_path / "o"
         assert run("ensemble", "--config", cfg, "--out", out, "--workers", workers) == 2
         err = capfd.readouterr().err
         assert err == ("numerical failure: non-finite standard error of l2_sq over 4 paths "
-                       "at t=0.052\n")
+                       "at t=0.051\n")
         assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command,flag,value,message", [

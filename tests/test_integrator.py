@@ -19,7 +19,7 @@ from movingheat import (
     y_norm_sq,
     zero_model,
 )
-from movingheat import integrator
+from movingheat import integrator, noise
 from movingheat.integrator import saved_steps
 
 
@@ -67,6 +67,10 @@ class TestConfigValidation:
             config(unit_domain, snapshot_stride=0)
         with pytest.raises(ConfigError):
             config(unit_domain, seed=-1)
+        # the seed is a 64-bit word of the Philox key
+        assert config(unit_domain, seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ConfigError, match=r"^seed must lie in \[0, 18446744073709551616\)"):
+            config(unit_domain, seed=2**64)
 
 
 class TestDrift:
@@ -298,6 +302,47 @@ class TestEnsemble:
             assert h1[r].tobytes() == trajs[p].h1_sq.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
+@pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
+def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
+    # m = 5 is odd; a budget of one word draws one step at a time, 120 words draw 5 of the
+    # 37 steps (3 rows x 8 words each) with a short last draw, 1e9 draws every step at once
+    models = {
+        "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=5),
+        "general_matrix": general_matrix(
+            np.random.default_rng(2).normal(scale=0.3, size=(5, 6)), lipschitz_k=100.0),
+    }
+    dt = 2.0**-12
+    cfg = SimulationConfig(domain=sin_domain, n=6, model=models[kind], dt=dt, t_end=37 * dt,
+                           scheme=scheme, seed=3, n_paths=3, snapshot_stride=4)
+    a0 = np.linspace(1.0, 0.5, 6)
+    draws, positioned = [], []
+    draw, generator_at = integrator.draw_increment, noise.NoiseStream.generator_at
+
+    def draw_spy(streams, step_index, steps, m, dt):
+        draws.append((step_index, steps))
+        return draw(streams, step_index, steps, m, dt)
+
+    def generator_spy(stream, *args):
+        positioned.append(stream.path_index)
+        return generator_at(stream, *args)
+
+    monkeypatch.setattr(integrator, "draw_increment", draw_spy)
+    monkeypatch.setattr(noise.NoiseStream, "generator_at", generator_spy)
+    outputs = set()
+    for budget in (1, 120, noise.DRAW_BUDGET, 10**9):
+        monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
+        draws.clear()
+        positioned.clear()
+        series, coeffs = integrator._step_paths(cfg, a0, [2, 0, 1], keep_coeffs=True)
+        outputs.add((series.tobytes(), coeffs.tobytes()))
+        per_draw = min(max(1, budget // 24), 37)
+        starts = list(range(0, 37, per_draw))
+        assert draws == [(s, min(per_draw, 37 - s)) for s in starts]
+        assert positioned == [2, 0, 1] * len(starts)
+    assert len(outputs) == 1
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and runs blocks in-process."""
 
@@ -374,7 +419,7 @@ def test_initial_data_match_raw_sine_formula():
 
 def overflowing_config(domain):
     # n = 1 is the scalar product A_k = prod (1 + beta dB_i) e^(lambda dt): at beta = 2000
-    # the HS term (beta A)^2 of the ledger overflows first, at steps 100, 104, 96 and 102
+    # the HS term (beta A)^2 of the ledger overflows first, at steps 102, 99, 104 and 101
     # of paths 0 to 3
     return SimulationConfig(domain=domain, n=1, model=moving_diagonal(0.0, 2000.0, 1.0, 1),
                             dt=1e-3, t_end=0.2, n_paths=4)
@@ -384,7 +429,7 @@ def overflowing_config(domain):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_numerical_failure_names_the_path(unit_domain, workers):
     with pytest.raises(NumericalError,
-                       match=r"^path 0, step 100: non-finite energy ledger at t=0\.1$"):
+                       match=r"^path 0, step 102: non-finite energy ledger at t=0\.102$"):
         simulate_ensemble(overflowing_config(unit_domain), ModeInitial(1, 1.0, 1.0),
                           workers=workers)
 
@@ -392,15 +437,15 @@ def test_numerical_failure_names_the_path(unit_domain, workers):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers):
-    # seed 8: paths 0 and 3 reach t_end, path 2 fails at step 93 and path 1 at step 96;
+    # seed 9: paths 0 and 3 reach t_end, path 2 fails at step 96 and path 1 at step 99;
     # at 1 worker the one block must step past path 2's failure and report path 1
-    cfg = overflowing_config(unit_domain).with_updates(seed=8, t_end=0.1)
-    message = r"^path 1, step 96: non-finite energy ledger at t=0\.096$"
+    cfg = overflowing_config(unit_domain).with_updates(seed=9, t_end=0.1)
+    message = r"^path 1, step 99: non-finite energy ledger at t=0\.099$"
     with pytest.raises(NumericalError, match=message):
         simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0), workers=workers)
     with pytest.raises(NumericalError, match=message):
         simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=1)
-    with pytest.raises(NumericalError, match=r"^path 2, step 93: "):
+    with pytest.raises(NumericalError, match=r"^path 2, step 96: "):
         simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=2)
     simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=0)
     simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=3)
@@ -409,7 +454,7 @@ def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failure_names_a_later_path(unit_domain):
     with pytest.raises(NumericalError,
-                       match=r"^path 2, step 96: non-finite energy ledger at t=0\.096$"):
+                       match=r"^path 2, step 104: non-finite energy ledger at t=0\.104$"):
         simulate(overflowing_config(unit_domain), ModeInitial(1, 1.0, 1.0), path_index=2)
 
 
@@ -422,7 +467,7 @@ def test_non_finite_saved_norm_is_a_failure(unit_domain):
 
 
 def test_path_and_step_counts_fit_the_noise_keys(unit_domain):
-    # paths and steps are 32-bit words of the Philox key: 2^32 of each, no more
+    # paths and steps are capped at 2^32 each by the noise stream
     assert config(unit_domain, n_paths=2**32).n_paths == 2**32
     with pytest.raises(ConfigError, match="n_paths"):
         config(unit_domain, n_paths=2**32 + 1)

@@ -96,56 +96,101 @@ class TestNoiseKick:
             general_matrix([[1.0, 0.0], [0.0, 2.0]], lipschitz_k=1.0)
 
 
+def box_muller(words, m, dt):
+    # the stream's normals from one step's raw words, written out independently
+    u = (words >> np.uint64(11)) * 2.0**-53
+    pairs = -(-m // 2)
+    radius = np.sqrt(-2.0 * dt * np.log1p(-u[0 : 2 * pairs : 2]))
+    angle = 2.0 * np.pi * u[1 : 2 * pairs : 2]
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:m]
+
+
 class TestIncrements:
     def test_statistics(self):
         dt = 2e-3
-        stream = NoiseStream(seed=123)
-        draws = np.concatenate([draw_increment(stream, 1000, dt) for _ in range(100)])
-        assert draws.shape == (100000,)
+        draws = draw_increment([NoiseStream(seed=123)], 0, 100, 1000, dt)
+        assert draws.shape == (1, 100, 1000)
+        draws = draws.ravel()
         assert abs(np.mean(draws)) <= 4 * np.sqrt(dt / 1e5)
         assert np.var(draws) == pytest.approx(dt, rel=0.05)
+        # standard normal: E z^4 = 3; the sd of the sample mean of z^4 is sqrt(96 / 1e5)
+        assert np.mean(draws**4) == pytest.approx(3 * dt**2, rel=0.05)
+
+    def test_cosine_and_sine_of_a_pair_are_uncorrelated(self):
+        draws = draw_increment([NoiseStream(seed=5)], 0, 100, 1000, 1.0).reshape(-1, 2)
+        corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
+        assert abs(corr) <= 4 / np.sqrt(len(draws))
 
     def test_bitwise_determinism(self):
-        a = draw_increment(NoiseStream(9, 4, 17), 8, 1e-3)
-        b = draw_increment(NoiseStream(9, 4, 17), 8, 1e-3)
+        a = draw_increment([NoiseStream(9, 4)], 17, 1, 8, 1e-3)
+        b = draw_increment([NoiseStream(9, 4)], 17, 1, 8, 1e-3)
         assert np.array_equal(a, b)
 
-    def test_distinct_keys_differ(self):
-        base = draw_increment(NoiseStream(9, 4, 17), 8, 1e-3)
-        assert not np.array_equal(base, draw_increment(NoiseStream(9, 4, 18), 8, 1e-3))
-        assert not np.array_equal(base, draw_increment(NoiseStream(9, 5, 17), 8, 1e-3))
-        assert not np.array_equal(base, draw_increment(NoiseStream(10, 4, 17), 8, 1e-3))
+    def test_draws_do_not_depend_on_grouping(self):
+        # a row's step is the same bits whatever the rows and steps drawn with it
+        streams = [NoiseStream(9, p) for p in (4, 0, 7)]
+        bulk = draw_increment(streams, 16, 3, 5, 1e-3)
+        for r, stream in enumerate(streams):
+            for s in range(3):
+                alone = draw_increment([stream], 16 + s, 1, 5, 1e-3)[0, 0]
+                assert alone.tobytes() == bulk[r, s].tobytes()
 
-    def test_stream_advances(self):
-        stream = NoiseStream(1)
-        first = draw_increment(stream, 4, 1e-3)
-        second = draw_increment(stream, 4, 1e-3)
-        assert stream.step_index == 2
+    def test_distinct_keys_differ(self):
+        base = draw_increment([NoiseStream(9, 4)], 17, 1, 8, 1e-3)
+        assert not np.array_equal(base, draw_increment([NoiseStream(9, 4)], 18, 1, 8, 1e-3))
+        assert not np.array_equal(base, draw_increment([NoiseStream(9, 5)], 17, 1, 8, 1e-3))
+        assert not np.array_equal(base, draw_increment([NoiseStream(10, 4)], 17, 1, 8, 1e-3))
+
+    def test_consecutive_steps_differ(self):
+        first, second = draw_increment([NoiseStream(1)], 0, 2, 4, 1e-3)[0]
         assert not np.array_equal(first, second)
 
-    def test_key_layout(self):
-        # key = (seed, path << 32 | step): the increments of every valid run stay the same
-        rng = np.random.Generator(np.random.Philox(key=[9, (4 << 32) | 17]))
-        expected = rng.standard_normal(8) * np.sqrt(1e-3)
-        assert draw_increment(NoiseStream(9, 4, 17), 8, 1e-3).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("m", [1, 3, 4, 16, 4096])
+    def test_known_answer(self, m):
+        # key (seed, path); step s starts after s * ceil(m/4) Philox blocks of 4 words
+        seed, path, step, dt = 9, 4, 17, 1e-3
+        words = 4 * -(-m // 4)
+        philox = np.random.Philox(key=[seed, path])
+        philox.random_raw(step * words)
+        expected = [box_muller(philox.random_raw(words), m, dt) for _ in range(2)]
+        got = draw_increment([NoiseStream(seed, path)], step, 2, m, dt)[0]
+        assert got.shape == (2, m)
+        for s in range(2):
+            assert got[s].tobytes() == expected[s].tobytes()
+
+    def test_generator_at_positions_the_path_stream(self):
+        philox = np.random.Philox(key=[3, 2])
+        philox.random_raw(5 * 8)
+        assert np.array_equal(NoiseStream(3, 2).generator_at(5, 7).random_raw(8),
+                              philox.random_raw(8))
+
+    def test_seed_beyond_64_bits_is_rejected(self):
+        draw_increment([NoiseStream(2**64 - 1)], 0, 1, 2, 1e-3)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                NoiseStream(seed)
 
     def test_path_index_beyond_32_bits_is_rejected(self):
-        # path 2^32 would replay path 0's increments
         NoiseStream(1, path_index=2**32 - 1)
         with pytest.raises(ValueError, match="path_index"):
             NoiseStream(1, path_index=2**32)
 
     def test_step_index_beyond_32_bits_is_rejected(self):
-        stream = NoiseStream(1, step_index=2**32 - 1)
-        draw_increment(stream, 2, 1e-3)
+        stream = NoiseStream(1)
+        draw_increment([stream], 2**32 - 1, 1, 2, 1e-3)
         with pytest.raises(ValueError, match="step_index"):
-            draw_increment(stream, 2, 1e-3)
+            draw_increment([stream], 2**32 - 1, 2, 2, 1e-3)
         with pytest.raises(ValueError, match="step_index"):
-            NoiseStream(1, step_index=2**32)
+            draw_increment([stream], 2**32, 1, 2, 1e-3)
+        with pytest.raises(ValueError, match="step_index"):
+            stream.generator_at(2**32, 2)
 
     def test_dt_validation(self):
         with pytest.raises(ValueError):
-            draw_increment(NoiseStream(1), 4, 0.0)
+            draw_increment([NoiseStream(1)], 0, 1, 4, 0.0)
 
 
 SHIPPED_MODELS = [

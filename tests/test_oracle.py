@@ -13,6 +13,7 @@ from movingheat import (
     fd_solve,
     make_domain,
     simulate,
+    synthesize,
     zero_model,
 )
 from movingheat.basis import evaluate
@@ -239,3 +240,18 @@ def test_boundary_calls_do_not_grow_with_the_step_count(monkeypatch, sin_domain,
         seen.append(dict(counts))
         counts.update(a_at=0, a_prime_at=0)
     assert seen[0] == seen[1]
+
+
+def test_one_boundary_call_per_snapshot(monkeypatch, sin_domain):
+    # synthesize and compare_with_spectral each look a(t) up once, not once more in evaluate
+    u0 = ParabolaInitial(1.0, 1.0)
+    traj = simulate(SimulationConfig(domain=sin_domain, n=6, model=zero_model(1), dt=0.02,
+                                     t_end=0.2, snapshot_stride=5), u0)
+    sol = fd_solve(sin_domain, u0, M=32, dt_fd=0.02, t_end=0.2, save_stride=5)
+    counts = count_boundary_calls(monkeypatch)
+    for i, t in enumerate(traj.times):
+        synthesize(traj.state_at(i), 17, sin_domain)
+        assert counts == {"a_at": 1, "a_prime_at": 0}
+        compare_with_spectral(traj, sol, float(t))
+        assert counts == {"a_at": 2, "a_prime_at": 0}
+        counts.update(a_at=0)
