@@ -18,6 +18,7 @@ import numpy as np
 
 from .basis import interval_eigenvalues
 from .errors import NumericalError
+from .noise import MAX_SEED
 
 
 @dataclass
@@ -134,25 +135,32 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     solver at n and 2n with the same driving increments and reports
     d_x = sup over saved t of |u_2n - u_n|_t and the squared time-integrated
     gradient distance d_y.  Both split over the common first n modes plus
-    the tail of the finer solution.
+    the tail of the finer solution.  Every level's config and the whole seed
+    range are validated before any step; the seeds then run as rows of
+    blocks that step all levels together on one draw of increments
+    (``integrator.level_trajectories``).  A failure names the lowest failed
+    seed, then its lowest failed level.
     """
     if n_seeds < 1:
         raise ValueError(f"number of seeds must be >= 1, got {n_seeds}")
     levels = list(levels)
+    if not levels:
+        raise ValueError("levels must name at least one truncation")
     for lo, hi in zip(levels, levels[1:]):
         if hi != 2 * lo:
             raise ValueError(f"levels must double: got {levels}")
-    from .integrator import simulate
+    from .integrator import level_trajectories
 
+    configs = [config_base.with_updates(n=n) for n in levels + [2 * levels[-1]]]
+    last = config_base.seed + n_seeds - 1
+    if last >= MAX_SEED:
+        raise ValueError(f"seeds {config_base.seed}..{last} must lie in [0, {MAX_SEED})")
+    seeds = range(config_base.seed, config_base.seed + n_seeds)
     rows = []
-    for s in range(n_seeds):
-        trajs = {}
-        for n in levels + [2 * levels[-1]]:
-            cfg = config_base.with_updates(n=n, seed=config_base.seed + s)
-            trajs[n] = simulate(cfg, u0)
-        for n in levels:
-            d_x, d_y = level_distance(trajs[n], trajs[2 * n], config_base.domain)
-            rows.append(ConvergenceRow(config_base.seed + s, n, d_x, d_y))
+    for seed, trajs in level_trajectories(configs, u0, seeds):
+        for n, traj_n, traj_2n in zip(levels, trajs, trajs[1:]):
+            d_x, d_y = level_distance(traj_n, traj_2n, config_base.domain)
+            rows.append(ConvergenceRow(seed, n, d_x, d_y))
     return rows
 
 

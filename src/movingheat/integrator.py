@@ -26,8 +26,10 @@ from .noise import MAX_INDEX, MAX_MODES, MAX_SEED, DiffusionModel, NoiseStream, 
 
 SCHEMES = ("explicit_em", "exponential_em")
 STABILITY_FACTOR = 1.9
-# Rows of one (paths, n) block of the ensemble stepper; bounds its working set
+# Rows of one (paths, n) block of the stepper; bounds its working set
 MAX_BLOCK_ROWS = 256
+# Saved coefficients (rows x saved steps x sum of n) a block of the level study keeps
+MAX_KEPT_COEFFS = 2**20
 
 
 def saved_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -169,72 +171,99 @@ def _initial_coeffs(config: SimulationConfig, u0) -> np.ndarray:
     return basis.project_initial(u0, config.n, config.domain).coeffs
 
 
-def _step_paths(config: SimulationConfig, a0: np.ndarray, paths, zero_eigenvalues=False,
-                keep_coeffs=False):
-    """Step paths[r], as row r of one (P, n) block, from the coefficients a0 to t_end.
+def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
+    """Step the (seed, path) pairs ``rows`` at every level configs[l], from the coefficients
+    a0s[l], to t_end.
 
-    Each row draws from its own (seed, path) stream, several steps of the whole
-    block at a time, and every product is taken row by row, so a row's bits do not
-    depend on the rows beside it or on how the steps are grouped into draws.
-    Returns the (5, P, saved) series l2, h1, visc, sto, hs and, with
-    ``keep_coeffs``, the (P, saved, n) saved coefficients.  A row fails at the first non-finite value
-    of its ledger, coefficients or saved norms, checked in that order; the error
-    names the lowest failed path.
+    The levels share one time grid, domain, scheme and noise model and differ only in n.
+    Level l is one (P, n_l) block whose row r is the path rows[r]; all levels step in
+    lockstep, so the boundary arrays and each draw of increments serve every level.  Each
+    row draws from its own (seed, path) stream, several steps of the whole block at a time,
+    and every product is taken row by row, so a row's bits do not depend on the rows or
+    levels beside it or on how the steps are grouped into draws.
+    Returns per level the (5, P, saved) series l2, h1, visc, sto, hs and, with
+    ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails at the first
+    non-finite value of its ledger, coefficients or saved norms, checked in that order; the
+    error names the lowest failed row, then its lowest failed level: as ``path p`` for one
+    level, as ``seed s, n=N`` for several.
     """
-    n, m, dt, model = config.n, config.model.m, config.dt, config.model
+    config = configs[0]
+    m, dt, model = config.model.m, config.dt, config.model
     saved = saved_steps(config.n_steps, config.snapshot_stride).tolist()
     times = np.arange(config.n_steps + 1) * dt
     a_t = config.domain.a_at(times)
     ratio, a_decay = _boundary(config, times[:-1])
-    n_rows = len(paths)
-    streams = [NoiseStream(config.seed, p) for p in paths]
+    n_rows = len(rows)
+    streams = [NoiseStream(seed, path) for seed, path in rows]
     chunk = noise.steps_per_draw(n_rows, m)
-    series = np.empty((5, n_rows, len(saved)))
-    coeffs = np.empty((n_rows, len(saved), n)) if keep_coeffs else None
-    failures: dict[int, str] = {}  # row -> its first failure
+    series = np.empty((len(configs), 5, n_rows, len(saved)))
+    coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
+    failures: dict[tuple[int, int], str] = {}  # (row, level) -> its first failure
 
-    def fail(values, i, message):  # rows run along the last axis of ``values``
+    def fail(level, values, i, message):  # rows run along the last axis of ``values``
         for r in np.flatnonzero(~np.isfinite(values).reshape(-1, n_rows).all(axis=0)).tolist():
-            failures.setdefault(r, f"path {paths[r]}, step {i}: {message}")
+            seed, path = rows[r]
+            label = (f"path {path}" if len(configs) == 1
+                     else f"seed {seed}, n={configs[level].n}")
+            failures.setdefault((r, level), f"{label}, step {i}: {message}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked
-        a = np.tile(a0, (n_rows, 1))
-        # l2, h1 and the ledger sums of each row; h1 is also the next step's ledger term
-        cur = np.zeros((5, n_rows))
-        l2, h1 = cur[0], cur[1]
-        np.vecdot(a, a, out=l2)
-        np.vecdot(-basis.interval_eigenvalues(n, a_t[0]), a**2, out=h1)
-        ledger = EnergyLedger(cur[2:])
+        a = [np.tile(a0, (n_rows, 1)) for a0 in a0s]
+        # per level: l2, h1 and the ledger sums of each row; h1 is also the next step's
+        # ledger term, and step 0 is always saved, so it sets l2
+        cur = np.zeros((len(configs), 5, n_rows))
+        ledgers = [EnergyLedger(sums) for sums in cur[:, 2:]]
+        for level, cfg in enumerate(configs):
+            np.vecdot(-basis.interval_eigenvalues(cfg.n, a_t[0]), a[level] ** 2,
+                      out=cur[level, 1])
         row = 0
         for i in range(config.n_steps + 1):
             if i:
                 if (i - 1) % chunk == 0:  # the (P, S, m) increments of steps i-1 .. i+S-2
                     increments = draw_increment(
                         streams, i - 1, min(chunk, config.n_steps + 1 - i), m, dt)
-                kick = noise.noise_kick(model, a, increments[:, (i - 1) % chunk])
-                ledger.record_step(h1, 2.0 * np.vecdot(a, kick), noise.hs_norm_sq(model, a), dt)
-                a = _update(config, a, kick, ratio[i - 1], a_decay[i - 1], zero_eigenvalues)
-                np.vecdot(-basis.interval_eigenvalues(n, a_t[i]), a**2, out=h1)
+                increment = increments[:, (i - 1) % chunk]
+                for level, cfg in enumerate(configs):
+                    h1 = cur[level, 1]
+                    kick = noise.noise_kick(model, a[level], increment)
+                    ledgers[level].record_step(h1, 2.0 * np.vecdot(a[level], kick),
+                                               noise.hs_norm_sq(model, a[level]), dt)
+                    a[level] = _update(cfg, a[level], kick, ratio[i - 1], a_decay[i - 1],
+                                       zero_eigenvalues)
+                    np.vecdot(-basis.interval_eigenvalues(cfg.n, a_t[i]), a[level] ** 2, out=h1)
             is_saved = i == saved[row]
             if is_saved:
-                np.vecdot(a, a, out=l2)
+                for level in range(len(configs)):
+                    np.vecdot(a[level], a[level], out=cur[level, 0])
             # non-finite coefficients make h1 non-finite: one sum catches every failure
             if not math.isfinite(cur.sum()):
-                if i:
-                    fail(ledger.sums, i, f"non-finite energy ledger at t={times[i]:.6g}")
-                    fail(a.T, i, _coefficient_failure(config, times[i]))
-                if is_saved:
-                    fail(cur[:2], i, f"non-finite norms at t={times[i]:.6g}")
-                if 0 in failures:
+                for level, cfg in enumerate(configs):
+                    if i:
+                        fail(level, ledgers[level].sums, i,
+                             f"non-finite energy ledger at t={times[i]:.6g}")
+                        fail(level, a[level].T, i, _coefficient_failure(cfg, times[i]))
+                    if is_saved:
+                        fail(level, cur[level, :2], i, f"non-finite norms at t={times[i]:.6g}")
+                if (0, 0) in failures:  # the lowest key: no later failure is reported
                     break
             if is_saved:
-                series[:, :, row] = cur
+                series[..., row] = cur
                 if keep_coeffs:
-                    coeffs[:, row] = a
+                    for level_coeffs, level_a in zip(coeffs, a):
+                        level_coeffs[:, row] = level_a
                 row += 1
     if failures:
         raise NumericalError(failures[min(failures)])
-    return series, coeffs
+    return list(zip(series, coeffs))
+
+
+def _trajectory(config: SimulationConfig, series: np.ndarray, coeffs: np.ndarray,
+                row: int) -> Trajectory:
+    """Row ``row`` of one level's block output as the Trajectory of its path."""
+    l2, h1, visc, sto, hs = series[:, row]
+    steps = saved_steps(config.n_steps, config.snapshot_stride)
+    return Trajectory(steps * config.dt, coeffs[row], l2, h1, visc, sto, hs, float(l2[0]),
+                      steps, config)
 
 
 def simulate(config: SimulationConfig, u0, path_index: int = 0,
@@ -242,15 +271,36 @@ def simulate(config: SimulationConfig, u0, path_index: int = 0,
     """Project u0, step to t_end, and record strided snapshots plus ledger.
 
     ``u0`` is either a callable on (0, a_0) or a ready CoefficientState.
-    The path is row [path_index] of the block stepper: its noise is the
-    (config.seed, path_index) stream, so reruns are bitwise identical and the
-    snapshot stride cannot change the path.
+    The path is the one-row block [(config.seed, path_index)] of the stepper: its
+    noise is that stream, so reruns are bitwise identical and the snapshot stride
+    cannot change the path.
     """
-    (l2, h1, visc, sto, hs), coeffs = _step_paths(
-        config, _initial_coeffs(config, u0), [path_index], zero_eigenvalues, keep_coeffs=True)
-    steps = saved_steps(config.n_steps, config.snapshot_stride)
-    return Trajectory(steps * config.dt, coeffs[0], l2[0], h1[0], visc[0], sto[0], hs[0],
-                      float(l2[0, 0]), steps, config)
+    [(series, coeffs)] = _step_paths([config], [_initial_coeffs(config, u0)],
+                                     [(config.seed, path_index)], zero_eigenvalues,
+                                     keep_coeffs=True)
+    return _trajectory(config, series, coeffs, 0)
+
+
+def level_trajectories(configs, u0, seeds):
+    """Yield (seed, [Trajectory per level]) for each seed: path 0 of that seed at every
+    level configs[l], every level driven by the same increments.
+
+    u0 is projected once per level.  The seeds run as the rows of blocks of at most
+    MAX_BLOCK_ROWS rows whose kept coefficients, rows x saved steps x the sum of the
+    levels' n, stay within MAX_KEPT_COEFFS words (never below one row); each block steps
+    all its levels in lockstep, one draw of increments per chunk of steps.
+    """
+    a0s = [_initial_coeffs(cfg, u0) for cfg in configs]
+    config = configs[0]
+    row_words = (len(saved_steps(config.n_steps, config.snapshot_stride))
+                 * sum(cfg.n for cfg in configs))
+    size = max(1, min(MAX_BLOCK_ROWS, MAX_KEPT_COEFFS // row_words))
+    for lo in range(0, len(seeds), size):
+        block = seeds[lo:lo + size]
+        levels = _step_paths(configs, a0s, [(seed, 0) for seed in block], keep_coeffs=True)
+        for r, seed in enumerate(block):
+            yield seed, [_trajectory(cfg.with_updates(seed=seed), series, coeffs, r)
+                         for cfg, (series, coeffs) in zip(configs, levels)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,13 +346,14 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
     blocks = _blocks(n_paths, workers)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool_size = min(workers, len(blocks), cpus or 1)
-    args = (repeat(config), repeat(_initial_coeffs(config, u0)), blocks)
+    args = (repeat([config]), repeat([_initial_coeffs(config, u0)]),
+            [[(config.seed, path) for path in block] for block in blocks])
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_step_paths, *args))  # in path order
     else:
         parts = list(map(_step_paths, *args))
-    l2, h1, visc, sto, hs = np.concatenate([series for series, _ in parts], axis=1)
+    l2, h1, visc, sto, hs = np.concatenate([series for [(series, _)] in parts], axis=1)
 
     times = saved_steps(config.n_steps, config.snapshot_stride) * config.dt
     mean_l2, se_l2 = mean_and_se(l2, "l2_sq", times)

@@ -407,6 +407,54 @@ class TestFailureReports:
                        "at t=0.051\n")
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("edits,message", [
+        ({"n_paths = 2": "seed = 1"},
+         "seed 1, n=1, step 94: non-finite energy ledger at t=0.094"),
+        # seed 3 fails first in time (step 107) and so does n=2 of seed 2 (step 112), but
+        # the report is the lowest seed, then its lowest level
+        ({"n_paths = 2": "seed = 2", "mode = 1": "mode = 2", "m = 1": "m = 2", "p = 1": "p = 0.6"},
+         "seed 2, n=1, step 115: non-finite energy ledger at t=0.115"),
+    ])
+    def test_study_failure_names_seed_and_level(self, tmp_path, capfd, edits, message):
+        text = OVERFLOW_CFG
+        for old, new in edits.items():
+            text = text.replace(old + "\n", new + "\n")
+        cfg = tmp_path / "over.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("converge", "--config", cfg, "--out", out, "--levels", "1,2",
+                   "--seeds", 3) == 2
+        assert capfd.readouterr().err == f"numerical failure: {message}\n"
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("edits,extra,message", [
+        # n = 16 and 32 are stable at dt = 1e-4 on the unit interval; n = 64 is not
+        ({"n = 1": "n = 16\nscheme = explicit_em", "dt = 1e-3": "dt = 1e-4"},
+         ["--levels", "16,32,64", "--seeds", 2],
+         "explicit_em is unstable at dt=0.0001 for n=64: requires dt <= 4.60643e-05"),
+        # the key of seed 2^64 - 2048 fits, that of the study's last seed does not
+        ({"n_paths = 2": "seed = 18446744073709549568"}, ["--levels", "1", "--seeds", 2049],
+         "seeds 18446744073709549568..18446744073709551616 must lie in "
+         "[0, 18446744073709551616)"),
+    ])
+    def test_invalid_study_exits_one_before_the_first_step(self, tmp_path, capfd, monkeypatch,
+                                                           edits, extra, message):
+        from movingheat import integrator
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before the study was validated")
+
+        monkeypatch.setattr(integrator, "_step_paths", no_step)
+        text = OVERFLOW_CFG
+        for old, new in edits.items():
+            text = text.replace(old + "\n", new + "\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("converge", "--config", cfg, "--out", out, *extra) == 1
+        assert capfd.readouterr().err == f"error: {message}\n"
+        assert not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("command,flag,value,message", [
         ("ensemble", "--workers", 0, "workers must be >= 1, got 0"),
         ("ensemble", "--workers", -3, "workers must be >= 1, got -3"),

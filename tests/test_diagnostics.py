@@ -13,6 +13,7 @@ from movingheat import (
     eigenvalues,
     energy_residual,
     energy_residuals,
+    general_matrix,
     level_distance,
     mean_energy_balance,
     moment_report,
@@ -24,7 +25,9 @@ from movingheat import (
     y_norm_sq,
     zero_model,
 )
+from movingheat import basis, integrator, noise
 from movingheat.diagnostics import mean_and_se
+from movingheat.errors import ConfigError
 
 
 def decay_residual_oracle(lam, T, h):
@@ -204,6 +207,107 @@ class TestSelfConvergence:
                                dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError, match="double"):
             self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [8, 24], 1)
+
+    @pytest.mark.parametrize("block_rows,budget", [(None, None), (1, 20)])
+    @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
+    @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
+    def test_study_matches_independent_runs_bitwise(self, monkeypatch, sin_domain, scheme,
+                                                    kind, block_rows, budget):
+        # m = 5 is odd and the table has 6 columns, fewer than the finest level's 8 modes
+        models = {
+            "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=5),
+            "general_matrix": general_matrix(
+                np.random.default_rng(4).normal(scale=0.3, size=(5, 6)), lipschitz_k=100.0),
+        }
+        dt = 2.0**-12
+        cfg = SimulationConfig(domain=sin_domain, n=2, model=models[kind], dt=dt,
+                               t_end=37 * dt, scheme=scheme, seed=7, snapshot_stride=4)
+        u0 = ParabolaInitial(1.0, 1.0)
+        expected = {}
+        for seed in (7, 8, 9):
+            trajs = {n: simulate(cfg.with_updates(n=n, seed=seed), u0) for n in (2, 4, 8)}
+            for n in (2, 4):
+                expected[seed, n] = level_distance(trajs[n], trajs[2 * n], sin_domain)
+
+        if block_rows is not None:
+            monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", block_rows)
+        if budget is not None:
+            monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
+        draws, projected = [], []
+        draw, project = integrator.draw_increment, basis.project_initial
+
+        def draw_spy(streams, step_index, steps, m, dt):
+            draws.append((tuple(s.seed for s in streams), step_index, steps))
+            return draw(streams, step_index, steps, m, dt)
+
+        def project_spy(u0, n, domain):
+            projected.append(n)
+            return project(u0, n, domain)
+
+        monkeypatch.setattr(integrator, "draw_increment", draw_spy)
+        monkeypatch.setattr(basis, "project_initial", project_spy)
+        rows = self_convergence_study(cfg, u0, [2, 4], 3)
+        assert [(r.seed, r.n) for r in rows] == [(s, n) for s in (7, 8, 9) for n in (2, 4)]
+        for r in rows:
+            assert (r.d_x, r.d_y) == expected[r.seed, r.n]
+        assert projected == [2, 4, 8]  # once per level, not per seed
+        # ceil(N/S) draws per block of seeds, however many levels the block steps
+        blocks = [(7,), (8,), (9,)] if block_rows == 1 else [(7, 8, 9)]
+        want = []
+        for block in blocks:
+            per_draw = noise.steps_per_draw(len(block), 5)
+            want += [(block, s, min(per_draw, 37 - s)) for s in range(0, 37, per_draw)]
+        assert draws == want
+
+    @pytest.mark.parametrize("kept,sizes", [
+        (None, [5]),        # everything fits: one block
+        (2 * 4 * 14, [2, 2, 1]),  # two rows of 4 saved steps x (2 + 4 + 8) modes
+        (1, [1] * 5),       # never below one row
+    ])
+    def test_blocks_cap_the_kept_coefficients(self, monkeypatch, unit_domain, kept, sizes):
+        if kept is not None:
+            monkeypatch.setattr(integrator, "MAX_KEPT_COEFFS", kept)
+        rows = []
+        step_paths = integrator._step_paths
+
+        def spy(configs, a0s, block, *args, **kwargs):
+            rows.append(len(block))
+            return step_paths(configs, a0s, block, *args, **kwargs)
+
+        monkeypatch.setattr(integrator, "_step_paths", spy)
+        cfg = SimulationConfig(domain=unit_domain, n=2, model=moving_diagonal(0.3, 0.0, m=4),
+                               dt=1e-3, t_end=0.03, snapshot_stride=10)
+        self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [2, 4], 5)
+        assert rows == sizes
+
+    def test_failure_names_lowest_seed_then_lowest_level(self, unit_domain):
+        # from seed 2 the per-seed failures are seed 2 at n=1, 2, 4 after 115, 112, 114
+        # steps and seed 3 at every level after 107 steps: the report is seed 2, n=1
+        model = moving_diagonal(gamma=0.0, beta=2000.0, decay_p=0.6, m=2)
+        cfg = SimulationConfig(domain=unit_domain, n=1, model=model, dt=1e-3, t_end=0.2,
+                               seed=2)
+        with pytest.raises(NumericalError, match=r"^seed 2, n=1, step 115: non-finite energy "
+                                                 r"ledger at t=0\.115$"):
+            self_convergence_study(cfg, ModeInitial(2, 1.0, 1.0), [1, 2], 3)
+
+    @pytest.mark.parametrize("levels,seed,n_seeds,error,message", [
+        ([], 0, 1, ValueError, "levels must name at least one truncation"),
+        # n = 16 and 32 are stable at dt = 1e-4; n = 64 is not
+        ([16, 32, 64], 0, 2, ConfigError, "explicit_em is unstable at dt=0.0001 for n=64"),
+        ([2], 2**64 - 1, 2, ValueError,
+         r"seeds 18446744073709551615\.\.18446744073709551616 must lie"),
+    ])
+    def test_invalid_study_fails_before_the_first_step(self, monkeypatch, unit_domain, levels,
+                                                       seed, n_seeds, error, message):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before the study was validated")
+
+        monkeypatch.setattr(integrator, "_step_paths", no_step)
+        monkeypatch.setattr(basis, "project_initial", no_step)
+        cfg = SimulationConfig(domain=unit_domain, n=2, model=zero_model(2), dt=1e-4,
+                               t_end=0.01, scheme="explicit_em", seed=seed)
+        with pytest.raises(error, match=message):
+            self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), levels, n_seeds)
 
     def test_level_distance_parseval_split(self, sin_domain):
         cfg8 = SimulationConfig(domain=sin_domain, n=8, model=zero_model(16),

@@ -294,8 +294,8 @@ class TestEnsemble:
             assert col.tobytes() == np.mean(rows, axis=0).tobytes()
         # any rows, in any order, step as they do alone
         a0 = trajs[0].coeffs[0]
-        (l2, h1, visc, sto, hs), coeffs = integrator._step_paths(cfg, a0, [4, 1, 3],
-                                                                 keep_coeffs=True)
+        [((l2, h1, visc, sto, hs), coeffs)] = integrator._step_paths(
+            [cfg], [a0], [(cfg.seed, p) for p in [4, 1, 3]], keep_coeffs=True)
         for r, p in enumerate([4, 1, 3]):
             assert coeffs[r].tobytes() == trajs[p].coeffs.tobytes()
             assert sto[r].tobytes() == trajs[p].sto.tobytes()
@@ -334,7 +334,8 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
         monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
         draws.clear()
         positioned.clear()
-        series, coeffs = integrator._step_paths(cfg, a0, [2, 0, 1], keep_coeffs=True)
+        [(series, coeffs)] = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
+                                                    keep_coeffs=True)
         outputs.add((series.tobytes(), coeffs.tobytes()))
         per_draw = min(max(1, budget // 24), 37)
         starts = list(range(0, 37, per_draw))
@@ -360,7 +361,7 @@ class RecordingPool:
 
     def map(self, fn, *iterables):
         jobs = list(zip(*iterables))
-        RecordingPool.blocks.append([list(job[-1]) for job in jobs])
+        RecordingPool.blocks.append([[path for _, path in job[-1]] for job in jobs])
         return [fn(*job) for job in jobs]
 
 
