@@ -43,7 +43,11 @@ def _float(text: str) -> float:
 
 
 def _int(text: str) -> int:
-    value = float(text) if _is_number(text) else math.nan
+    try:
+        return int(text)  # exact at any size; floats hold integers only up to 2^53
+    except ValueError:
+        pass
+    value = float(text) if _is_number(text) else math.nan  # forms like 1e3 or 16.0
     if not math.isfinite(value) or value != int(value):
         raise ValueError("must be an integer")
     return int(value)

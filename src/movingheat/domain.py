@@ -3,18 +3,17 @@
 The right endpoint of the spatial interval (0, a(t)) is a C^1 function of
 time.  Every family here exposes the boundary position and its velocity,
 plus sampled lower/upper bounds (``delta0``, ``big_l``) that downstream
-stability heuristics rely on.
+stability heuristics rely on.  The ``table`` family is a natural cubic
+spline through measured knots, built here in numpy: building or evaluating
+a domain imports no scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
-
-if TYPE_CHECKING:  # imported where a table domain is built: scipy is slow to load
-    from scipy.interpolate import CubicSpline
 
 # family -> (parameter names, a(t), a'(t)); each function takes the motion and t
 FAMILIES = {
@@ -34,7 +33,7 @@ FAMILIES = {
         lambda m, t: m.params["a0"] * np.exp(m.params["slope"] * t),
         lambda m, t: m.params["slope"] * m.params["a0"] * np.exp(m.params["slope"] * t),
     ),
-    "table": ({"t", "a"}, lambda m, t: m._spline(t)[()], lambda m, t: m._spline(t, 1)[()]),
+    "table": ({"t", "a"}, lambda m, t: _cubic(m, t, 0), lambda m, t: _cubic(m, t, 1)),
 }
 
 _N_SAMPLE = 1000
@@ -57,7 +56,7 @@ class DomainMotion:
     horizon: float
     delta0: float
     big_l: float
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _spline: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def a_at(self, t):
         """Boundary position a(t); accepts scalars or arrays."""
@@ -89,11 +88,12 @@ def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
     """Build and validate a boundary motion.
 
     ``params`` holds the family parameters (for ``table``: arrays ``t`` and
-    ``a`` of knots, interpolated by a natural cubic spline so the motion is
-    C^1).  The bounds ``delta0``/``big_l`` come from a 1000-point sample,
-    shrunk/grown by 1% as a safety margin.  Raises ``ValueError`` if a
-    sampled a or a' is not finite or the sampled minimum of a is not
-    strictly positive.
+    ``a`` of at least 4 finite knots, strictly increasing in t and covering
+    [0, horizon], interpolated by a natural cubic spline so the motion is
+    C^1; a(t_i) is the knot value exactly).  The bounds ``delta0``/``big_l``
+    come from a 1000-point sample, shrunk/grown by 1% as a safety margin.
+    Raises ``ValueError`` if the knots are not so, if a sampled a or a' is
+    not finite or the sampled minimum of a is not strictly positive.
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown domain kind {kind!r}; expected one of {tuple(FAMILIES)}")
@@ -106,27 +106,28 @@ def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
             f"domain kind {kind!r} takes parameters {sorted(expected)}, got {sorted(got)}"
         )
 
-    spline = None
     if kind == "table":
-        ts = np.asarray(params["t"], dtype=float)
-        vals = np.asarray(params["a"], dtype=float)
+        # own read-only copies: the spline keeps reading the knots
+        ts = np.array(params["t"], dtype=float)
+        vals = np.array(params["a"], dtype=float)
+        ts.flags.writeable = vals.flags.writeable = False
         if ts.ndim != 1 or ts.shape != vals.shape or ts.size < 4:
             raise ValueError("table domain needs matching 1-D t/a arrays with >= 4 knots")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vals))):
+            raise ValueError("table knots t and a must be finite")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("table knots must be strictly increasing in t")
         if ts[0] > 0 or ts[-1] < horizon:
             raise ValueError(
                 f"table knots cover [{ts[0]}, {ts[-1]}], need [0, {horizon}]"
             )
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(ts, vals, bc_type="natural")
         clean = {"t": ts, "a": vals}
     else:
         clean = {k: float(v) for k, v in params.items()}
 
-    probe = DomainMotion(kind, clean, float(horizon), np.nan, np.nan, spline)
     with np.errstate(all="ignore"):  # overflow is reported below, not warned about
+        spline = _natural_spline(clean["t"], clean["a"]) if kind == "table" else None
+        probe = DomainMotion(kind, clean, float(horizon), np.nan, np.nan, spline)
         ts = np.linspace(0.0, horizon, _N_SAMPLE)
         avals = np.asarray(probe.a_at(ts), dtype=float)
         apvals = np.asarray(probe.a_prime_at(ts), dtype=float)
@@ -140,3 +141,47 @@ def make_domain(kind: str, params: Mapping, horizon: float) -> DomainMotion:
     delta0 = a_min * (1.0 - _MARGIN)
     big_l = max(float(np.max(avals)), float(np.max(np.abs(apvals)))) * (1.0 + _MARGIN)
     return DomainMotion(kind, clean, float(horizon), delta0, big_l, spline)
+
+
+def _natural_spline(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(4, K) coefficients of the natural cubic spline (a'' = 0 at both ends) through the
+    K knots (ts, ys), in scipy's PPoly layout: column i holds c0..c3 of
+    c0 x^3 + c1 x^2 + c2 x + c3, x = t - ts[i].
+
+    The knot slopes s solve scipy's tridiagonal system, which is strictly diagonally
+    dominant, so one Thomas sweep without pivoting is stable.  The last column, at the
+    last knot, holds its value and slope, so a(ts[-1]) is ys[-1] as at every knot.
+    """
+    dx = np.diff(ts)
+    slope = np.diff(ys) / dx
+    lower = np.append(dx[1:], dx[-1]).tolist()  # row i + 1 couples to s[i]
+    upper = np.append(dx[0], dx[:-1]).tolist()  # row i couples to s[i + 1]
+    diag = (2.0 * np.concatenate(([dx[0]], dx[:-1] + dx[1:], [dx[-1]]))).tolist()
+    rhs = (3.0 * np.concatenate(([ys[1] - ys[0]], dx[1:] * slope[:-1] + dx[:-1] * slope[1:],
+                                 [ys[-1] - ys[-2]]))).tolist()
+    for i in range(1, len(diag)):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = rhs  # back substitution overwrites the right-hand side with the slopes
+    s[-1] /= diag[-1]
+    for i in range(len(s) - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.stack([np.append(t / dx, 0.0), np.append((slope - s[:-1]) / dx - t, 0.0), s,
+                     ys])
+
+
+def _cubic(motion: DomainMotion, t, nu: int):
+    """The table spline (nu = 0) or its derivative (nu = 1) at times t in [0, horizon]:
+    one searchsorted and one fixed elementwise expression, so scalars and arrays agree
+    bitwise.  The terms are summed in scipy's PPoly order, lowest power first."""
+    knots = motion.params["t"]
+    i = np.searchsorted(knots, t, side="right") - 1
+    c0, c1, c2, c3 = np.take(motion._spline, i, axis=1)
+    x = t - knots[i]
+    x2 = x * x
+    if nu == 0:
+        return c3 + c2 * x + c1 * x2 + c0 * (x2 * x)
+    return c2 + c1 * x * 2.0 + c0 * x2 * 3.0

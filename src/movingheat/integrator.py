@@ -225,9 +225,10 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                 increment = increments[:, (i - 1) % chunk]
                 for level, cfg in enumerate(configs):
                     h1 = cur[level, 1]
-                    kick = noise.noise_kick(model, a[level], increment)
+                    diag = noise._diagonal(model, a[level])  # serves the kick and the HS norm
+                    kick = noise.noise_kick(model, a[level], increment, diag=diag)
                     ledgers[level].record_step(h1, 2.0 * np.vecdot(a[level], kick),
-                                               noise.hs_norm_sq(model, a[level]), dt)
+                                               noise.hs_norm_sq(model, a[level], diag=diag), dt)
                     a[level] = _update(cfg, a[level], kick, ratio[i - 1], a_decay[i - 1],
                                        zero_eigenvalues)
                     np.vecdot(-basis.interval_eigenvalues(cfg.n, a_t[i]), a[level] ** 2, out=h1)

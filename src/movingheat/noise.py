@@ -102,8 +102,11 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
     )
 
 
-def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
-    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n), per row of ``coeffs``."""
+def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray | None:
+    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n), per row of ``coeffs``;
+    None for a model without one."""
+    if model.q is None:
+        return None
     d = min(model.m, coeffs.shape[-1])
     return model.q[:d] * (model.gamma + model.beta * coeffs[..., :d])
 
@@ -111,8 +114,8 @@ def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
 def _sigma(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
     """Dense (m, n) coefficient matrix sigma_jk at the coefficients ``coeffs``."""
     sigma = np.zeros((model.m, coeffs.shape[0]))
-    if model.q is not None:
-        diag = _diagonal(model, coeffs)
+    diag = _diagonal(model, coeffs)
+    if diag is not None:
         sigma[range(diag.size), range(diag.size)] = diag
     if model.table is not None:
         cols = min(coeffs.shape[0], model.table.shape[1])
@@ -129,11 +132,15 @@ def sigma_coeff(model: DiffusionModel, j: int, k: int, state: CoefficientState) 
     return float(_sigma(model, state.coeffs)[j - 1, k - 1])
 
 
-def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
+def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray, *, diag=None) -> np.ndarray:
     """Squared Hilbert-Schmidt norm, the sum over j <= m, k <= n of sigma_jk^2, for each
-    row of the (..., n) coefficients; summed part by part (no constructor gives both)."""
-    if model.q is not None:
-        total = np.sum(_diagonal(model, coeffs) ** 2, axis=-1)
+    row of the (..., n) coefficients; summed part by part (no constructor gives both).
+    ``diag``, if given, is ``_diagonal(model, coeffs)``, computed once for this and the
+    kick of the same step."""
+    if diag is None:
+        diag = _diagonal(model, coeffs)
+    if diag is not None:
+        total = np.sum(diag**2, axis=-1)
     else:
         total = np.zeros(coeffs.shape[:-1])
     if model.table is not None:
@@ -141,16 +148,19 @@ def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
     return total
 
 
-def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray) -> np.ndarray:
+def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray, *,
+               diag=None) -> np.ndarray:
     """Coefficient-space kick kick_k = sum_j sigma_jk dB_j for each row of the (..., n)
-    coefficients and the (..., m) increments, every row computed on its own."""
+    coefficients and the (..., m) increments, every row computed on its own.  ``diag``
+    as in ``hs_norm_sq``."""
     increment = np.asarray(increment, dtype=float)
     shape = coeffs.shape[:-1] + (model.m,)
     if increment.shape != shape:
         raise ValueError(f"increment has shape {increment.shape}, expected {shape}")
     kick = np.zeros(coeffs.shape)
-    if model.q is not None:
+    if diag is None:
         diag = _diagonal(model, coeffs)
+    if diag is not None:
         kick[..., : diag.shape[-1]] = diag * increment[..., : diag.shape[-1]]
     if model.table is not None:
         cols = min(coeffs.shape[-1], model.table.shape[1])

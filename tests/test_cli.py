@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from movingheat import noise
+from movingheat import integrator, noise
 from movingheat.cli import main, write_csv
 
 STOCHASTIC_CFG = """
@@ -385,6 +385,27 @@ class TestFailureReports:
         assert capfd.readouterr().err == (
             "error: seed must lie in [0, 18446744073709551616), got 18446744073709551616\n")
 
+    @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+    def test_seed_above_two_to_the_53_reaches_the_stream_exactly(self, tmp_path, monkeypatch,
+                                                                  seed):
+        # a float holds integers exactly only up to 2^53: 2^53 + 1 would run 2^53, and
+        # 2^64 - 1 would round up to 2^64 and be rejected
+        keys = []
+
+        class SpyStream(integrator.NoiseStream):
+            def __init__(self, seed, path_index=0):
+                keys.append((seed, path_index))
+                super().__init__(seed, path_index)
+
+        monkeypatch.setattr(integrator, "NoiseStream", SpyStream)
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(STOCHASTIC_CFG.replace("seed = 9", f"seed = {seed}"), encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 0
+        assert keys == [(seed, 0)]
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["seed"] == seed
+        assert f"seed = {seed}\n" in manifest["config_text"]
+
     def test_unallocatable_grid_exits_one_with_one_line(self, tmp_path, capfd):
         # numpy refuses the 8 PB request for the field grid before allocating
         cfg = tmp_path / "grid.cfg"
@@ -512,8 +533,9 @@ class TestUsageErrors:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy serves only table domains and the finite-difference oracle; it is
-    # imported where they are built
+    # scipy serves only the finite-difference oracle; it is imported where that is built.
+    # A table domain's spline, parsed from a config or built directly, and a simulation on
+    # it need no scipy.
     import os
     import subprocess
     import sys
@@ -521,17 +543,94 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
     import movingheat
 
+    (tmp_path / "knots.csv").write_text(
+        "t,a\n" + "".join(f"{t},{1.0 + 0.2 * t * t}\n" for t in np.linspace(0, 1, 7).tolist()),
+        encoding="utf-8")
+    (tmp_path / "table.cfg").write_text(
+        "[domain]\nkind = table\ntable_path = knots.csv\nT = 1.0\n"
+        "[noise]\nkind = moving_diagonal\ngamma = 0.3\nm = 4\n"
+        "[sim]\nn = 4\ndt = 0.01\nt_end = 0.1\n", encoding="utf-8")
     script = (
         "import sys, numpy as np\n"
+        "def no_scipy(where):\n"
+        "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], where\n"
         "import movingheat.cli\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
-        "from movingheat import make_domain, ParabolaInitial\n"
+        "no_scipy('import')\n"
+        "from movingheat import make_domain, simulate, ParabolaInitial\n"
+        "from movingheat.config import parse_run\n"
         "from movingheat.oracle import fd_solve\n"
+        f"setup = parse_run({str(tmp_path / 'table.cfg')!r})\n"
+        "no_scipy('parse_run of a table config')\n"
         "d = make_domain('table', {'t': np.linspace(0, 1, 5), 'a': np.linspace(1, 1.2, 5)}, 1.0)\n"
+        "no_scipy('make_domain table')\n"
+        "traj = simulate(setup.config.with_updates(domain=d), setup.u0)\n"
+        "assert np.all(np.isfinite(traj.l2_sq))\n"
+        "no_scipy('simulate on a table domain')\n"
         "sol = fd_solve(d, ParabolaInitial(1.0), 16, 0.01, 0.1)\n"
         "assert np.all(np.isfinite(sol.v)) and sol.times[-1] == 0.1\n"
+        "assert 'scipy' in sys.modules, 'fd_solve runs on scipy'\n"
     )
     src = str(Path(movingheat.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+TABLE_CFG = """
+[domain]
+kind = table
+table_path = knots.csv
+T = 0.5
+
+[noise]
+kind = moving_diagonal
+gamma = 0.4
+beta = 0.2
+m = 6
+
+[sim]
+n = 6
+dt = 0.005
+t_end = 0.5
+seed = 3
+n_paths = 6
+
+[output]
+snapshot_stride = 10
+"""
+
+
+def write_table(tmp_path, ts, vals):
+    (tmp_path / "knots.csv").write_text(
+        "t,a\n" + "".join(f"{t},{a}\n" for t, a in zip(ts, vals)), encoding="utf-8")
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(TABLE_CFG, encoding="utf-8")
+    return cfg
+
+
+class TestTableDomain:
+    @pytest.mark.parametrize("column,row,text", [
+        ("t", 2, "nan"), ("t", 5, "inf"), ("a", 0, "nan"), ("a", 3, "-inf"), ("a", 5, "inf"),
+    ])
+    def test_non_finite_knots_exit_one_with_one_line(self, tmp_path, capfd, column, row, text):
+        ts = ["0", "0.1", "0.2", "0.3", "0.4", "0.5"]
+        vals = ["1.0", "1.1", "1.05", "0.95", "1.0", "1.2"]
+        (ts if column == "t" else vals)[row] = text
+        cfg = write_table(tmp_path, ts, vals)
+        out = tmp_path / "o"
+        assert run("simulate", "--config", cfg, "--out", out) == 1
+        assert capfd.readouterr().err == "error: [domain] table knots t and a must be finite\n"
+        assert not any(out.glob("*.csv"))
+
+    def test_ensemble_workers_bitwise_identical(self, tmp_path, monkeypatch):
+        # two usable CPUs, whatever the host, so the blocks go to a pool of two processes
+        # that receive the config, and with it the domain's spline, pickled
+        monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        ts = np.linspace(0.0, 0.5, 11)
+        cfg = write_table(tmp_path, ts, 1.0 + 0.3 * np.sin(7.0 * ts))
+        for workers in (1, 2):
+            assert run("ensemble", "--config", cfg, "--out", tmp_path / f"w{workers}",
+                       "--workers", workers) == 0
+        for name in ("ensemble.csv", "moments.csv"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()

@@ -244,3 +244,20 @@ def test_non_finite_and_overflowing_values_are_config_errors(tmp_path, text, mat
         with pytest.raises(ConfigError, match=match) as err:
             parse_config(write(tmp_path, text))
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("9007199254740993", 2**53 + 1),  # a float would round it to 2^53
+    ("18446744073709551615", 2**64 - 1),
+    ("18446744073709551616", 2**64),  # parsed exactly; the seed range rejects it later
+    ("-3", -3), ("1_000", 1000), ("1e3", 1000), ("16.0", 16), ("1e20", 10**20),
+])
+def test_integers_parse_exactly(text, value):
+    assert config_mod._int(text) == value
+    assert type(config_mod._int(text)) is int
+
+
+@pytest.mark.parametrize("text", ["1.5", "nan", "inf", "-inf", "1e400", "0x10", "", "seven"])
+def test_non_integers_are_rejected(text):
+    with pytest.raises(ValueError, match="must be an integer"):
+        config_mod._int(text)

@@ -162,3 +162,35 @@ def test_array_evaluation_matches_scalar_bitwise(kind, params, dt, n_steps):
         scalar = np.array([motion((i - 1) * dt + 0.5 * dt) for i in range(1, n_steps + 1)],
                           dtype=float)
         assert np.asarray(motion(mids), dtype=float).tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("column,value", [("t", np.nan), ("t", np.inf), ("a", np.nan),
+                                          ("a", -np.inf)])
+def test_table_rejects_non_finite_knots(column, value):
+    # a NaN knot passes both the ordering and the coverage test; it is rejected on its own
+    params = {"t": np.linspace(0.0, 1.0, 6), "a": np.linspace(1.0, 1.5, 6)}
+    params[column][3 if column == "a" else -1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="table knots t and a must be finite"):
+            make_domain("table", params, 1.0)
+
+
+def test_table_hits_every_knot_value_exactly():
+    ts = np.array([-0.1, 0.0, 0.3, 0.35, 0.8, 1.0])
+    vals = np.array([1.0, 1.1, 0.7, 0.9, 1.3, 1.2])
+    d = make_domain("table", {"t": ts, "a": vals}, 1.0)
+    assert d.a_at(ts[1:]).tobytes() == vals[1:].tobytes()
+    assert [d.a_at(t) for t in ts[1:]] == vals[1:].tolist()
+
+
+def test_table_keeps_its_own_copy_of_the_knots():
+    ts, vals = np.linspace(0.0, 1.0, 6), np.linspace(1.0, 1.5, 6)
+    d = make_domain("table", {"t": ts, "a": vals}, 1.0)
+    before = d.a_at(np.linspace(0.0, 1.0, 11))
+    ts[2] += 0.05
+    vals[:] = 2.0
+    assert d.a_at(np.linspace(0.0, 1.0, 11)).tobytes() == before.tobytes()
+    for key in ("t", "a"):
+        with pytest.raises(ValueError, match="read-only"):
+            d.params[key][1] = 0.5

@@ -475,3 +475,27 @@ def test_path_and_step_counts_fit_the_noise_keys(unit_domain):
     assert config(unit_domain, dt=2.0**-32, t_end=1.0).n_steps == 2**32
     with pytest.raises(ConfigError, match="steps exceeds"):
         config(unit_domain, dt=2.0**-33, t_end=1.0)
+
+
+@pytest.mark.parametrize("levels", [[5], [4, 8, 16]])
+def test_one_noise_diagonal_per_level_per_step(monkeypatch, sin_domain, levels):
+    # the kick and the HS norm of a step share the diagonal q_j (gamma + beta A_j)
+    model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=6)
+    configs = [SimulationConfig(domain=sin_domain, n=n, model=model, dt=1e-3, t_end=0.03)
+               for n in levels]
+    a0s = [np.linspace(1.0, 0.5, n) for n in levels]
+    rows = [(4, 0), (4, 1), (4, 2)]
+    expected = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    shapes = []
+    diagonal = noise._diagonal
+
+    def spy(model, coeffs):
+        shapes.append(coeffs.shape)
+        return diagonal(model, coeffs)
+
+    monkeypatch.setattr(noise, "_diagonal", spy)
+    got = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    assert shapes == [(3, n) for _ in range(30) for n in levels]
+    for (series, coeffs), (want_series, want_coeffs) in zip(got, expected):
+        assert series.tobytes() == want_series.tobytes()
+        assert coeffs.tobytes() == want_coeffs.tobytes()

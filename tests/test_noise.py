@@ -13,6 +13,7 @@ from movingheat import (
     sigma_coeff,
     zero_model,
 )
+from movingheat import noise
 
 
 def state_of(*coeffs, t=0.0):
@@ -246,6 +247,10 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
     kick[:d] = q * (gamma + beta * st.coeffs[:d]) * db[:d]
     assert noise_kick(model, st.coeffs, db).tobytes() == kick.tobytes()
     assert hs_norm_sq(model, st.coeffs) == float(np.sum((q * (gamma + beta * st.coeffs[:d])) ** 2))
+    # the stepper computes the diagonal once and hands it to both
+    diag = noise._diagonal(model, st.coeffs)
+    assert noise_kick(model, st.coeffs, db, diag=diag).tobytes() == kick.tobytes()
+    assert hs_norm_sq(model, st.coeffs, diag=diag) == hs_norm_sq(model, st.coeffs)
 
 
 def test_general_matrix_bits_match_the_raw_formula():
