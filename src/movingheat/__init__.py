@@ -5,24 +5,18 @@ from .basis import (
     FieldSnapshot,
     coupling,
     coupling_matrix,
-    eigenfunction,
-    eigenvalue,
     eigenvalues,
     h1_norm_sq,
-    l2_norm_sq,
     project_initial,
     synthesize,
 )
 from .diagnostics import (
     EnergyLedger,
-    energy_residual,
     energy_residuals,
     level_distance,
     mean_energy_balance,
-    moment_report,
+    moment_rows,
     self_convergence_study,
-    x_norm,
-    y_norm_sq,
 )
 from .domain import DomainMotion, make_domain
 from .errors import ConfigError, NumericalError
@@ -36,7 +30,6 @@ from .integrator import (
     explicit_dt_bound,
     simulate,
     simulate_ensemble,
-    step,
 )
 from .noise import (
     DiffusionModel,
@@ -75,21 +68,17 @@ __all__ = [
     "coupling",
     "coupling_matrix",
     "draw_increment",
-    "eigenfunction",
-    "eigenvalue",
     "eigenvalues",
-    "energy_residual",
     "energy_residuals",
     "explicit_dt_bound",
     "fd_solve",
     "general_matrix",
     "h1_norm_sq",
     "hs_norm_sq",
-    "l2_norm_sq",
     "level_distance",
     "make_domain",
     "mean_energy_balance",
-    "moment_report",
+    "moment_rows",
     "moving_diagonal",
     "noise_kick",
     "project_initial",
@@ -97,9 +86,6 @@ __all__ = [
     "sigma_coeff",
     "simulate",
     "simulate_ensemble",
-    "step",
     "synthesize",
-    "x_norm",
-    "y_norm_sq",
     "zero_model",
 ]

@@ -45,11 +45,6 @@ class FieldSnapshot:
     values: np.ndarray
 
 
-def eigenvalue(k: int, t: float, domain: DomainMotion) -> float:
-    """k-th Dirichlet eigenvalue -(k pi / a_t)^2; strictly negative."""
-    return float(eigenvalues(k, t, domain)[-1])
-
-
 def eigenvalues(n: int, t: float, domain: DomainMotion) -> np.ndarray:
     """Vector of the first n eigenvalues -(k pi / a_t)^2 at time t."""
     return interval_eigenvalues(n, domain.a_at(t))
@@ -58,16 +53,6 @@ def eigenvalues(n: int, t: float, domain: DomainMotion) -> np.ndarray:
 def interval_eigenvalues(n: int, a) -> np.ndarray:
     """The first n Dirichlet eigenvalues -(k pi / a)^2 of (0, a), broadcast over the modes."""
     return -((mode_numbers(n) / a) ** 2)
-
-
-def eigenfunction(k: int, t: float, x, domain: DomainMotion):
-    """Normalized sine mode sqrt(2/a_t) sin(k pi x / a_t); vanishes at 0 and a_t."""
-    _check_mode(k)
-    a = domain.a_at(t)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > a * (1 + 1e-12)):
-        raise ValueError(f"x outside [0, {a}] at t={t}")
-    return sine_modes(k, x, a)
 
 
 def sine_modes(ks, x, a, scale=1.0):
@@ -203,11 +188,6 @@ def synthesize(state: CoefficientState, grid_size: int, domain: DomainMotion) ->
     values[0] = 0.0
     values[-1] = 0.0
     return FieldSnapshot(state.t, xs, values)
-
-
-def l2_norm_sq(state: CoefficientState) -> float:
-    """|u(t)|^2 in L^2(0, a_t) via Parseval: sum of squared coefficients."""
-    return float(np.dot(state.coeffs, state.coeffs))
 
 
 def h1_norm_sq(state: CoefficientState, domain: DomainMotion) -> float:

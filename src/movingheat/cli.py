@@ -79,16 +79,7 @@ def cmd_simulate(args, setup, trajectory_csv, fields_csv):
 
 def cmd_ensemble(args, setup, ensemble_csv, moments_csv):
     summary = simulate_ensemble(setup.config, setup.u0, workers=args.workers)
-    final, n_paths = summary.final_l2_sq, summary.n_paths
-    if n_paths >= 2:
-        rows = diagnostics.moment_report(summary).rows()
-        rows.append(("final_l2_sq", *diagnostics.mean_and_se(final, "final_l2_sq")))
-        rows.append(("energy_balance", *diagnostics.mean_energy_balance(summary)))
-    else:
-        rows = [(name, *diagnostics.mean_and_se(values, name)) for name, values in
-                (("sup_l2_sq", summary.sup_l2_sq), ("y_norm_sq", summary.y_norm_sq),
-                 ("final_l2_sq", final))]
-    # every statistic is computed before either file is written
+    rows = diagnostics.moment_rows(summary)  # every statistic before either file is written
     write_csv(
         ensemble_csv,
         ["t", "a_t", "mean_l2_sq", "se_l2_sq", "mean_h1_sq", "se_h1_sq"],
@@ -96,7 +87,7 @@ def cmd_ensemble(args, setup, ensemble_csv, moments_csv):
          summary.mean_h1_sq, summary.se_h1_sq],
     )
     write_csv(moments_csv, ["stat", "value", "stderr"], zip(*rows))
-    return {"workers": args.workers, "n_paths": n_paths}
+    return {"workers": args.workers, "n_paths": summary.n_paths}
 
 
 def cmd_converge(args, setup, converge_csv):

@@ -145,12 +145,8 @@ class RunSetup:
     text: str  # canonical resolved config, reproduces this setup when re-parsed
 
 
-def parse_config(path) -> SimulationConfig:
-    """Parse and validate a config file; see module docstring for the schema."""
-    return parse_run(path).config
-
-
 def parse_run(path) -> RunSetup:
+    """Parse and validate a config file; see module docstring for the schema."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

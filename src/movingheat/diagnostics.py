@@ -1,4 +1,4 @@
-"""Energy bookkeeping, space-time norms and convergence studies.
+"""Energy bookkeeping, Monte Carlo moments and convergence studies.
 
 The ledger tracks the three integral terms balancing |u(t)|^2 against the
 initial energy: accumulated dissipation, the martingale (noise work) term
@@ -42,62 +42,22 @@ class EnergyLedger:
         self.hs += hs_sq * dt
 
 
-def energy_residual(traj, t_index: int) -> float:
-    """Discrete energy-identity residual at the t_index-th saved step."""
-    if not 0 <= t_index < len(traj.times):
-        raise IndexError(f"t_index {t_index} outside saved range 0..{len(traj.times) - 1}")
-    return float(energy_residuals(traj)[t_index])
-
-
 def energy_residuals(traj) -> np.ndarray:
     """Residual at every saved step."""
     return traj.l2_sq - traj.e0 + traj.visc - traj.sto - traj.hs
 
 
-def x_norm(traj) -> float:
-    """sup over saved times of |u(t)|_t (the continuous-in-time norm)."""
-    return float(np.sqrt(np.max(traj.l2_sq)))
-
-
-def y_norm_sq(traj) -> float:
-    """Trapezoid approximation of the time integral of ||u(t)||^2."""
-    return float(np.trapezoid(traj.h1_sq, traj.times))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Monte Carlo moment estimates with standard errors."""
-
-    n_paths: int
-    e_sup_l2_sq: float
-    se_sup_l2_sq: float
-    e_y_norm_sq: float
-    se_y_norm_sq: float
-    e_sup_l2_sq_p2: float
-    se_sup_l2_sq_p2: float
-    e_y_norm_sq_p2: float
-    se_y_norm_sq_p2: float
-
-    def rows(self):
-        return [
-            ("sup_l2_sq", self.e_sup_l2_sq, self.se_sup_l2_sq),
-            ("y_norm_sq", self.e_y_norm_sq, self.se_y_norm_sq),
-            ("sup_l2_sq_p2", self.e_sup_l2_sq_p2, self.se_sup_l2_sq_p2),
-            ("y_norm_sq_p2", self.e_y_norm_sq_p2, self.se_y_norm_sq_p2),
-        ]
-
-
-def moment_report(ensemble) -> MomentReport:
-    """First and second moments of sup_t |u|^2 and of the dissipation integral."""
-    sup = ensemble.sup_l2_sq
-    ysq = ensemble.y_norm_sq
-    if sup.shape[0] < 2:
-        raise ValueError("moment_report needs at least 2 paths")
+def moment_rows(ensemble) -> list[tuple[str, float, float]]:
+    """The moments.csv rows (name, mean, standard error) of sup_t |u|^2, the dissipation
+    integral and |u(T)|^2; from 2 paths on, also the squares of the first two before
+    |u(T)|^2 and the mean energy balance last.  Computed in row order."""
+    sup, ysq = ensemble.sup_l2_sq, ensemble.y_norm_sq
     with np.errstate(over="ignore"):  # an overflowed square fails its statistic
-        columns = {"sup_l2_sq": sup, "y_norm_sq": ysq, "sup_l2_sq_p2": sup**2,
-                   "y_norm_sq_p2": ysq**2}
-    stats = [float(x) for name, values in columns.items() for x in mean_and_se(values, name)]
-    return MomentReport(sup.shape[0], *stats)
+        squares = ({"sup_l2_sq_p2": sup**2, "y_norm_sq_p2": ysq**2} if ensemble.n_paths > 1
+                   else {})
+    columns = {"sup_l2_sq": sup, "y_norm_sq": ysq, **squares, "final_l2_sq": ensemble.final_l2_sq}
+    rows = [(name, *map(float, mean_and_se(values, name))) for name, values in columns.items()]
+    return (rows + [("energy_balance", *mean_energy_balance(ensemble))]) if squares else rows
 
 
 def mean_and_se(values: np.ndarray, name: str, times=None):

@@ -11,6 +11,7 @@ a domain imports no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -47,16 +48,23 @@ class DomainMotion:
     """A validated boundary motion on [0, horizon].
 
     ``delta0 <= a(t)`` and ``max(a(t), |a'(t)|) <= big_l`` hold on a dense
-    time sample by construction.  Instances are immutable and safe to share
-    across worker processes.
+    time sample by construction.  Instances are immutable, ``params`` included,
+    and safe to share across worker processes.
     """
 
     kind: str
-    params: dict[str, float]
+    params: Mapping
     horizon: float
     delta0: float
     big_l: float
     _spline: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):  # delta0 and big_l were sampled from these parameters
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild from a plain copy
+        return DomainMotion, (self.kind, dict(self.params), self.horizon, self.delta0,
+                              self.big_l, self._spline)
 
     def a_at(self, t):
         """Boundary position a(t); accepts scalars or arrays."""

@@ -120,21 +120,9 @@ class Trajectory:
         return CoefficientState(float(self.times[index]), self.coeffs[index].copy())
 
 
-def step(state: CoefficientState, config: SimulationConfig, increment: np.ndarray,
-         zero_eigenvalues: bool = False) -> CoefficientState:
-    """Advance one time step; ``zero_eigenvalues`` is a diagnostic hook that
-    drops the decay term so pure coupling transport can be studied."""
-    kick = noise.noise_kick(config.model, state.coeffs, increment)
-    new = _update(config, state.coeffs[None], kick[None], *_boundary(config, state.t),
-                  zero_eigenvalues)[0]
-    if not np.all(np.isfinite(new)):
-        raise NumericalError(_coefficient_failure(config, state.t + config.dt))
-    return CoefficientState(state.t + config.dt, new)
-
-
 def _boundary(config: SimulationConfig, t):
-    """a'/a at the step start times ``t`` (scalar or array) and a at the scheme's decay
-    time: the step start for explicit_em, the step midpoint for exponential_em."""
+    """a'/a at the step start times ``t`` (an array) and a at the scheme's decay time: the
+    step start for explicit_em, the step midpoint for exponential_em."""
     domain = config.domain
     ratio = domain.a_prime_at(t) / domain.a_at(t)
     if config.scheme == "explicit_em":
@@ -272,6 +260,8 @@ def simulate(config: SimulationConfig, u0, path_index: int = 0,
     """Project u0, step to t_end, and record strided snapshots plus ledger.
 
     ``u0`` is either a callable on (0, a_0) or a ready CoefficientState.
+    ``zero_eigenvalues`` is a diagnostic hook that drops the decay term, so pure
+    coupling transport can be studied.
     The path is the one-row block [(config.seed, path_index)] of the stepper: its
     noise is that stream, so reruns are bitwise identical and the snapshot stride
     cannot change the path.

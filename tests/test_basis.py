@@ -3,17 +3,17 @@ import pytest
 
 from movingheat import (
     CoefficientState,
+    SimulationConfig,
     coupling,
     coupling_matrix,
-    eigenfunction,
-    eigenvalue,
     eigenvalues,
     h1_norm_sq,
-    l2_norm_sq,
     project_initial,
+    simulate,
     synthesize,
+    zero_model,
 )
-from movingheat.basis import evaluate
+from movingheat.basis import evaluate, sine_modes
 
 from conftest import gauss_quad
 
@@ -39,10 +39,10 @@ class TestEigenpairs:
         from movingheat import make_domain
 
         d_pi = make_domain("constant", {"a0": np.pi}, 1.0)
-        assert eigenvalue(1, 0.0, d_pi) == pytest.approx(-1.0, rel=1e-15)
+        assert eigenvalues(1, 0.0, d_pi)[0] == pytest.approx(-1.0, rel=1e-15)
         d_2 = make_domain("constant", {"a0": 2.0}, 1.0)
-        assert eigenvalue(2, 0.0, d_2) == pytest.approx(-np.pi**2, rel=1e-15)
-        assert eigenvalue(3, 0.0, unit_domain) == pytest.approx(-9 * np.pi**2, rel=1e-15)
+        assert eigenvalues(2, 0.0, d_2)[1] == pytest.approx(-np.pi**2, rel=1e-15)
+        assert eigenvalues(3, 0.0, unit_domain)[2] == pytest.approx(-9 * np.pi**2, rel=1e-15)
 
     def test_eigenvalues_negative_decreasing(self, sin_domain):
         lam = eigenvalues(12, 0.3, sin_domain)
@@ -51,18 +51,15 @@ class TestEigenpairs:
 
     def test_invalid_mode_index(self, unit_domain):
         with pytest.raises(ValueError):
-            eigenvalue(0, 0.0, unit_domain)
+            eigenvalues(0, 0.0, unit_domain)
         with pytest.raises(ValueError):
-            eigenvalue(-3, 0.0, unit_domain)
+            eigenvalues(-3, 0.0, unit_domain)
 
     def test_eigenfunction_boundary_and_value(self):
-        from movingheat import make_domain
-
-        d = make_domain("constant", {"a0": 2.0}, 1.0)
-        assert eigenfunction(5, 0.0, 0.0, d) == 0.0
-        assert eigenfunction(1, 0.0, 1.0, d) == pytest.approx(1.0, rel=1e-15)
-        with pytest.raises(ValueError):
-            eigenfunction(1, 0.0, 2.5, d)
+        # the normalized mode sqrt(2/a) sin(k pi x / a) on (0, 2)
+        assert sine_modes(5, 0.0, 2.0) == 0.0
+        assert sine_modes(1, 1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
+        assert sine_modes(1, 1.0, 2.0, 3.0) == pytest.approx(3.0, rel=1e-15)
 
     def test_orthonormality_by_quadrature(self, sin_domain):
         rng = np.random.default_rng(7)
@@ -78,11 +75,9 @@ class TestEigenpairs:
                     )
                     expected = 1.0 if j == k else 0.0
                     assert abs(val - expected) <= 1e-10
-                    # package eigenfunction agrees with the raw formula
+                    # the package's sine mode agrees with the raw formula
                     xs = np.linspace(0, a, 5)
-                    assert np.allclose(
-                        eigenfunction(k, t, xs, sin_domain), sine_mode(k, a, xs), atol=1e-14
-                    )
+                    assert np.allclose(sine_modes(k, xs, a), sine_mode(k, a, xs), atol=1e-14)
 
 
 class TestCoupling:
@@ -209,10 +204,13 @@ class TestSynthesisAndNorms:
 
     def test_norm_examples(self, sin_domain):
         state = CoefficientState(0.2, np.array([1.0, 0.0]))
-        assert l2_norm_sq(state) == 1.0
         a = sin_domain.a_at(0.2)
         assert h1_norm_sq(state, sin_domain) == pytest.approx((np.pi / a) ** 2, rel=1e-14)
-        assert l2_norm_sq(CoefficientState(0.0, np.array([3.0, 4.0]))) == 25.0
+        # the stepper's saved |u|^2 is the Parseval sum of the coefficients
+        cfg = SimulationConfig(domain=sin_domain, n=2, model=zero_model(2), dt=0.5, t_end=1.0)
+        traj = simulate(cfg, CoefficientState(0.0, np.array([3.0, 4.0])))
+        assert traj.l2_sq[0] == 25.0
+        assert traj.l2_sq[1:].tolist() == [float(c @ c) for c in traj.coeffs[1:]]
 
     def test_parseval_against_quadrature(self, sin_domain):
         rng = np.random.default_rng(11)
@@ -225,14 +223,14 @@ class TestSynthesisAndNorms:
             quad = gauss_quad(
                 lambda x: evaluate(state, x, sin_domain) ** 2, 0.0, a, 8 * n + 32
             )
-            assert quad == pytest.approx(l2_norm_sq(state), rel=1e-8)
+            assert quad == pytest.approx(float(coeffs @ coeffs), rel=1e-8)
 
     def test_poincare_inequality(self, sin_domain):
         rng = np.random.default_rng(13)
         for _ in range(20):
             state = CoefficientState(rng.uniform(0, 1), rng.normal(size=10))
             lhs = h1_norm_sq(state, sin_domain)
-            rhs = (np.pi / sin_domain.big_l) ** 2 * l2_norm_sq(state)
+            rhs = (np.pi / sin_domain.big_l) ** 2 * float(state.coeffs @ state.coeffs)
             assert lhs >= rhs * (1 - 1e-12)
 
 
@@ -266,7 +264,8 @@ class TestModeTables:
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 assert np.float64(coupling(j, k, t, domain)).tobytes() == b[j - 1, k - 1].tobytes()
-            assert np.float64(eigenvalue(j, t, domain)).tobytes() == lam[j - 1].tobytes()
+            # the first j eigenvalues of an n-mode table are its first j entries
+            assert eigenvalues(j, t, domain).tobytes() == lam[:j].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
     def test_skew_with_positive_zero_diagonal(self, case, n):

@@ -135,6 +135,27 @@ class TestEnsemble:
         stats = {line.split(",")[0] for line in lines[1:]}
         assert {"sup_l2_sq", "y_norm_sq", "sup_l2_sq_p2", "y_norm_sq_p2"} <= stats
 
+    @pytest.mark.parametrize("n_paths,stats", [
+        (1, ["sup_l2_sq", "y_norm_sq", "final_l2_sq"]),
+        (2, ["sup_l2_sq", "y_norm_sq", "sup_l2_sq_p2", "y_norm_sq_p2", "final_l2_sq",
+             "energy_balance"]),
+        (8, ["sup_l2_sq", "y_norm_sq", "sup_l2_sq_p2", "y_norm_sq_p2", "final_l2_sq",
+             "energy_balance"]),
+    ])
+    def test_moments_rows_in_order(self, tmp_path, n_paths, stats):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(STOCHASTIC_CFG.replace("n_paths = 8", f"n_paths = {n_paths}"),
+                       encoding="utf-8")
+        assert run("ensemble", "--config", cfg, "--out", tmp_path / "m") == 0
+        header, *rows = (tmp_path / "m" / "moments.csv").read_text().splitlines()
+        assert header == "stat,value,stderr"
+        assert [row.split(",")[0] for row in rows] == stats
+        stderrs = [row.split(",")[2] for row in rows]
+        if n_paths == 1:
+            assert stderrs == ["0.0"] * 3
+        else:  # the paths differ, so their dissipation integrals do
+            assert float(stderrs[1]) > 0.0
+
 
 class TestConverge:
     def test_csv_contract(self, tmp_path, cfg_path):

@@ -6,7 +6,7 @@ import pytest
 
 from movingheat import ConfigError
 from movingheat import config as config_mod
-from movingheat.config import _KINDS, _SCHEMA, parse_config, parse_run
+from movingheat.config import _KINDS, _SCHEMA, parse_run
 from movingheat.integrator import ModeInitial, ModesInitial, ParabolaInitial
 
 MINIMAL = """
@@ -40,7 +40,7 @@ class TestDefaults:
 
     def test_noise_m_defaults_to_n(self, tmp_path):
         text = MINIMAL + "\n[sim]\nn = 24\n\n[noise]\nkind = moving_diagonal\ngamma = 0.5\n"
-        cfg = parse_config(write(tmp_path, text))
+        cfg = parse_run(write(tmp_path, text)).config
         assert cfg.model.m == 24
         assert cfg.model.kind == "moving_diagonal"
 
@@ -49,46 +49,46 @@ class TestStrictness:
     def test_unknown_key_named_in_error(self, tmp_path):
         text = MINIMAL + "\n[noise]\nsigma_level = 3\n"
         with pytest.raises(ConfigError, match="sigma_level"):
-            parse_config(write(tmp_path, text))
+            parse_run(write(tmp_path, text))
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="solver"):
-            parse_config(write(tmp_path, MINIMAL + "\n[solver]\nx = 1\n"))
+            parse_run(write(tmp_path, MINIMAL + "\n[solver]\nx = 1\n"))
 
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ConfigError, match="kind"):
-            parse_config(write(tmp_path, "[domain]\na0 = 1.0\nT = 1.0\n"))
+            parse_run(write(tmp_path, "[domain]\na0 = 1.0\nT = 1.0\n"))
         with pytest.raises(ConfigError, match="'T'"):
-            parse_config(write(tmp_path, "[domain]\nkind = constant\na0 = 1.0\n"))
+            parse_run(write(tmp_path, "[domain]\nkind = constant\na0 = 1.0\n"))
 
     def test_type_mismatch(self, tmp_path):
         with pytest.raises(ConfigError, match="number"):
-            parse_config(write(tmp_path, "[domain]\nkind = constant\na0 = wide\nT = 1.0\n"))
+            parse_run(write(tmp_path, "[domain]\nkind = constant\na0 = wide\nT = 1.0\n"))
         text = MINIMAL + "\n[sim]\nn = 3.5\n"
         with pytest.raises(ConfigError, match="integer"):
-            parse_config(write(tmp_path, text))
+            parse_run(write(tmp_path, text))
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config(write(tmp_path, "[domain]\nkind = constant\nkind = linear\na0 = 1\nT = 1\n"))
+            parse_run(write(tmp_path, "[domain]\nkind = constant\nkind = linear\na0 = 1\nT = 1\n"))
 
     def test_stability_guard_message_carries_bound(self, tmp_path):
         text = MINIMAL + "\n[sim]\nn = 64\nscheme = explicit_em\ndt = 0.01\n"
         with pytest.raises(ConfigError, match="requires dt <=") as err:
-            parse_config(write(tmp_path, text))
+            parse_run(write(tmp_path, text))
         # guard formula 1.9 (delta0/(n pi))^2 with the 1% sampled margin
         bound = 1.9 * (0.99 / (64 * np.pi)) ** 2
         assert f"{bound:.6g}" in str(err.value)
 
     def test_wrong_family_keys(self, tmp_path):
         with pytest.raises(ConfigError, match="takes keys"):
-            parse_config(write(tmp_path, "[domain]\nkind = constant\na0 = 1\nslope = 2\nT = 1\n"))
+            parse_run(write(tmp_path, "[domain]\nkind = constant\na0 = 1\nslope = 2\nT = 1\n"))
 
 
 class TestDomainsAndNoise:
     def test_sinusoidal_domain(self, tmp_path):
         text = "[domain]\nkind = sinusoidal\na0 = 1.0\namp = 0.5\nomega = 1.0\nT = 1.0\n"
-        cfg = parse_config(write(tmp_path, text))
+        cfg = parse_run(write(tmp_path, text)).config
         assert cfg.domain.a_at(0.0) == 1.0
         assert cfg.domain.a_prime_at(0.0) == 0.5
 
@@ -97,7 +97,7 @@ class TestDomainsAndNoise:
         lines = ["t,a"] + [f"{t},{1.0 + 0.1 * t}" for t in ts]
         (tmp_path / "boundary.csv").write_text("\n".join(lines), encoding="utf-8")
         text = "[domain]\nkind = table\ntable_path = boundary.csv\nT = 1.0\n"
-        cfg = parse_config(write(tmp_path, text))
+        cfg = parse_run(write(tmp_path, text)).config
         assert cfg.domain.a_at(0.5) == pytest.approx(1.05, abs=1e-12)
 
     def test_general_matrix_noise(self, tmp_path):
@@ -107,7 +107,7 @@ class TestDomainsAndNoise:
             + "\n[sim]\nn = 2\n\n[noise]\nkind = general_matrix\n"
             + "matrix_path = sigma.csv\nm = 2\nlipschitz_k = 1.0\n"
         )
-        cfg = parse_config(write(tmp_path, text))
+        cfg = parse_run(write(tmp_path, text)).config
         assert cfg.model.kind == "general_matrix"
         assert cfg.model.table.shape == (2, 2)
 
@@ -119,7 +119,7 @@ class TestDomainsAndNoise:
             + "matrix_path = sigma.csv\nm = 2\nlipschitz_k = 1.0\n"
         )
         with pytest.raises(ConfigError, match="columns"):
-            parse_config(write(tmp_path, text))
+            parse_run(write(tmp_path, text))
 
 
 class TestInit:
@@ -182,7 +182,7 @@ class TestWrongKindKeys:
         text = (MINIMAL + "\n[sim]\nn = 2\n"
                 + f"\n[{section}]\nkind = {kind}\n{extra}{key} = {value}\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(write(tmp_path, text))
+            parse_run(write(tmp_path, text))
         keys = sorted(_KINDS[section][kind][0])
         assert str(err.value) == f"[{section}] kind={kind} takes keys {keys}, not [{key!r}]"
 
@@ -192,7 +192,7 @@ class TestWrongKindKeys:
                 + "matrix_path = sigma.csv\nm = 3\nlipschitz_k = 1.0\n")
         keys = sorted(_KINDS["noise"]["general_matrix"][0])
         with pytest.raises(ConfigError, match="2 rows, got m = 3") as err:
-            parse_config(write(tmp_path, text))
+            parse_run(write(tmp_path, text))
         assert f"takes keys {keys}" in str(err.value)
 
     def test_schema_is_the_union_of_the_kinds(self):
@@ -242,7 +242,7 @@ def test_non_finite_and_overflowing_values_are_config_errors(tmp_path, text, mat
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
         with pytest.raises(ConfigError, match=match) as err:
-            parse_config(write(tmp_path, text))
+            parse_run(write(tmp_path, text))
     assert "\n" not in str(err.value)
 
 

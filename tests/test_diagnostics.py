@@ -11,18 +11,15 @@ from movingheat import (
     ParabolaInitial,
     SimulationConfig,
     eigenvalues,
-    energy_residual,
     energy_residuals,
     general_matrix,
     level_distance,
     mean_energy_balance,
-    moment_report,
+    moment_rows,
     moving_diagonal,
     self_convergence_study,
     simulate,
     simulate_ensemble,
-    x_norm,
-    y_norm_sq,
     zero_model,
 )
 from movingheat import basis, integrator, noise
@@ -48,7 +45,7 @@ class TestEnergyResidual:
         cfg = SimulationConfig(domain=unit_domain, n=4, model=zero_model(4),
                                dt=1e-3, t_end=0.1)
         traj = simulate(cfg, ModeInitial(1, 1.0, 1.0))
-        assert energy_residual(traj, 0) == 0.0
+        assert energy_residuals(traj)[0] == 0.0
 
     def test_deterministic_matches_closed_form(self, unit_domain):
         lam = -np.pi**2
@@ -56,7 +53,7 @@ class TestEnergyResidual:
             cfg = SimulationConfig(domain=unit_domain, n=4, model=zero_model(4),
                                    dt=dt, t_end=0.5)
             traj = simulate(cfg, ModeInitial(1, 1.0, 1.0))
-            r = energy_residual(traj, len(traj.times) - 1)
+            r = energy_residuals(traj)[-1]
             assert r == pytest.approx(decay_residual_oracle(lam, 0.5, dt), abs=1e-11)
 
     def test_refinement_halves_residual(self, unit_domain):
@@ -65,35 +62,39 @@ class TestEnergyResidual:
             cfg = SimulationConfig(domain=unit_domain, n=4, model=zero_model(4),
                                    dt=dt, t_end=0.5)
             traj = simulate(cfg, ModeInitial(1, 1.0, 1.0))
-            values[dt] = abs(energy_residual(traj, len(traj.times) - 1))
+            values[dt] = abs(energy_residuals(traj)[-1])
         assert values[1e-3] <= 2e-2
         assert 1.6 <= values[1e-3] / values[5e-4] <= 2.4
 
     def test_index_validation(self, unit_domain):
+        # one residual per saved step, so an index past the saved range fails
         cfg = SimulationConfig(domain=unit_domain, n=2, model=zero_model(2),
-                               dt=1e-3, t_end=0.1)
+                               dt=1e-3, t_end=0.1, snapshot_stride=7)
         traj = simulate(cfg, ModeInitial(1, 1.0, 1.0))
+        assert energy_residuals(traj).shape == traj.times.shape == (16,)
         with pytest.raises(IndexError):
-            energy_residual(traj, 500)
+            energy_residuals(traj)[16]
 
 
 class TestSpaceTimeNorms:
+    """The per-path sup_t |u|^2 and time integral of ||u||^2 of an ensemble summary."""
+
     def test_zero_trajectory(self, unit_domain):
         cfg = SimulationConfig(domain=unit_domain, n=4, model=zero_model(4),
                                dt=1e-3, t_end=0.1)
-        traj = simulate(cfg, lambda x: 0.0 * x)
-        assert x_norm(traj) == 0.0
-        assert y_norm_sq(traj) == 0.0
+        summ = simulate_ensemble(cfg, lambda x: 0.0 * x)
+        assert summ.sup_l2_sq.tolist() == [0.0]
+        assert summ.y_norm_sq.tolist() == [0.0]
 
     def test_decaying_mode_values(self, unit_domain):
         T = 0.5
         cfg = SimulationConfig(domain=unit_domain, n=4, model=zero_model(4),
                                dt=1e-3, t_end=T)
-        traj = simulate(cfg, ModeInitial(1, 1.0, 1.0))
-        assert x_norm(traj) == pytest.approx(1.0, abs=1e-10)
+        summ = simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0))
+        assert np.sqrt(summ.sup_l2_sq[0]) == pytest.approx(1.0, abs=1e-10)
         exact = (1.0 - np.exp(-2 * np.pi**2 * T)) / 2.0
-        assert abs(y_norm_sq(traj) - exact) <= 2e-4
-        assert x_norm(traj) >= np.sqrt(traj.l2_sq[-1])
+        assert abs(summ.y_norm_sq[0] - exact) <= 2e-4
+        assert summ.sup_l2_sq[0] >= summ.final_l2_sq[0]
 
 
 class TestMomentReport:
@@ -101,11 +102,12 @@ class TestMomentReport:
         cfg = SimulationConfig(domain=unit_domain, n=4, model=zero_model(4),
                                dt=1e-3, t_end=0.1, n_paths=4)
         summ = simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0))
-        report = moment_report(summ)
+        rows = {name: (mean, se) for name, mean, se in moment_rows(summ)}
         traj = simulate(cfg, ModeInitial(1, 1.0, 1.0))
-        assert report.e_sup_l2_sq == pytest.approx(np.max(traj.l2_sq), rel=1e-12)
-        assert report.se_sup_l2_sq <= 1e-14
-        assert report.e_y_norm_sq == pytest.approx(y_norm_sq(traj), rel=1e-12)
+        assert rows["sup_l2_sq"][0] == pytest.approx(np.max(traj.l2_sq), rel=1e-12)
+        assert rows["sup_l2_sq"][1] <= 1e-14
+        assert rows["y_norm_sq"][0] == pytest.approx(np.trapezoid(traj.h1_sq, traj.times),
+                                                     rel=1e-12)
 
     def test_ou_second_moment_small_ensemble(self, unit_domain):
         # additive diagonal noise on a fixed domain decouples into scalar
@@ -127,12 +129,16 @@ class TestMomentReport:
         se = float(np.std(summ.final_l2_sq, ddof=1) / np.sqrt(summ.n_paths))
         assert abs(mean - exact) <= 3 * se
 
-    def test_needs_two_paths(self, unit_domain):
+    def test_failure_names_the_first_failed_row(self, unit_domain):
         cfg = SimulationConfig(domain=unit_domain, n=2, model=zero_model(2),
-                               dt=1e-3, t_end=0.1, n_paths=1)
+                               dt=1e-3, t_end=0.01, n_paths=2)
         summ = simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            moment_report(summ)
+        # the sup is finite but its square overflows: the first failed row is sup_l2_sq_p2
+        summ.sup_l2_sq[:] = [1e160, 1e160]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^non-finite mean of sup_l2_sq_p2 "):
+                moment_rows(summ)
 
 
 class TestMeanEnergyBalance:
@@ -332,4 +338,4 @@ def test_energy_residuals_vector(unit_domain):
     traj = simulate(cfg, ModeInitial(1, 1.0, 1.0))
     rs = energy_residuals(traj)
     for i in (0, 5, len(traj.times) - 1):
-        assert rs[i] == energy_residual(traj, i)
+        assert rs[i] == traj.l2_sq[i] - traj.e0 + traj.visc[i] - traj.sto[i] - traj.hs[i]

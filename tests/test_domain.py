@@ -1,9 +1,11 @@
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from movingheat import make_domain
+from movingheat import integrator, make_domain
+from movingheat.cli import main
 
 
 def test_constant_family():
@@ -194,3 +196,57 @@ def test_table_keeps_its_own_copy_of_the_knots():
     for key in ("t", "a"):
         with pytest.raises(ValueError, match="read-only"):
             d.params[key][1] = 0.5
+
+
+FROZEN_CASES = [
+    ("linear", {"a0": 1.0, "slope": 0.25}, "a0", 5.0),
+    ("sinusoidal", {"a0": 1.0, "amp": 0.5, "omega": 3.0}, "amp", 0.0),
+    ("table", {"t": np.linspace(0.0, 1.0, 6), "a": 1.0 + 0.3 * np.sin(np.linspace(0.0, 4.0, 6))},
+     "a", np.ones(6)),
+]
+
+
+@pytest.mark.parametrize("kind,params,key,value", FROZEN_CASES, ids=[c[0] for c in FROZEN_CASES])
+def test_params_are_frozen(kind, params, key, value):
+    # delta0 and big_l were sampled from the parameters; a change would leave them stale
+    d = make_domain(kind, params, 1.0)
+    ts = np.linspace(0.0, 1.0, 101)
+    before = d.a_at(ts)
+    for change in (lambda p: p.__setitem__(key, value), lambda p: p.__delitem__(key),
+                   lambda p: p.update({key: value}), lambda p: p.pop(key),
+                   lambda p: p.clear()):
+        with pytest.raises((TypeError, AttributeError)):
+            change(d.params)
+    with pytest.raises(AttributeError):
+        d.params = dict(params)
+    assert set(d.params) == set(params)
+    assert d.a_at(ts).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind,params,key,value", FROZEN_CASES, ids=[c[0] for c in FROZEN_CASES])
+def test_pickle_round_trip_is_bitwise(kind, params, key, value):
+    d = make_domain(kind, params, 1.0)
+    back = pickle.loads(pickle.dumps(d))
+    ts = np.linspace(0.0, 1.0, 257)
+    assert back.a_at(ts).tobytes() == d.a_at(ts).tobytes()
+    assert back.a_prime_at(ts).tobytes() == d.a_prime_at(ts).tobytes()
+    assert (back.kind, back.horizon, back.delta0, back.big_l) == (d.kind, d.horizon, d.delta0,
+                                                                 d.big_l)
+    with pytest.raises(TypeError):
+        back.params[key] = value
+
+
+def test_ensemble_workers_bitwise_identical_on_a_moving_domain(tmp_path, monkeypatch):
+    # two usable CPUs, whatever the host, so the blocks go to a pool of two processes
+    # that receive the config, and with it the frozen domain, pickled
+    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[domain]\nkind = sinusoidal\na0 = 1.0\namp = 0.5\nomega = 3.0\nT = 0.2\n"
+                   "[noise]\nkind = moving_diagonal\ngamma = 0.4\nbeta = 0.3\nm = 6\n"
+                   "[sim]\nn = 6\ndt = 0.001\nt_end = 0.2\nseed = 4\nn_paths = 6\n"
+                   "[output]\nsnapshot_stride = 25\n", encoding="utf-8")
+    for workers in (1, 2):
+        assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / f"w{workers}"),
+                     "--workers", str(workers)]) == 0
+    for name in ("ensemble.csv", "moments.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()

@@ -15,8 +15,6 @@ from movingheat import (
     moving_diagonal,
     simulate,
     simulate_ensemble,
-    step,
-    y_norm_sq,
     zero_model,
 )
 from movingheat import integrator, noise
@@ -86,39 +84,43 @@ class TestDrift:
 
 
 class TestStep:
+    """One step of the stepper: ``simulate`` from a CoefficientState with t_end = dt."""
+
     def test_exponential_pure_decay(self, unit_domain):
         dt = 2.0**-7  # dyadic so t_end/dt is an exact integer
-        cfg = config(unit_domain, n=1, model=zero_model(1), dt=dt, t_end=0.5)
-        state = CoefficientState(0.0, np.array([1.0]))
-        out = step(state, cfg, np.zeros(1))
-        assert out.coeffs[0] == pytest.approx(np.exp(-np.pi**2 * dt), rel=1e-15)
-        assert out.t == pytest.approx(dt)
+        cfg = config(unit_domain, n=1, model=zero_model(1), dt=dt, t_end=dt)
+        traj = simulate(cfg, CoefficientState(0.0, np.array([1.0])))
+        assert traj.coeffs[-1, 0] == pytest.approx(np.exp(-np.pi**2 * dt), rel=1e-15)
+        assert traj.times.tolist() == [0.0, dt]
 
     def test_zero_drift_hook_is_identity(self, unit_domain):
-        cfg = config(unit_domain, n=3, dt=1e-3, t_end=0.5)
-        state = CoefficientState(0.0, np.array([1.0, -0.5, 2.0]))
-        out = step(state, cfg, np.zeros(4), zero_eigenvalues=True)
-        assert np.array_equal(out.coeffs, state.coeffs)
+        cfg = config(unit_domain, n=3, dt=1e-3, t_end=1e-3)
+        a0 = np.array([1.0, -0.5, 2.0])
+        traj = simulate(cfg, CoefficientState(0.0, a0), zero_eigenvalues=True)
+        assert np.array_equal(traj.coeffs[-1], a0)
 
     def test_explicit_one_step_example(self, lin_domain):
         cfg = SimulationConfig(
             domain=lin_domain, n=2, model=zero_model(2),
-            dt=1e-3, t_end=0.1, scheme="explicit_em",
+            dt=1e-3, t_end=1e-3, scheme="explicit_em",
         )
-        state = CoefficientState(0.0, np.array([1.0, 0.0]))
-        out = step(state, cfg, np.zeros(2))
-        assert out.coeffs[0] == pytest.approx(1.0 - np.pi**2 * 1e-3, abs=1e-15)
-        assert out.coeffs[1] == pytest.approx(4.0 / 3.0 * 1e-3, abs=1e-18)
+        traj = simulate(cfg, CoefficientState(0.0, np.array([1.0, 0.0])))
+        assert traj.coeffs[-1, 0] == pytest.approx(1.0 - np.pi**2 * 1e-3, abs=1e-15)
+        assert traj.coeffs[-1, 1] == pytest.approx(4.0 / 3.0 * 1e-3, abs=1e-18)
 
-    def test_overflow_reports_bound(self, unit_domain):
-        model = moving_diagonal(gamma=1.0, beta=0.0, m=2)
+    def test_overflow_reports_bound(self):
+        # the dt guard reads only delta0, not a'/a: at a'/a = 1e308 the coupling entry
+        # b_23 = 2.4e308 overflows, so the first step's coefficients are non-finite while
+        # the ledger of step 0 is finite
+        steep = make_domain("linear", {"a0": 1.0, "slope": 1e308}, 1e-3)
         cfg = SimulationConfig(
-            domain=unit_domain, n=2, model=model,
-            dt=1e-4, t_end=0.1, scheme="explicit_em",
+            domain=steep, n=3, model=zero_model(3),
+            dt=1e-3, t_end=1e-3, scheme="explicit_em",
         )
-        state = CoefficientState(0.0, np.array([1.0, 0.0]))
-        with pytest.raises(NumericalError, match="stability requires"):
-            step(state, cfg, np.array([np.inf, 0.0]))
+        bound = explicit_dt_bound(steep, 3)
+        with pytest.raises(NumericalError, match=r"^path 0, step 1: non-finite coefficients at "
+                           rf"t=0\.001; explicit_em stability requires dt <= {bound:.6g}$"):
+            simulate(cfg, CoefficientState(0.0, np.array([1.0, 0.0, 0.0])))
 
 
 class TestSimulate:
@@ -284,7 +286,7 @@ class TestEnsemble:
         assert summ.e0 == trajs[0].e0
         for p, traj in enumerate(trajs):
             assert summ.sup_l2_sq[p] == np.max(traj.l2_sq)
-            assert summ.y_norm_sq[p] == y_norm_sq(traj)
+            assert summ.y_norm_sq[p] == np.trapezoid(traj.h1_sq, traj.times)
             assert summ.final_l2_sq[p] == traj.l2_sq[-1]
             assert summ.final_visc[p] == traj.visc[-1]
             assert summ.final_sto[p] == traj.sto[-1]
