@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -76,7 +77,9 @@ def _general_matrix(get, n: int, base_dir: Path):
     path = base_dir / get("matrix_path", str)
     lip = get("lipschitz_k", _float)
     try:
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty file: general_matrix rejects the table
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read matrix {path}: {exc}") from None
     model = noise_mod.general_matrix(table, lip)
@@ -247,13 +250,13 @@ def _split_sections(text: str) -> dict[str, dict[str, str]]:
 def _load_table(path: Path):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if row]  # skips blank lines, a first one too
     except OSError as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from None
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]  # header line
     try:
-        data = np.array([[float(c) for c in row[:2]] for row in rows if row])
+        data = np.array([[float(c) for c in row[:2]] for row in rows])
     except (ValueError, IndexError):
         raise ConfigError(f"table {path} must hold numeric t,a rows")
     if data.ndim != 2 or data.shape[1] != 2:

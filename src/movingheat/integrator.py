@@ -120,16 +120,6 @@ class Trajectory:
         return CoefficientState(float(self.times[index]), self.coeffs[index].copy())
 
 
-def _boundary(config: SimulationConfig, t):
-    """a'/a at the step start times ``t`` (an array) and a at the scheme's decay time: the
-    step start for explicit_em, the step midpoint for exponential_em."""
-    domain = config.domain
-    ratio = domain.a_prime_at(t) / domain.a_at(t)
-    if config.scheme == "explicit_em":
-        return ratio, domain.a_at(t)
-    return ratio, domain.a_at(t + 0.5 * config.dt)
-
-
 def _update(config: SimulationConfig, a: np.ndarray, kick: np.ndarray, ratio, a_decay,
             zero_eigenvalues: bool) -> np.ndarray:
     """The scheme's step of the (P, n) coefficients ``a``, row by row, from the
@@ -141,13 +131,6 @@ def _update(config: SimulationConfig, a: np.ndarray, kick: np.ndarray, ratio, a_
     if config.scheme == "explicit_em":
         return a + (coupling_part + lam * a) * dt + kick
     return np.exp(lam * dt) * (a + coupling_part * dt + kick)
-
-
-def _coefficient_failure(config: SimulationConfig, t: float) -> str:
-    if config.scheme != "explicit_em":
-        return f"non-finite coefficients at t={t:.6g}"
-    return (f"non-finite coefficients at t={t:.6g}; explicit_em stability requires "
-            f"dt <= {explicit_dt_bound(config.domain, config.n):.6g}")
 
 
 def _initial_coeffs(config: SimulationConfig, u0) -> np.ndarray:
@@ -171,16 +154,19 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     levels beside it or on how the steps are grouped into draws.
     Returns per level the (5, P, saved) series l2, h1, visc, sto, hs and, with
     ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails at the first
-    non-finite value of its ledger, coefficients or saved norms, checked in that order; the
-    error names the lowest failed row, then its lowest failed level: as ``path p`` for one
-    level, as ``seed s, n=N`` for several.
+    non-finite value of its ledger or coefficients (from step 1 on) or of its saved norms,
+    checked in that order; the error ``{label}, step {i}: non-finite {what} at t={t}``
+    names the lowest failed row, then its lowest failed level, labelled ``path p`` for one
+    level and ``seed s, n=N`` for several.
     """
-    config = configs[0]
+    config, domain = configs[0], configs[0].domain
     m, dt, model = config.model.m, config.dt, config.model
     saved = saved_steps(config.n_steps, config.snapshot_stride).tolist()
     times = np.arange(config.n_steps + 1) * dt
-    a_t = config.domain.a_at(times)
-    ratio, a_decay = _boundary(config, times[:-1])
+    a_t = domain.a_at(times)
+    ratio = domain.a_prime_at(times[:-1]) / a_t[:-1]  # a'/a at each step start
+    # a at the decay time: the step start for explicit_em, the midpoint for exponential_em
+    a_decay = a_t[:-1] if config.scheme == "explicit_em" else domain.a_at(times[:-1] + dt / 2)
     n_rows = len(rows)
     streams = [NoiseStream(seed, path) for seed, path in rows]
     chunk = noise.steps_per_draw(n_rows, m)
@@ -188,51 +174,44 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
     failures: dict[tuple[int, int], str] = {}  # (row, level) -> its first failure
 
-    def fail(level, values, i, message):  # rows run along the last axis of ``values``
-        for r in np.flatnonzero(~np.isfinite(values).reshape(-1, n_rows).all(axis=0)).tolist():
-            seed, path = rows[r]
-            label = (f"path {path}" if len(configs) == 1
-                     else f"seed {seed}, n={configs[level].n}")
-            failures.setdefault((r, level), f"{label}, step {i}: {message}")
-
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked
         a = [np.tile(a0, (n_rows, 1)) for a0 in a0s]
         # per level: l2, h1 and the ledger sums of each row; h1 is also the next step's
-        # ledger term, and step 0 is always saved, so it sets l2
+        # ledger term
         cur = np.zeros((len(configs), 5, n_rows))
         ledgers = [EnergyLedger(sums) for sums in cur[:, 2:]]
-        for level, cfg in enumerate(configs):
-            np.vecdot(-basis.interval_eigenvalues(cfg.n, a_t[0]), a[level] ** 2,
-                      out=cur[level, 1])
         row = 0
         for i in range(config.n_steps + 1):
-            if i:
-                if (i - 1) % chunk == 0:  # the (P, S, m) increments of steps i-1 .. i+S-2
-                    increments = draw_increment(
-                        streams, i - 1, min(chunk, config.n_steps + 1 - i), m, dt)
-                increment = increments[:, (i - 1) % chunk]
-                for level, cfg in enumerate(configs):
-                    h1 = cur[level, 1]
+            if i and (i - 1) % chunk == 0:  # the (P, S, m) increments of steps i-1 .. i+S-2
+                increments = draw_increment(
+                    streams, i - 1, min(chunk, config.n_steps + 1 - i), m, dt)
+            is_saved = i == saved[row]
+            for level, cfg in enumerate(configs):
+                if i:
                     diag = noise._diagonal(model, a[level])  # serves the kick and the HS norm
-                    kick = noise.noise_kick(model, a[level], increment, diag=diag)
-                    ledgers[level].record_step(h1, 2.0 * np.vecdot(a[level], kick),
+                    kick = noise.noise_kick(model, a[level], increments[:, (i - 1) % chunk],
+                                            diag=diag)
+                    ledgers[level].record_step(cur[level, 1], 2.0 * np.vecdot(a[level], kick),
                                                noise.hs_norm_sq(model, a[level], diag=diag), dt)
                     a[level] = _update(cfg, a[level], kick, ratio[i - 1], a_decay[i - 1],
                                        zero_eigenvalues)
-                    np.vecdot(-basis.interval_eigenvalues(cfg.n, a_t[i]), a[level] ** 2, out=h1)
-            is_saved = i == saved[row]
-            if is_saved:
-                for level in range(len(configs)):
+                np.vecdot(-basis.interval_eigenvalues(cfg.n, a_t[i]), a[level] ** 2,
+                          out=cur[level, 1])
+                if is_saved:
                     np.vecdot(a[level], a[level], out=cur[level, 0])
             # non-finite coefficients make h1 non-finite: one sum catches every failure
             if not math.isfinite(cur.sum()):
                 for level, cfg in enumerate(configs):
-                    if i:
-                        fail(level, ledgers[level].sums, i,
-                             f"non-finite energy ledger at t={times[i]:.6g}")
-                        fail(level, a[level].T, i, _coefficient_failure(cfg, times[i]))
-                    if is_saved:
-                        fail(level, cur[level, :2], i, f"non-finite norms at t={times[i]:.6g}")
+                    for what, values, due in (("energy ledger", cur[level, 2:], i > 0),
+                                              ("coefficients", a[level].T, i > 0),
+                                              ("norms", cur[level, :2], is_saved)):
+                        # rows run along the last axis of ``values``
+                        for r in np.flatnonzero(~np.isfinite(values).all(axis=0) & due).tolist():
+                            seed, path = rows[r]
+                            label = (f"path {path}" if len(configs) == 1
+                                     else f"seed {seed}, n={cfg.n}")
+                            failures.setdefault((r, level), f"{label}, step {i}: non-finite "
+                                                f"{what} at t={times[i]:.6g}")
                 if (0, 0) in failures:  # the lowest key: no later failure is reported
                     break
             if is_saved:

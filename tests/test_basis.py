@@ -193,6 +193,10 @@ class TestSynthesisAndNorms:
         snap = synthesize(state, 5, d)  # grid 0, 0.5, 1, 1.5, 2
         assert snap.values[2] == pytest.approx(1.0, rel=1e-15)
 
+    def test_grid_of_one_point_rejected(self, sin_domain):
+        with pytest.raises(ValueError, match=r"^grid_size must be >= 2, got 1$"):
+            synthesize(CoefficientState(0.4, np.ones(3)), 1, sin_domain)
+
     def test_endpoints_exactly_zero(self, sin_domain):
         rng = np.random.default_rng(5)
         state = CoefficientState(0.7, rng.normal(size=16))

@@ -655,3 +655,63 @@ class TestTableDomain:
                        "--workers", workers) == 0
         for name in ("ensemble.csv", "moments.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+BASE_CFG = "[domain]\nkind = constant\na0 = 1.0\nT = 1.0\n[sim]\nn = 2\nt_end = 0.01\n"
+TABLE_KNOTS_CFG = BASE_CFG.replace("kind = constant\na0 = 1.0", "kind = table\ntable_path = k.csv")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("text,message", [
+        (BASE_CFG + "nonsense\n", "line 8: expected 'key = value', got 'nonsense'"),
+        ("n = 2\n" + BASE_CFG, "line 1: key outside any [section]"),
+        (BASE_CFG + "[init]\nmode = 0\n", "[init] mode must be >= 1, got 0"),
+        (BASE_CFG + "[output]\ngrid_size = 1\n", "grid_size must be >= 2, got 1"),
+    ])
+    def test_bad_config_exits_one_with_one_line(self, tmp_path, capfd, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", cfg, "--out", out) == 1
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("knots,message", [
+        ("t,a\n0,1.0\n0.4,abc\n0.7,0.9\n1.0,1.0\n",
+         "table {dir}/k.csv must hold numeric t,a rows"),
+        ("t\n0\n0.4\n0.7\n1.0\n", "table {dir}/k.csv must hold numeric t,a rows"),
+        ("0,1.0\n0.5,1.1\n1.0,1.0\n",
+         "[domain] table domain needs matching 1-D t/a arrays with >= 4 knots"),
+        ("0,1.0\n0.5,1.1\n0.5,0.9\n1.0,1.0\n",
+         "[domain] table knots must be strictly increasing in t"),
+        ("0,1.0\n0.3,1.1\n0.6,0.9\n0.9,1.0\n",
+         "[domain] table knots cover [0.0, 0.9], need [0, 1.0]"),
+    ])
+    def test_bad_knots_exit_one_with_one_line(self, tmp_path, capfd, knots, message):
+        (tmp_path / "k.csv").write_text(knots, encoding="utf-8")
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(TABLE_KNOTS_CFG, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", cfg, "--out", out) == 1
+        assert capfd.readouterr() == ("", f"error: {message.format(dir=tmp_path)}\n")
+        assert not any(out.glob("*.csv"))
+
+    def test_knots_after_a_blank_first_line_run(self, tmp_path):
+        # blank rows are skipped wherever they are, the first line included
+        knots = "\n0,1.0\n0.4,1.1\n0.7,0.9\n1.0,1.0\n"
+        (tmp_path / "k.csv").write_text(knots, encoding="utf-8")
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(TABLE_KNOTS_CFG, encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 0
+        assert (tmp_path / "o" / "trajectory.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", ["", "# no rows\n"])
+    def test_empty_matrix_exits_one_with_one_line_and_no_warning(self, tmp_path, capfd, matrix):
+        (tmp_path / "s.csv").write_text(matrix, encoding="utf-8")
+        cfg = tmp_path / "gm.cfg"
+        cfg.write_text(BASE_CFG + "[noise]\nkind = general_matrix\nmatrix_path = s.csv\n"
+                       "lipschitz_k = 1\n", encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert capfd.readouterr() == (
+            "", "error: [noise] coefficient table must be a nonempty, finite 2-D array\n")

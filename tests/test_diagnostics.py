@@ -331,6 +331,16 @@ class TestSelfConvergence:
         assert d_x == pytest.approx(sup, rel=1e-12)
         assert d_y > 0.0
 
+    # stride 5 saves more steps; stride 20 to t_end = 0.2 saves as many, at other times
+    @pytest.mark.parametrize("stride,t_end", [(5, 0.1), (20, 0.2)])
+    def test_level_distance_rejects_different_time_grids(self, sin_domain, stride, t_end):
+        cfg8 = SimulationConfig(domain=sin_domain, n=8, model=zero_model(16),
+                                dt=1e-3, t_end=0.1, snapshot_stride=10)
+        cfg16 = cfg8.with_updates(n=16, snapshot_stride=stride, t_end=t_end)
+        u0 = ParabolaInitial(1.0, 1.0)
+        with pytest.raises(ValueError, match="^trajectories must share the same saved time grid$"):
+            level_distance(simulate(cfg8, u0), simulate(cfg16, u0), sin_domain)
+
 
 def test_energy_residuals_vector(unit_domain):
     cfg = SimulationConfig(domain=unit_domain, n=4, model=zero_model(4),

@@ -193,6 +193,10 @@ class TestIncrements:
         with pytest.raises(ValueError):
             draw_increment([NoiseStream(1)], 0, 1, 4, 0.0)
 
+    def test_no_steps_rejected(self):
+        with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
+            draw_increment([NoiseStream(1)], 0, 0, 4, 1e-3)
+
 
 SHIPPED_MODELS = [
     zero_model(8),

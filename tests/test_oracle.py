@@ -242,6 +242,16 @@ def test_boundary_calls_do_not_grow_with_the_step_count(monkeypatch, sin_domain,
     assert seen[0] == seen[1]
 
 
+@pytest.mark.parametrize("scheme,a_at_calls", [("exponential_em", 3), ("explicit_em", 2)])
+def test_simulate_samples_each_boundary_array_once(monkeypatch, sin_domain, scheme, a_at_calls):
+    # a(0) for the projection, then a(t_i) and a'(t_i) over the grid, and a at the step
+    # midpoints for exponential_em only: explicit_em decays with a(t_i) itself
+    counts = count_boundary_calls(monkeypatch)
+    simulate(SimulationConfig(domain=sin_domain, n=6, model=zero_model(1), dt=1e-3, t_end=0.2,
+                              scheme=scheme, snapshot_stride=50), ParabolaInitial(1.0, 1.0))
+    assert counts == {"a_at": a_at_calls, "a_prime_at": 1}
+
+
 def test_one_boundary_call_per_snapshot(monkeypatch, sin_domain):
     # synthesize and compare_with_spectral each look a(t) up once, not once more in evaluate
     u0 = ParabolaInitial(1.0, 1.0)
