@@ -2,7 +2,6 @@
 
 from .basis import (
     CoefficientState,
-    FieldSnapshot,
     coupling,
     coupling_matrix,
     eigenvalues,
@@ -54,7 +53,6 @@ __all__ = [
     "DomainMotion",
     "EnergyLedger",
     "EnsembleSummary",
-    "FieldSnapshot",
     "MappedGridSolution",
     "ModeInitial",
     "ModesInitial",

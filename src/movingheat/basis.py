@@ -36,15 +36,6 @@ class CoefficientState:
         return self.coeffs.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSnapshot:
-    """Physical-space view of a coefficient state on a uniform grid."""
-
-    t: float
-    xs: np.ndarray
-    values: np.ndarray
-
-
 def eigenvalues(n: int, t: float, domain: DomainMotion) -> np.ndarray:
     """Vector of the first n eigenvalues -(k pi / a_t)^2 at time t."""
     return interval_eigenvalues(n, domain.a_at(t))
@@ -174,20 +165,21 @@ def sine_series(coeffs: np.ndarray, xs, a) -> np.ndarray:
     return coeffs @ sine_modes(ks, xs[None, :], a)
 
 
-def synthesize(state: CoefficientState, grid_size: int, domain: DomainMotion) -> FieldSnapshot:
-    """Sample the field on a uniform inclusive grid over [0, a_t].
+def synthesize(coeffs: np.ndarray, a: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the S fields of the (S, n) coefficient rows ``coeffs``, row s on the
+    uniform inclusive grid over [0, a[s]]: the (S, grid_size) arrays (xs, values).
 
     Endpoint values are pinned to exactly 0 (Dirichlet); sin(k pi) would
-    otherwise leave O(eps) dust at x = a_t.
+    otherwise leave O(eps) dust at x = a.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    a = domain.a_at(state.t)
-    xs = np.linspace(0.0, a, grid_size)
-    values = sine_series(state.coeffs, xs, a)
-    values[0] = 0.0
-    values[-1] = 0.0
-    return FieldSnapshot(state.t, xs, values)
+    xs = np.linspace(0.0, a, grid_size, axis=-1)
+    values = np.empty(xs.shape)
+    for row, (c, x, a_s) in enumerate(zip(coeffs, xs, a, strict=True)):
+        values[row] = sine_series(c, x, a_s)
+    values[:, [0, -1]] = 0.0
+    return xs, values
 
 
 def h1_norm_sq(state: CoefficientState, domain: DomainMotion) -> float:

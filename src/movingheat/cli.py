@@ -6,8 +6,8 @@ configuration and the layout of the increment stream, so a run can be
 reproduced bitwise from its manifest.
 Floats are written with shortest round-trip formatting.
 
-Exit codes: 0 success, 1 usage error, invalid configuration or out of memory,
-2 numerical failure.
+Exit codes: 0 success, 1 usage error, invalid configuration, out of memory or
+an unusable output path, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -65,16 +65,11 @@ def cmd_simulate(args, setup, trajectory_csv, fields_csv):
     write_csv(
         trajectory_csv,
         ["step", "t", "a_t", "l2_sq", "h1_sq"] + [f"A_{k}" for k in range(1, cfg.n + 1)],
-        [traj.steps, traj.times, cfg.domain.a_at(traj.times), traj.l2_sq, traj.h1_sq,
-         *traj.coeffs.T],
+        [traj.steps, traj.times, traj.a_t, traj.l2_sq, traj.h1_sq, *traj.coeffs.T],
     )
-    snaps = [basis.synthesize(traj.state_at(i), cfg.grid_size, cfg.domain)
-             for i in range(len(traj.times))]
-    write_csv(fields_csv, ["t", "x", "u"], [
-        np.repeat([s.t for s in snaps], cfg.grid_size),
-        np.concatenate([s.xs for s in snaps]),
-        np.concatenate([s.values for s in snaps]),
-    ])
+    xs, values = basis.synthesize(traj.coeffs, traj.a_t, cfg.grid_size)
+    write_csv(fields_csv, ["t", "x", "u"],
+              [np.repeat(traj.times, cfg.grid_size), xs.ravel(), values.ravel()])
 
 
 def cmd_ensemble(args, setup, ensemble_csv, moments_csv):
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         return run_command(build_parser().parse_args(argv))
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ConfigError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -119,12 +119,12 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     rows = []
     for seed, trajs in level_trajectories(configs, u0, seeds):
         for n, traj_n, traj_2n in zip(levels, trajs, trajs[1:]):
-            d_x, d_y = level_distance(traj_n, traj_2n, config_base.domain)
+            d_x, d_y = level_distance(traj_n, traj_2n)
             rows.append(ConvergenceRow(seed, n, d_x, d_y))
     return rows
 
 
-def level_distance(traj_n, traj_2n, domain) -> tuple[float, float]:
+def level_distance(traj_n, traj_2n) -> tuple[float, float]:
     """(sup-in-time L^2 distance, integrated H^1 distance^2) between levels."""
     if not np.array_equal(traj_n.times, traj_2n.times):  # False on a shape mismatch too
         raise ValueError("trajectories must share the same saved time grid")
@@ -134,8 +134,7 @@ def level_distance(traj_n, traj_2n, domain) -> tuple[float, float]:
     l2_sq = np.sum(diff**2, axis=1) + np.sum(tail**2, axis=1)
     d_x = float(np.sqrt(np.max(l2_sq)))
 
-    a_vals = np.asarray(domain.a_at(traj_n.times), dtype=float)
-    neg_lam = -interval_eigenvalues(traj_2n.coeffs.shape[1], a_vals[:, None])
+    neg_lam = -interval_eigenvalues(traj_2n.coeffs.shape[1], traj_n.a_t[:, None])
     h1_sq = np.sum(neg_lam[:, :n] * diff**2, axis=1) + np.sum(
         neg_lam[:, n:] * tail**2, axis=1
     )

@@ -75,20 +75,12 @@ class DomainMotion:
         return FAMILIES[self.kind][2](self, self._check_time(t))
 
     def _check_time(self, t):
+        """t as floats clipped to [0, horizon]; a 0-d t comes back as an np.float64."""
         slack = _T_SLACK * max(1.0, self.horizon)
-        lo, hi = -slack, self.horizon + slack  # NaN fails both range tests below
-        if type(t) is float or np.ndim(t) == 0:
-            t = float(t)
-            if not lo <= t <= hi:
-                raise ValueError(
-                    f"time {t!r} outside [0, {self.horizon}] for domain motion"
-                )
-            return min(max(t, 0.0), self.horizon)
         t = np.asarray(t, dtype=float)
-        if not (np.all(t >= lo) and np.all(t <= hi)):
-            raise ValueError(
-                f"time array outside [0, {self.horizon}] for domain motion"
-            )
+        if not (np.all(t >= -slack) and np.all(t <= self.horizon + slack)):  # NaN fails both
+            what = f"time {float(t)!r}" if t.ndim == 0 else "time array"
+            raise ValueError(f"{what} outside [0, {self.horizon}] for domain motion")
         return np.clip(t, 0.0, self.horizon)
 
 

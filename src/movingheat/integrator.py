@@ -103,9 +103,11 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Saved states of one path plus the aligned energy-ledger series."""
+    """Saved states of one path, the boundary a(t) they live on, and the aligned
+    energy-ledger series."""
 
     times: np.ndarray
+    a_t: np.ndarray
     coeffs: np.ndarray  # (n_saved, n)
     l2_sq: np.ndarray
     h1_sq: np.ndarray
@@ -114,10 +116,6 @@ class Trajectory:
     hs: np.ndarray
     e0: float
     steps: np.ndarray  # global step index of each saved row
-    config: SimulationConfig
-
-    def state_at(self, index: int) -> CoefficientState:
-        return CoefficientState(float(self.times[index]), self.coeffs[index].copy())
 
 
 def _update(config: SimulationConfig, a: np.ndarray, kick: np.ndarray, ratio, a_decay,
@@ -152,10 +150,10 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     row draws from its own (seed, path) stream, several steps of the whole block at a time,
     and every product is taken row by row, so a row's bits do not depend on the rows or
     levels beside it or on how the steps are grouped into draws.
-    Returns per level the (5, P, saved) series l2, h1, visc, sto, hs and, with
-    ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails at the first
-    non-finite value of its ledger or coefficients (from step 1 on) or of its saved norms,
-    checked in that order; the error ``{label}, step {i}: non-finite {what} at t={t}``
+    Returns a(t) at the saved steps and, per level, the (5, P, saved) series l2, h1, visc,
+    sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails
+    at the first non-finite value of its ledger or coefficients (from step 1 on) or of its
+    saved norms, checked in that order; the error ``{label}, step {i}: non-finite {what} at t={t}``
     names the lowest failed row, then its lowest failed level, labelled ``path p`` for one
     level and ``seed s, n=N`` for several.
     """
@@ -222,16 +220,16 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                 row += 1
     if failures:
         raise NumericalError(failures[min(failures)])
-    return list(zip(series, coeffs))
+    return a_t[saved], list(zip(series, coeffs))
 
 
-def _trajectory(config: SimulationConfig, series: np.ndarray, coeffs: np.ndarray,
-                row: int) -> Trajectory:
+def _trajectory(config: SimulationConfig, a_t: np.ndarray, series: np.ndarray,
+                coeffs: np.ndarray, row: int) -> Trajectory:
     """Row ``row`` of one level's block output as the Trajectory of its path."""
     l2, h1, visc, sto, hs = series[:, row]
     steps = saved_steps(config.n_steps, config.snapshot_stride)
-    return Trajectory(steps * config.dt, coeffs[row], l2, h1, visc, sto, hs, float(l2[0]),
-                      steps, config)
+    return Trajectory(steps * config.dt, a_t, coeffs[row], l2, h1, visc, sto, hs,
+                      float(l2[0]), steps)
 
 
 def simulate(config: SimulationConfig, u0, path_index: int = 0,
@@ -245,10 +243,10 @@ def simulate(config: SimulationConfig, u0, path_index: int = 0,
     noise is that stream, so reruns are bitwise identical and the snapshot stride
     cannot change the path.
     """
-    [(series, coeffs)] = _step_paths([config], [_initial_coeffs(config, u0)],
-                                     [(config.seed, path_index)], zero_eigenvalues,
-                                     keep_coeffs=True)
-    return _trajectory(config, series, coeffs, 0)
+    a_t, [(series, coeffs)] = _step_paths([config], [_initial_coeffs(config, u0)],
+                                          [(config.seed, path_index)], zero_eigenvalues,
+                                          keep_coeffs=True)
+    return _trajectory(config, a_t, series, coeffs, 0)
 
 
 def level_trajectories(configs, u0, seeds):
@@ -267,9 +265,10 @@ def level_trajectories(configs, u0, seeds):
     size = max(1, min(MAX_BLOCK_ROWS, MAX_KEPT_COEFFS // row_words))
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
-        levels = _step_paths(configs, a0s, [(seed, 0) for seed in block], keep_coeffs=True)
+        a_t, levels = _step_paths(configs, a0s, [(seed, 0) for seed in block],
+                                  keep_coeffs=True)
         for r, seed in enumerate(block):
-            yield seed, [_trajectory(cfg.with_updates(seed=seed), series, coeffs, r)
+            yield seed, [_trajectory(cfg, a_t, series, coeffs, r)
                          for cfg, (series, coeffs) in zip(configs, levels)]
 
 
@@ -291,7 +290,6 @@ class EnsembleSummary:
     final_hs: np.ndarray
     e0: float
     n_paths: int
-    config: SimulationConfig
 
 
 def _blocks(n_paths: int, workers: int) -> list[range]:
@@ -323,7 +321,7 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
             parts = list(pool.map(_step_paths, *args))  # in path order
     else:
         parts = list(map(_step_paths, *args))
-    l2, h1, visc, sto, hs = np.concatenate([series for [(series, _)] in parts], axis=1)
+    l2, h1, visc, sto, hs = np.concatenate([series for _, [(series, _)] in parts], axis=1)
 
     times = saved_steps(config.n_steps, config.snapshot_stride) * config.dt
     mean_l2, se_l2 = mean_and_se(l2, "l2_sq", times)
@@ -333,7 +331,7 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
 
     return EnsembleSummary(
         times=times,
-        a_t=np.asarray(config.domain.a_at(times), dtype=float),
+        a_t=parts[0][0],  # every block samples the same boundary
         mean_l2_sq=mean_l2,
         se_l2_sq=se_l2,
         mean_h1_sq=mean_h1,
@@ -346,7 +344,6 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
         final_hs=hs[:, -1],
         e0=float(l2[0, 0]),  # every path starts from the same projected state
         n_paths=n_paths,
-        config=config,
     )
 
 

@@ -113,7 +113,7 @@ def compare_with_spectral(traj, sol: MappedGridSolution, t: float) -> float:
     """
     ti = _time_index(traj.times, t, "spectral")
     v = sol.values_at(t)
-    a_t = traj.config.domain.a_at(t)
+    a_t = traj.a_t[ti]
     xs = a_t * sol.ys
     u_spec = basis.sine_series(traj.coeffs[ti], xs, a_t)
     u_spec[0] = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from movingheat import make_domain
+from movingheat.domain import DomainMotion
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +19,22 @@ def sin_domain():
 @pytest.fixture(scope="session")
 def lin_domain():
     return make_domain("linear", {"a0": 1.0, "slope": 1.0}, 1.0)
+
+
+@pytest.fixture
+def boundary_calls(monkeypatch):
+    """Counts, by method name, of the DomainMotion.a_at and a_prime_at calls made while
+    the test runs; a test resets them with ``update``."""
+    counts = {"a_at": 0, "a_prime_at": 0}
+    for name in counts:
+        method = getattr(DomainMotion, name)
+
+        def counted(self, t, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, t)
+
+        monkeypatch.setattr(DomainMotion, name, counted)
+    return counts
 
 
 def gauss_quad(f, lo, hi, n_nodes):

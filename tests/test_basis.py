@@ -182,29 +182,25 @@ class TestProjection:
 
 class TestSynthesisAndNorms:
     def test_zero_coefficients(self, sin_domain):
-        snap = synthesize(CoefficientState(0.4, np.zeros(6)), 33, sin_domain)
-        assert np.all(snap.values == 0.0)
+        xs, values = synthesize(np.zeros((1, 6)), sin_domain.a_at(np.array([0.4])), 33)
+        assert np.all(values == 0.0)
 
     def test_single_mode_value(self):
-        from movingheat import make_domain
-
-        d = make_domain("constant", {"a0": 2.0}, 1.0)
-        state = CoefficientState(0.0, np.array([1.0, 0.0, 0.0]))
-        snap = synthesize(state, 5, d)  # grid 0, 0.5, 1, 1.5, 2
-        assert snap.values[2] == pytest.approx(1.0, rel=1e-15)
+        xs, values = synthesize(np.array([[1.0, 0.0, 0.0]]), np.array([2.0]), 5)
+        assert xs[0].tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert values[0, 2] == pytest.approx(1.0, rel=1e-15)
 
     def test_grid_of_one_point_rejected(self, sin_domain):
         with pytest.raises(ValueError, match=r"^grid_size must be >= 2, got 1$"):
-            synthesize(CoefficientState(0.4, np.ones(3)), 1, sin_domain)
+            synthesize(np.ones((1, 3)), sin_domain.a_at(np.array([0.4])), 1)
 
     def test_endpoints_exactly_zero(self, sin_domain):
         rng = np.random.default_rng(5)
-        state = CoefficientState(0.7, rng.normal(size=16))
-        snap = synthesize(state, 65, sin_domain)
-        assert snap.values[0] == 0.0
-        assert snap.values[-1] == 0.0
-        assert snap.xs[0] == 0.0
-        assert snap.xs[-1] == pytest.approx(sin_domain.a_at(0.7), rel=1e-15)
+        xs, values = synthesize(rng.normal(size=(1, 16)), sin_domain.a_at(np.array([0.7])), 65)
+        assert values[0, 0] == 0.0
+        assert values[0, -1] == 0.0
+        assert xs[0, 0] == 0.0
+        assert xs[0, -1] == pytest.approx(sin_domain.a_at(0.7), rel=1e-15)
 
     def test_norm_examples(self, sin_domain):
         state = CoefficientState(0.2, np.array([1.0, 0.0]))

@@ -1,9 +1,11 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
-from movingheat import integrator, noise
+from movingheat import basis, integrator, noise
 from movingheat.cli import main, write_csv
 
 STOCHASTIC_CFG = """
@@ -427,6 +429,33 @@ class TestFailureReports:
         assert manifest["seed"] == seed
         assert f"seed = {seed}\n" in manifest["config_text"]
 
+    @pytest.mark.parametrize("blocked", ["out", "parent", "fields.csv", "manifest.json"])
+    def test_unusable_output_location_exits_one_with_one_line(self, tmp_path, capfd, cfg_path,
+                                                              blocked):
+        # --out names an existing file, lies below one, or holds a directory where an
+        # output file goes
+        out = tmp_path / "o"
+        if blocked == "out":
+            out.write_text("", encoding="utf-8")
+        elif blocked == "parent":
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            out = tmp_path / "file" / "sub"
+        else:
+            (out / blocked).mkdir(parents=True)
+        assert run("simulate", "--config", cfg_path, "--out", out) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_unusable_env_output_location_exits_one_with_one_line(self, tmp_path, capfd,
+                                                                  cfg_path, monkeypatch):
+        target = tmp_path / "file"
+        target.write_text("", encoding="utf-8")
+        monkeypatch.setenv("MOVINGHEAT_OUT", str(target))
+        assert run("simulate", "--config", cfg_path, "--out", tmp_path / "ignored") == 1
+        assert capfd.readouterr().err == (
+            f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{target}'\n")
+        assert not (tmp_path / "ignored").exists()
+
     def test_unallocatable_grid_exits_one_with_one_line(self, tmp_path, capfd):
         # numpy refuses the 8 PB request for the field grid before allocating
         cfg = tmp_path / "grid.cfg"
@@ -655,6 +684,41 @@ class TestTableDomain:
                        "--workers", workers) == 0
         for name in ("ensemble.csv", "moments.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def read_csv(path):
+    """The header and the float rows of a CSV written by the CLI: shortest round-trip
+    cells read back exactly."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return header.split(","), np.array([[float(cell) for cell in line.split(",")]
+                                        for line in lines])
+
+
+@pytest.mark.parametrize("grid_size", [2, 33])
+@pytest.mark.parametrize("domain", ["sinusoidal", "table"])
+def test_fields_are_the_trajectory_rows_synthesized_bitwise(tmp_path, domain, grid_size):
+    # the x grid of each saved t spans that row's a_t, and u is the sine series of its A_k
+    if domain == "table":
+        ts = np.linspace(0.0, 0.5, 11)
+        cfg = write_table(tmp_path, ts, 1.0 + 0.3 * np.sin(7.0 * ts))
+        cfg.write_text(TABLE_CFG + f"grid_size = {grid_size}\n", encoding="utf-8")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(STOCHASTIC_CFG.replace("grid_size = 33", f"grid_size = {grid_size}"),
+                       encoding="utf-8")
+    out = tmp_path / "o"
+    assert run("simulate", "--config", cfg, "--out", out) == 0
+    traj_header, traj = read_csv(out / "trajectory.csv")
+    fields_header, fields = read_csv(out / "fields.csv")
+    assert traj_header[:3] == ["step", "t", "a_t"] and fields_header == ["t", "x", "u"]
+    for row, (t, x, u) in zip(traj, fields.reshape(len(traj), grid_size, 3).transpose(0, 2, 1),
+                              strict=True):
+        a_t, coeffs = row[2], row[5:]
+        want = basis.sine_series(coeffs, x, a_t)
+        want[[0, -1]] = 0.0
+        assert t.tolist() == [row[1]] * grid_size
+        assert x.tobytes() == np.linspace(0.0, a_t, grid_size).tobytes()
+        assert u.tobytes() == want.tobytes()
 
 
 BASE_CFG = "[domain]\nkind = constant\na0 = 1.0\nT = 1.0\n[sim]\nn = 2\nt_end = 0.01\n"

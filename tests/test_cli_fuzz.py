@@ -1,9 +1,10 @@
 """Property test of the exit-code contract of all six commands, run in process.
 
 On tiny runs (n, m <= 4, at most 50 steps, at most 4 paths, one worker) with
-flag values that are finite, nan, inf, negative or garbage, ``main`` returns
-0, 1 or 2 and never warns.  Exit 0 writes only finite CSV cells and nothing
-on stderr; exit 1 or 2 writes exactly one line on stderr.
+flag values that are finite, nan, inf, negative or garbage, and at times an
+existing file as the output directory, ``main`` returns 0, 1 or 2 and never
+warns.  Exit 0 writes only finite CSV cells and nothing on stderr; exit 1 or 2
+writes exactly one line on stderr.
 """
 
 import contextlib
@@ -75,16 +76,19 @@ def runs(draw):
         else:
             value = draw(st.sampled_from(invalid + WILD))
         flags.append(f"{flag}={value}")
-    return command, config, flags
+    out_is_file = draw(st.integers(0, 9)) == 0  # one run in ten: --out names a file
+    return command, config, flags, out_is_file
 
 
 @settings(max_examples=250, deadline=None)
 @given(runs())
 def test_exit_code_contract(tmp_path_factory, run):
-    command, config, flags = run
+    command, config, flags, out_is_file = run
     work = tmp_path_factory.mktemp("run")
     (work / "run.cfg").write_text(config, encoding="utf-8")
     out = work / "out"
+    if out_is_file:
+        out.write_text("", encoding="utf-8")
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")

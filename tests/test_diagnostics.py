@@ -233,7 +233,7 @@ class TestSelfConvergence:
         for seed in (7, 8, 9):
             trajs = {n: simulate(cfg.with_updates(n=n, seed=seed), u0) for n in (2, 4, 8)}
             for n in (2, 4):
-                expected[seed, n] = level_distance(trajs[n], trajs[2 * n], sin_domain)
+                expected[seed, n] = level_distance(trajs[n], trajs[2 * n])
 
         if block_rows is not None:
             monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", block_rows)
@@ -321,7 +321,7 @@ class TestSelfConvergence:
         cfg16 = cfg8.with_updates(n=16)
         u0 = ParabolaInitial(1.0, 1.0)
         t8, t16 = simulate(cfg8, u0), simulate(cfg16, u0)
-        d_x, d_y = level_distance(t8, t16, sin_domain)
+        d_x, d_y = level_distance(t8, t16)
         # brute-force the same quantities from the saved coefficients
         sup = 0.0
         for i, t in enumerate(t8.times):
@@ -339,7 +339,7 @@ class TestSelfConvergence:
         cfg16 = cfg8.with_updates(n=16, snapshot_stride=stride, t_end=t_end)
         u0 = ParabolaInitial(1.0, 1.0)
         with pytest.raises(ValueError, match="^trajectories must share the same saved time grid$"):
-            level_distance(simulate(cfg8, u0), simulate(cfg16, u0), sin_domain)
+            level_distance(simulate(cfg8, u0), simulate(cfg16, u0))
 
 
 def test_energy_residuals_vector(unit_domain):

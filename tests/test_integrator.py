@@ -296,8 +296,9 @@ class TestEnsemble:
             assert col.tobytes() == np.mean(rows, axis=0).tobytes()
         # any rows, in any order, step as they do alone
         a0 = trajs[0].coeffs[0]
-        [((l2, h1, visc, sto, hs), coeffs)] = integrator._step_paths(
+        a_t, [((l2, h1, visc, sto, hs), coeffs)] = integrator._step_paths(
             [cfg], [a0], [(cfg.seed, p) for p in [4, 1, 3]], keep_coeffs=True)
+        assert a_t.tobytes() == summ.a_t.tobytes() == sin_domain.a_at(summ.times).tobytes()
         for r, p in enumerate([4, 1, 3]):
             assert coeffs[r].tobytes() == trajs[p].coeffs.tobytes()
             assert sto[r].tobytes() == trajs[p].sto.tobytes()
@@ -336,8 +337,8 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
         monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
         draws.clear()
         positioned.clear()
-        [(series, coeffs)] = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
-                                                    keep_coeffs=True)
+        _, [(series, coeffs)] = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
+                                                       keep_coeffs=True)
         outputs.add((series.tobytes(), coeffs.tobytes()))
         per_draw = min(max(1, budget // 24), 37)
         starts = list(range(0, 37, per_draw))
@@ -543,7 +544,7 @@ def test_one_noise_diagonal_per_level_per_step(monkeypatch, sin_domain, levels):
                for n in levels]
     a0s = [np.linspace(1.0, 0.5, n) for n in levels]
     rows = [(4, 0), (4, 1), (4, 2)]
-    expected = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    _, expected = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
     shapes = []
     diagonal = noise._diagonal
 
@@ -552,7 +553,7 @@ def test_one_noise_diagonal_per_level_per_step(monkeypatch, sin_domain, levels):
         return diagonal(model, coeffs)
 
     monkeypatch.setattr(noise, "_diagonal", spy)
-    got = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    _, got = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
     assert shapes == [(3, n) for _ in range(30) for n in levels]
     for (series, coeffs), (want_series, want_coeffs) in zip(got, expected):
         assert series.tobytes() == want_series.tobytes()

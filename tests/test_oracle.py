@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from movingheat import (
+    CoefficientState,
     MappedGridSolution,
     ModeInitial,
     NumericalError,
@@ -11,11 +12,16 @@ from movingheat import (
     SimulationConfig,
     compare_with_spectral,
     fd_solve,
+    level_distance,
     make_domain,
+    moving_diagonal,
+    self_convergence_study,
     simulate,
+    simulate_ensemble,
     synthesize,
     zero_model,
 )
+from movingheat import integrator
 from movingheat.basis import evaluate
 
 
@@ -85,7 +91,7 @@ class TestCompare:
         ys = np.linspace(0.0, 1.0, 65)
         t = 0.2
         a_t = sin_domain.a_at(t)
-        vals = evaluate(traj.state_at(-1), a_t * ys, sin_domain)
+        vals = evaluate(CoefficientState(t, traj.coeffs[-1]), a_t * ys, sin_domain)
         vals[0] = 0.0
         vals[-1] = 0.0
         sol = MappedGridSolution(
@@ -211,24 +217,8 @@ def test_matches_the_banded_step_by_step_march_bitwise(kind, params):
     assert sol.l2_history.tobytes() == norms.tobytes()
 
 
-def count_boundary_calls(monkeypatch):
-    from movingheat.domain import DomainMotion
-
-    counts = {"a_at": 0, "a_prime_at": 0}
-    for name in counts:
-        method = getattr(DomainMotion, name)
-
-        def counted(self, t, _method=method, _name=name):
-            counts[_name] += 1
-            return _method(self, t)
-
-        monkeypatch.setattr(DomainMotion, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("solver", ["fd_solve", "simulate"])
-def test_boundary_calls_do_not_grow_with_the_step_count(monkeypatch, sin_domain, solver):
-    counts = count_boundary_calls(monkeypatch)
+def test_boundary_calls_do_not_grow_with_the_step_count(boundary_calls, sin_domain, solver):
     seen = []
     for steps in (10, 40):
         dt = 0.2 / steps
@@ -237,31 +227,46 @@ def test_boundary_calls_do_not_grow_with_the_step_count(monkeypatch, sin_domain,
         else:
             simulate(SimulationConfig(domain=sin_domain, n=6, model=zero_model(1), dt=dt,
                                       t_end=0.2, snapshot_stride=steps), ParabolaInitial(1.0, 1.0))
-        seen.append(dict(counts))
-        counts.update(a_at=0, a_prime_at=0)
+        seen.append(dict(boundary_calls))
+        boundary_calls.update(a_at=0, a_prime_at=0)
     assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("scheme,a_at_calls", [("exponential_em", 3), ("explicit_em", 2)])
-def test_simulate_samples_each_boundary_array_once(monkeypatch, sin_domain, scheme, a_at_calls):
+def test_simulate_samples_each_boundary_array_once(boundary_calls, sin_domain, scheme,
+                                                   a_at_calls):
     # a(0) for the projection, then a(t_i) and a'(t_i) over the grid, and a at the step
     # midpoints for exponential_em only: explicit_em decays with a(t_i) itself
-    counts = count_boundary_calls(monkeypatch)
     simulate(SimulationConfig(domain=sin_domain, n=6, model=zero_model(1), dt=1e-3, t_end=0.2,
                               scheme=scheme, snapshot_stride=50), ParabolaInitial(1.0, 1.0))
-    assert counts == {"a_at": a_at_calls, "a_prime_at": 1}
+    assert boundary_calls == {"a_at": a_at_calls, "a_prime_at": 1}
 
 
-def test_one_boundary_call_per_snapshot(monkeypatch, sin_domain):
-    # synthesize and compare_with_spectral each look a(t) up once, not once more in evaluate
+@pytest.mark.parametrize("scheme,a_at_calls", [("exponential_em", 3), ("explicit_em", 2)])
+def test_nothing_samples_the_boundary_after_the_stepper(monkeypatch, boundary_calls, sin_domain,
+                                                        scheme, a_at_calls):
+    # every result carries a(t) at its saved times, so no consumer asks the domain again
     u0 = ParabolaInitial(1.0, 1.0)
-    traj = simulate(SimulationConfig(domain=sin_domain, n=6, model=zero_model(1), dt=0.02,
-                                     t_end=0.2, snapshot_stride=5), u0)
-    sol = fd_solve(sin_domain, u0, M=32, dt_fd=0.02, t_end=0.2, save_stride=5)
-    counts = count_boundary_calls(monkeypatch)
-    for i, t in enumerate(traj.times):
-        synthesize(traj.state_at(i), 17, sin_domain)
-        assert counts == {"a_at": 1, "a_prime_at": 0}
+    cfg = SimulationConfig(domain=sin_domain, n=3, model=moving_diagonal(0.4, 0.3, m=3),
+                           dt=1e-3, t_end=0.2, scheme=scheme, n_paths=3, snapshot_stride=50)
+    simulate_calls = {"a_at": a_at_calls, "a_prime_at": 1}  # the projection's a(0) included
+    traj = simulate(cfg, u0)
+    assert boundary_calls == simulate_calls
+    finer = simulate(cfg.with_updates(n=6), u0)
+    sol = fd_solve(sin_domain, u0, M=32, dt_fd=1e-3, t_end=0.2, save_stride=50)
+    boundary_calls.update(a_at=0, a_prime_at=0)
+    synthesize(traj.coeffs, traj.a_t, 17)
+    for t in traj.times:
         compare_with_spectral(traj, sol, float(t))
-        assert counts == {"a_at": 2, "a_prime_at": 0}
-        counts.update(a_at=0)
+    level_distance(traj, finer)
+    assert boundary_calls == {"a_at": 0, "a_prime_at": 0}
+
+    simulate_ensemble(cfg, u0, workers=1)
+    assert boundary_calls == simulate_calls
+
+    # seeds 0, 1 and 2 in blocks [0, 1] and [2]: a(0) once per level (3, 6 and 12 modes),
+    # then the stepper's boundary arrays once per block
+    monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", 2)
+    boundary_calls.update(a_at=0, a_prime_at=0)
+    self_convergence_study(cfg, u0, [3, 6], 3)
+    assert boundary_calls == {"a_at": 3 + 2 * (a_at_calls - 1), "a_prime_at": 2}
