@@ -10,7 +10,6 @@ from .basis import (
     synthesize,
 )
 from .diagnostics import (
-    EnergyLedger,
     energy_residuals,
     level_distance,
     mean_energy_balance,
@@ -20,6 +19,7 @@ from .diagnostics import (
 from .domain import DomainMotion, make_domain
 from .errors import ConfigError, NumericalError
 from .integrator import (
+    EnergyLedger,
     EnsembleSummary,
     ModeInitial,
     ModesInitial,

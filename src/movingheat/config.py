@@ -79,7 +79,7 @@ def _general_matrix(get, n: int, base_dir: Path):
     try:
         with warnings.catch_warnings():  # an empty file: general_matrix rejects the table
             warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
+            table = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read matrix {path}: {exc}") from None
     model = noise_mod.general_matrix(table, lip)
@@ -152,7 +152,7 @@ def parse_run(path) -> RunSetup:
     """Parse and validate a config file; see module docstring for the schema."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_run_text(text, base_dir=path.parent)
@@ -249,7 +249,7 @@ def _split_sections(text: str) -> dict[str, dict[str, str]]:
 
 def _load_table(path: Path):
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]  # skips blank lines, a first one too
     except OSError as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from None

@@ -1,45 +1,16 @@
-"""Energy bookkeeping, Monte Carlo moments and convergence studies.
-
-The ledger tracks the three integral terms balancing |u(t)|^2 against the
-initial energy: accumulated dissipation, the martingale (noise work) term
-and the quadratic-variation term.  Sums over time use the left endpoint
-throughout; the martingale term requires it (any other evaluation point
-introduces an O(1) Stratonovich bias) and using it for the dissipation as
-well keeps the whole residual first order in dt, which is what the
-refinement ratio tests assert.
-"""
+"""Energy residuals, Monte Carlo moments and convergence studies, read from
+the integrator's results."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import interval_eigenvalues
-from .errors import NumericalError
+# EnergyLedger is re-exported: the benchmark tracer patches it as diagnostics.EnergyLedger
+from .integrator import EnergyLedger, level_trajectories, mean_and_se  # noqa: F401
 from .noise import MAX_SEED
-
-
-@dataclass
-class EnergyLedger:
-    """Running discrete sums of the energy-balance terms of P paths.
-
-    r(t) = |u(t)|^2 - |u(0)|^2 + visc(t) - sto(t) - hs(t) should vanish as
-    dt -> 0: ``visc`` accumulates 2 ||u(t_i)||^2 dt, ``sto`` accumulates
-    2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.  They
-    are (P,) views of the rows of ``sums``, which may be the caller's array.
-    """
-
-    sums: np.ndarray  # (3, P)
-
-    def __post_init__(self):
-        self.visc, self.sto, self.hs = self.sums
-
-    def record_step(self, h1_sq, sto_increment, hs_sq, dt: float) -> None:
-        self.visc += 2.0 * h1_sq * dt
-        self.sto += sto_increment
-        self.hs += hs_sq * dt
 
 
 def energy_residuals(traj) -> np.ndarray:
@@ -58,26 +29,6 @@ def moment_rows(ensemble) -> list[tuple[str, float, float]]:
     columns = {"sup_l2_sq": sup, "y_norm_sq": ysq, **squares, "final_l2_sq": ensemble.final_l2_sq}
     rows = [(name, *map(float, mean_and_se(values, name))) for name, values in columns.items()]
     return (rows + [("energy_balance", *mean_energy_balance(ensemble))]) if squares else rows
-
-
-def mean_and_se(values: np.ndarray, name: str, times=None):
-    """Mean and standard error over the paths (axis 0) of ``values``, (P,) or (P, T).
-
-    A single path has standard error 0.  A non-finite result raises
-    ``NumericalError`` naming ``name`` and, when the columns are per-time, the
-    first time ``times[j]`` at which it fails.
-    """
-    n_paths = values.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are reported
-        mean = np.mean(values, axis=0)
-        se = (np.std(values, axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1
-              else np.zeros_like(mean))
-    for stat, result in (("mean", mean), ("standard error", se)):
-        bad = ~np.isfinite(result)
-        if bad.any():
-            when = "" if times is None else f" at t={times[np.argmax(bad)]:.6g}"
-            raise NumericalError(f"non-finite {stat} of {name} over {n_paths} paths{when}")
-    return mean, se
 
 
 @dataclass(frozen=True)
@@ -109,8 +60,6 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     for lo, hi in zip(levels, levels[1:]):
         if hi != 2 * lo:
             raise ValueError(f"levels must double: got {levels}")
-    from .integrator import level_trajectories
-
     configs = [config_base.with_updates(n=n) for n in levels + [2 * levels[-1]]]
     last = config_base.seed + n_seeds - 1
     if last >= MAX_SEED:

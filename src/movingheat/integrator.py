@@ -5,6 +5,13 @@ The coefficients obey dA_k = [sum_j b_jk(t) A_j + lambda_k(t) A_k] dt
 the default scheme integrates it with an exact exponential factor (midpoint
 coefficient) and keeps the order-one coupling and noise terms explicit; the
 plain Euler-Maruyama scheme is retained behind a step-size guard.
+
+Each path keeps an energy ledger: the three integral terms balancing |u(t)|^2
+against the initial energy.  Its sums over time use the left endpoint
+throughout; the martingale term requires it (any other evaluation point
+introduces an O(1) Stratonovich bias) and using it for the dissipation as
+well keeps the whole residual first order in dt, which is what the
+refinement ratio tests assert.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import numpy as np
 
 from . import basis, noise
 from .basis import CoefficientState
-from .diagnostics import EnergyLedger, mean_and_se
 from .domain import DomainMotion
 from .errors import ConfigError, NumericalError
 from .noise import MAX_INDEX, MAX_MODES, MAX_SEED, DiffusionModel, NoiseStream, draw_increment
@@ -35,6 +41,13 @@ MAX_KEPT_COEFFS = 2**20
 def saved_steps(n_steps: int, stride: int) -> np.ndarray:
     """Indices of the saved steps: every stride-th step, plus the last."""
     return np.unique(np.r_[np.arange(0, n_steps + 1, stride), n_steps])
+
+
+def whole_steps(span: float, dt: float) -> int:
+    """round(span/dt) when that is >= 1 and within 1e-9 of span/dt, else 0."""
+    ratio = span / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 else 0
 
 
 def explicit_dt_bound(domain: DomainMotion, n: int) -> float:
@@ -69,12 +82,10 @@ class SimulationConfig:
             raise ConfigError(
                 f"t_end={self.t_end} must lie in (0, horizon={self.domain.horizon}]"
             )
-        ratio = self.t_end / self.dt
-        steps = round(ratio) if math.isfinite(ratio) else 0
-        if steps < 1 or abs(ratio - steps) > 0.5 * math.ulp(ratio):  # finite at the largest float
-            raise ConfigError(
-                f"t_end/dt = {ratio!r} is not an integer; the time grid must be uniform"
-            )
+        steps = whole_steps(self.t_end, self.dt)
+        if not steps:
+            raise ConfigError(f"t_end/dt = {self.t_end / self.dt!r} is not an integer; "
+                              "the time grid must be uniform")
         if steps > MAX_INDEX:
             raise ConfigError(f"t_end/dt = {steps} steps exceeds the noise stream's {MAX_INDEX}")
         if self.scheme == "explicit_em":
@@ -116,6 +127,27 @@ class Trajectory:
     hs: np.ndarray
     e0: float
     steps: np.ndarray  # global step index of each saved row
+
+
+@dataclass
+class EnergyLedger:
+    """Running discrete sums of the energy-balance terms of P paths.
+
+    r(t) = |u(t)|^2 - |u(0)|^2 + visc(t) - sto(t) - hs(t) should vanish as
+    dt -> 0: ``visc`` accumulates 2 ||u(t_i)||^2 dt, ``sto`` accumulates
+    2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.  They
+    are (P,) views of the rows of ``sums``, which may be the caller's array.
+    """
+
+    sums: np.ndarray  # (3, P)
+
+    def __post_init__(self):
+        self.visc, self.sto, self.hs = self.sums
+
+    def record_step(self, h1_sq, sto_increment, hs_sq, dt: float) -> None:
+        self.visc += 2.0 * h1_sq * dt
+        self.sto += sto_increment
+        self.hs += hs_sq * dt
 
 
 def _update(config: SimulationConfig, a: np.ndarray, kick: np.ndarray, ratio, a_decay,
@@ -297,6 +329,26 @@ def _blocks(n_paths: int, workers: int) -> list[range]:
     count = max(min(workers, n_paths), -(-n_paths // MAX_BLOCK_ROWS))
     bounds = [b * n_paths // count for b in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def mean_and_se(values: np.ndarray, name: str, times=None):
+    """Mean and standard error over the paths (axis 0) of ``values``, (P,) or (P, T).
+
+    A single path has standard error 0.  A non-finite result raises
+    ``NumericalError`` naming ``name`` and, when the columns are per-time, the
+    first time ``times[j]`` at which it fails.
+    """
+    n_paths = values.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are reported
+        mean = np.mean(values, axis=0)
+        se = (np.std(values, axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1
+              else np.zeros_like(mean))
+    for stat, result in (("mean", mean), ("standard error", se)):
+        bad = ~np.isfinite(result)
+        if bad.any():
+            when = "" if times is None else f" at t={times[np.argmax(bad)]:.6g}"
+            raise NumericalError(f"non-finite {stat} of {name} over {n_paths} paths{when}")
+    return mean, se
 
 
 def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> EnsembleSummary:

@@ -20,7 +20,7 @@ import numpy as np
 from . import basis
 from .domain import DomainMotion
 from .errors import NumericalError
-from .integrator import saved_steps
+from .integrator import saved_steps, whole_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +59,9 @@ def fd_solve(
         raise ValueError(f"M must be >= 16, got {M}")
     if not dt_fd > 0:
         raise ValueError(f"dt_fd must be positive, got {dt_fd}")
-    ratio = t_end / dt_fd
-    n_steps = round(ratio) if math.isfinite(ratio) else 0
-    if abs(ratio - n_steps) > 1e-9 or n_steps < 1:
-        raise ValueError(f"t_end/dt_fd = {ratio} must be an integer")
+    n_steps = whole_steps(t_end, dt_fd)
+    if not n_steps:
+        raise ValueError(f"t_end/dt_fd = {t_end / dt_fd} must be an integer")
 
     ys = np.linspace(0.0, 1.0, M + 1)
     interior = ys[1:-1]

@@ -760,6 +760,16 @@ class TestInputChecks:
         assert capfd.readouterr() == ("", f"error: {message.format(dir=tmp_path)}\n")
         assert not any(out.glob("*.csv"))
 
+    def test_t_end_a_whole_number_of_steps_short_of_exact_runs(self, tmp_path):
+        # 0.043 / 1e-3 = 42.99999999999999 in floats; the grid is i * dt, i = 0..43
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG.replace("t_end = 0.01", "t_end = 0.043"), encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 0
+        header, rows = read_csv(tmp_path / "o" / "trajectory.csv")
+        assert header[:2] == ["step", "t"]
+        assert rows[:, 0].tolist() == list(range(44))
+        assert rows[-1, 1] == 43 * 1e-3
+
     def test_knots_after_a_blank_first_line_run(self, tmp_path):
         # blank rows are skipped wherever they are, the first line included
         knots = "\n0,1.0\n0.4,1.1\n0.7,0.9\n1.0,1.0\n"

@@ -122,6 +122,40 @@ class TestDomainsAndNoise:
             parse_run(write(tmp_path, text))
 
 
+class TestByteOrderMark:
+    """An input file saved with a UTF-8 byte-order mark parses as its BOM-free copy."""
+
+    def test_config(self, tmp_path):
+        plain = parse_run(write(tmp_path, MINIMAL.lstrip(), "plain.cfg"))
+        marked = parse_run(write(tmp_path, "\ufeff" + MINIMAL.lstrip(), "marked.cfg"))
+        assert marked.text == plain.text
+        assert marked.config.domain.params == plain.config.domain.params
+
+    def test_headerless_table_keeps_its_first_knot(self, tmp_path):
+        # a first knot before t = 0 is not needed to cover [0, T], so losing it is silent
+        knots = "-0.5,1.3\n0,1.0\n0.4,1.1\n0.7,0.9\n1.0,1.0\n"
+        setups = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            (tmp_path / f"{name}.csv").write_text(mark + knots, encoding="utf-8")
+            text = f"[domain]\nkind = table\ntable_path = {name}.csv\nT = 1.0\n"
+            setups.append(parse_run(write(tmp_path, text, f"{name}.cfg")))
+        plain, marked = (setup.config.domain.params for setup in setups)
+        assert np.array_equal(plain["t"], [-0.5, 0.0, 0.4, 0.7, 1.0])
+        assert np.array_equal(marked["t"], plain["t"])
+        assert np.array_equal(marked["a"], plain["a"])
+
+    def test_general_matrix(self, tmp_path):
+        tables = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            (tmp_path / f"{name}.csv").write_text(mark + "0.5,0.0\n0.0,0.25\n",
+                                                  encoding="utf-8")
+            text = (MINIMAL + "\n[sim]\nn = 2\n\n[noise]\nkind = general_matrix\n"
+                    + f"matrix_path = {name}.csv\nlipschitz_k = 1.0\n")
+            tables.append(parse_run(write(tmp_path, text, f"{name}.cfg")).config.model.table)
+        assert np.array_equal(tables[1], tables[0])
+        assert np.array_equal(tables[0], [[0.5, 0.0], [0.0, 0.25]])
+
+
 class TestInit:
     def test_modes_initial(self, tmp_path):
         text = MINIMAL + "\n[init]\nkind = modes\namplitudes = 1, 0, 0.3\n"
@@ -224,6 +258,8 @@ _CONSTANT = "[domain]\nkind = constant\na0 = 1.0\n"
     (MINIMAL + "[init]\nkind = mode\namplitude = 1e400\n", r"\[init\] amplitude must be a finite"),
     (_CONSTANT + "T = 1e308\n[sim]\ndt = 1e-320\n", r"t_end/dt = inf is not an integer"),
     (_CONSTANT + "T = 1e308\n", r"t_end/dt = inf is not an integer"),
+    (MINIMAL + "[sim]\ndt = 3e-4\nt_end = 0.5\n",
+     r"^t_end/dt = 1666.6666666666667 is not an integer; the time grid must be uniform$"),
     # the largest float: np.spacing overflows there (found by the fuzz test)
     (_CONSTANT + "T = 1.7976931348623157e308\n[sim]\ndt = 1\n",
      r"steps exceeds the noise stream's 4294967296$"),

@@ -2,11 +2,13 @@
 
 Whatever the values, ``parse_run_text`` returns a ``RunSetup`` or raises a
 ``ConfigError`` with a one-line message: no other exception and no warning.
+A ``t_end`` written as k steps of ``dt`` runs exactly k steps.
 """
 
 import math
 import string
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,12 @@ def test_parser_returns_a_setup_or_a_one_line_config_error(text):
             assert str(exc) and "\n" not in str(exc)
         else:
             assert isinstance(setup, RunSetup)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1e-4, 5e-4, 1e-3, 2e-3, 0.01, 0.1]), st.integers(1, 10**5))
+def test_t_end_written_as_k_steps_of_dt_runs_k_steps(dt, k):
+    # t_end = 0.043 at dt = 1e-3 gives t_end/dt = 42.99999999999999: still 43 steps
+    t_end = str(Decimal(k) * Decimal(repr(dt)))
+    text = f"[domain]\nkind = constant\na0 = 1.0\nT = {t_end}\n[sim]\ndt = {dt!r}\n"
+    assert parse_run_text(text, base_dir=BASE_DIR).config.n_steps == k

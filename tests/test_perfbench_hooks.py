@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import movingheat.diagnostics
 import movingheat.integrator
 import movingheat.noise
 
@@ -35,3 +36,9 @@ def test_every_traced_target_resolves():
 def test_integrator_binds_draw_increment_by_name():
     # the tracer patches draw_increment where it is looked up, in integrator's namespace
     assert movingheat.integrator.draw_increment is movingheat.noise.draw_increment
+
+
+def test_diagnostics_names_the_integrators_energy_ledger():
+    # the tracer patches EnergyLedger.record_step through diagnostics; the stepper must
+    # see the patch, so both names hold one class
+    assert movingheat.diagnostics.EnergyLedger is movingheat.integrator.EnergyLedger
