@@ -30,17 +30,28 @@ from .integrator import simulate, simulate_ensemble
 from .noise import MAX_MODES, STREAM
 
 
+# Rows formatted and written together: bounds the writer's working set
+_BLOCK_ROWS = 8192
+
+
 def write_csv(path: Path, header, columns) -> None:
     """Write whole columns as CSV rows; no header line when ``header`` is None.
 
-    Each column goes through ``tolist()``, so every cell is printed as ``str``
-    of a Python value: floats as their shortest round-trip repr, ints as ints.
+    Each column becomes an array once; the rows then go out in blocks of
+    ``_BLOCK_ROWS``, each formatted column-wise and written with one call, so
+    the memory the writer adds is bounded by one block, not by the file.
+    Every cell is printed as ``str`` of a Python value (``tolist()`` of the
+    block): floats as their shortest round-trip repr, ints as ints, strings
+    as they are.
     """
-    cols = [np.asarray(col).tolist() for col in columns]
+    cols = [np.asarray(col) for col in columns]
+    rows = min((len(col) for col in cols), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
+        for lo in range(0, rows, _BLOCK_ROWS):
+            cells = [map(str, col[lo:lo + _BLOCK_ROWS].tolist()) for col in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _version_string() -> str:
@@ -68,8 +79,10 @@ def cmd_simulate(args, setup, trajectory_csv, fields_csv):
         [traj.steps, traj.times, traj.a_t, traj.l2_sq, traj.h1_sq, *traj.coeffs.T],
     )
     xs, values = basis.synthesize(traj.coeffs, traj.a_t, cfg.grid_size)
+    # each saved time formatted once, then repeated by position over its snapshot's rows
+    t_cells = np.array(list(map(str, traj.times.tolist())), dtype=object)
     write_csv(fields_csv, ["t", "x", "u"],
-              [np.repeat(traj.times, cfg.grid_size), xs.ravel(), values.ravel()])
+              [np.repeat(t_cells, cfg.grid_size), xs.ravel(), values.ravel()])
 
 
 def cmd_ensemble(args, setup, ensemble_csv, moments_csv):

@@ -80,7 +80,7 @@ def _general_matrix(get, n: int, base_dir: Path):
         with warnings.catch_warnings():  # an empty file: general_matrix rejects the table
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read matrix {path}: {exc}") from None
     model = noise_mod.general_matrix(table, lip)
     m = get("m", _int, model.m)
@@ -251,7 +251,7 @@ def _load_table(path: Path):
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]  # skips blank lines, a first one too
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from None
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]  # header line

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -369,6 +368,8 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
     args = (repeat([config]), repeat([_initial_coeffs(config, u0)]),
             [[(config.seed, path) for path in block] for block in blocks])
     if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_step_paths, *args))  # in path order
     else:

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -436,7 +438,7 @@ def test_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch, unit_domain, n_pat
                                                 cpus, size, blocks):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "blocks", [])
-    monkeypatch.setattr(integrator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     cfg = config(unit_domain, n=2, model=zero_model(1), t_end=0.01, n_paths=n_paths)
