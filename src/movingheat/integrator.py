@@ -50,9 +50,15 @@ def whole_steps(span: float, dt: float) -> int:
 
 
 def explicit_dt_bound(domain: DomainMotion, n: int) -> float:
-    """Step-size guard for explicit_em: dt <= 1.9 (delta0 / (n pi))^2."""
+    """Step-size guard for explicit_em: dt <= 1.9 (delta0 / (n pi))^2 and, for n >= 2,
+    dt (big_l / delta0) pi n <= 1.
+
+    The second bounds the explicit coupling step: |a'/a| <= big_l / delta0, and the
+    spectral radius of C_n lies below pi n (C_1 = 0, so it does not apply at n = 1).
+    """
     ratio = domain.delta0 / (n * np.pi)
-    return STABILITY_FACTOR * (ratio * ratio)  # float ** 2 raises on overflow, * gives inf
+    bound = STABILITY_FACTOR * (ratio * ratio)  # float ** 2 raises on overflow, * gives inf
+    return min(bound, ratio / domain.big_l) if n >= 2 else bound
 
 
 @dataclass(frozen=True, eq=False)

@@ -815,6 +815,10 @@ class TestInputChecks:
         ("n = 2\n" + BASE_CFG, "line 1: key outside any [section]"),
         (BASE_CFG + "[init]\nmode = 0\n", "[init] mode must be >= 1, got 0"),
         (BASE_CFG + "[output]\ngrid_size = 1\n", "grid_size must be >= 2, got 1"),
+        # |a'/a| = 1e308 would overflow the first explicit coupling step
+        ("[domain]\nkind = linear\na0 = 1.0\nslope = 1e308\nT = 0.01\n"
+         "[sim]\nn = 3\nscheme = explicit_em\nt_end = 0.01\n",
+         "explicit_em is unstable at dt=0.001 for n=3: requires dt <= 1.04002e-309"),
     ])
     def test_bad_config_exits_one_with_one_line(self, tmp_path, capfd, text, message):
         cfg = tmp_path / "bad.cfg"

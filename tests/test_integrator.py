@@ -45,6 +45,12 @@ class TestConfigValidation:
             config(unit_domain, n=64, scheme="explicit_em", dt=0.01, t_end=0.5)
         assert f"{bound:.6g}" in str(err.value)
 
+    def test_stability_guard_bounds_the_coupling_from_two_modes(self):
+        # |a'/a| <= big_l / delta0 and C_n's spectral radius is below pi n; C_1 = 0
+        steep = make_domain("linear", {"a0": 1.0, "slope": 1e308}, 1e-3)
+        assert explicit_dt_bound(steep, 1) == 1.9 * (steep.delta0 / np.pi) ** 2
+        assert explicit_dt_bound(steep, 3) == steep.delta0 / (3 * np.pi) / steep.big_l
+
     def test_stability_bound_overflows_to_inf(self):
         # (delta0 / pi)^2 is beyond the float range: no bound, not an OverflowError
         wide = make_domain("constant", {"a0": 1e308}, 0.5)
@@ -111,15 +117,14 @@ class TestStep:
         assert traj.coeffs[-1, 1] == pytest.approx(4.0 / 3.0 * 1e-3, abs=1e-18)
 
     def test_overflow_reports_non_finite_coefficients(self):
-        # the dt guard reads only delta0, not a'/a: at a'/a = 1e308 the coupling entry
+        # exponential_em has no a'/a guard: at a'/a = 1e308 the coupling entry
         # b_23 = 2.4e308 overflows, so the first step's coefficients are non-finite while
-        # the ledger of step 0 is finite; dt meets the guard, so the message names no bound
+        # the ledger of step 0 is finite (explicit_em rejects this config at validation)
         steep = make_domain("linear", {"a0": 1.0, "slope": 1e308}, 1e-3)
         cfg = SimulationConfig(
             domain=steep, n=3, model=zero_model(3),
-            dt=1e-3, t_end=1e-3, scheme="explicit_em",
+            dt=1e-3, t_end=1e-3, scheme="exponential_em",
         )
-        assert cfg.dt <= explicit_dt_bound(steep, 3)
         with pytest.raises(NumericalError,
                            match=r"^path 0, step 1: non-finite coefficients at t=0\.001$"):
             simulate(cfg, CoefficientState(0.0, np.array([1.0, 0.0, 0.0])))

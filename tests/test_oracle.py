@@ -100,7 +100,6 @@ class TestCompare:
             v=vals[None, :],
             l2_history=np.array([0.0]),
             step_times=np.array([t]),
-            domain=sin_domain,
         )
         assert compare_with_spectral(traj, sol, t) == 0.0
 
@@ -144,17 +143,7 @@ class TestNumericalFailures:
                 fd_solve(unit_domain, ParabolaInitial(1.0, scale), M=32, dt_fd=1e-3, t_end=0.1)
 
     def test_non_finite_state_later_names_its_time(self, sin_domain, monkeypatch):
-        import scipy.linalg.lapack
-
-        solve = scipy.linalg.lapack.dgtsv
-        calls = []
-
-        def poisoned(*args):  # the third solve returns NaN
-            calls.append(1)
-            du2, d, du, x, info = solve(*args)
-            return du2, d, du, x * (np.nan if len(calls) == 3 else 1.0), info
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
+        poison_dgtsv(monkeypatch, nan_at=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="L2 norm at t=0.003$"):
@@ -169,6 +158,39 @@ class TestNumericalFailures:
         with pytest.raises(NumericalError, match=r"singular Crank-Nicolson system at "
                                                  r"t=0.001 \(LAPACK gtsv info 5\)"):
             fd_solve(unit_domain, ParabolaInitial(1.0, 1.0), M=32, dt_fd=1e-3, t_end=0.1)
+
+    # the steps run in blocks of 16: solves 1-15 are the first block, 16-31 the second
+    @pytest.mark.parametrize("nan_at,info_at,message", [
+        (3, 5, "non-finite finite-difference state or L2 norm at t=0.003$"),
+        (5, 3, r"singular Crank-Nicolson system at t=0.003 \(LAPACK gtsv info 7\)$"),
+        (20, None, "non-finite finite-difference state or L2 norm at t=0.02$"),
+        (None, 20, r"singular Crank-Nicolson system at t=0.02 \(LAPACK gtsv info 7\)$"),
+        (17, 20, "non-finite finite-difference state or L2 norm at t=0.017$"),
+    ])
+    def test_the_earliest_failure_names_its_time(self, sin_domain, monkeypatch, nan_at,
+                                                 info_at, message):
+        poison_dgtsv(monkeypatch, nan_at=nan_at, info_at=info_at)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                fd_solve(sin_domain, ParabolaInitial(1.0, 1.0), M=32, dt_fd=1e-3, t_end=0.1)
+
+
+def poison_dgtsv(monkeypatch, nan_at=None, info_at=None):
+    """Make the nan_at-th solve return NaN and the info_at-th report info 7 (1-based)."""
+    import scipy.linalg.lapack
+
+    solve = scipy.linalg.lapack.dgtsv
+    calls = []
+
+    def poisoned(*args):
+        calls.append(1)
+        du2, d, du, x, info = solve(*args)
+        if len(calls) == nan_at:
+            x = x * np.nan
+        return du2, d, du, x, 7 if len(calls) == info_at else info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
 
 
 def banded_reference(domain, u0, M, dt_fd, n_steps):
@@ -208,11 +230,12 @@ def banded_reference(domain, u0, M, dt_fd, n_steps):
     ("linear", {"a0": 1.0, "slope": 0.4}),
     ("table", {"t": np.linspace(0.0, 1.0, 6), "a": [1.0, 1.2, 0.9, 1.1, 1.3, 1.0]}),
 ])
-def test_matches_the_banded_step_by_step_march_bitwise(kind, params):
+@pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 40, 100])  # below, at and across blocks
+def test_matches_the_banded_step_by_step_march_bitwise(kind, params, n_steps):
     domain = make_domain(kind, params, 1.0)
     u0 = ParabolaInitial(1.0, 1.0)
-    sol = fd_solve(domain, u0, M=48, dt_fd=2e-3, t_end=0.2)
-    states, norms = banded_reference(domain, u0, 48, 2e-3, 100)
+    sol = fd_solve(domain, u0, M=48, dt_fd=2e-3, t_end=n_steps * 2e-3)
+    states, norms = banded_reference(domain, u0, 48, 2e-3, n_steps)
     assert sol.v.tobytes() == states.tobytes()
     assert sol.l2_history.tobytes() == norms.tobytes()
 
