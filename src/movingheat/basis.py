@@ -98,11 +98,15 @@ def coupling_matrix(n: int, t: float, domain: DomainMotion) -> np.ndarray:
     return scaled_coupling(n, domain.a_prime_at(t) / domain.a_at(t))
 
 
-def scaled_coupling(n: int, ratio) -> np.ndarray:
-    """The coupling matrix (a'/a) C_n for the boundary ratio ``ratio`` = a'/a."""
-    c = coupling_pattern(n)
-    b = ratio * c if ratio else np.zeros((n, n))
-    np.fill_diagonal(b, 0.0)  # a negative ratio leaves -0.0 there
+def scaled_coupling(n: int, ratio, out=None) -> np.ndarray:
+    """The coupling matrix (a'/a) C_n for the boundary ratio ``ratio`` = a'/a, written
+    into the C-contiguous (n, n) array ``out`` when one is given."""
+    b = np.empty((n, n)) if out is None else out
+    if ratio:
+        np.multiply(ratio, coupling_pattern(n), out=b)
+    else:
+        b.fill(0.0)
+    b.ravel()[:: n + 1] = 0.0  # a negative ratio leaves -0.0 there
     return b
 
 

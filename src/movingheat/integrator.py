@@ -6,6 +6,13 @@ the default scheme integrates it with an exact exponential factor (midpoint
 coefficient) and keeps the order-one coupling and noise terms explicit; the
 plain Euler-Maruyama scheme is retained behind a step-size guard.
 
+One stepper serves a single path, an ensemble block and a level study: the
+paths are the rows and the truncation levels the column spans of one
+C-ordered (paths, sum of n) array, so every elementwise part of a step is one
+call for the whole block.  Products and sums stay per row and per level, on
+C-ordered operands: numpy sums a Fortran-ordered operand in another order,
+and the bits of a path must not depend on what it is stepped beside.
+
 Each path keeps an energy ledger: the three integral terms balancing |u(t)|^2
 against the initial energy.  Its sums over time use the left endpoint
 throughout; the martingale term requires it (any other evaluation point
@@ -141,10 +148,11 @@ class EnergyLedger:
     r(t) = |u(t)|^2 - |u(0)|^2 + visc(t) - sto(t) - hs(t) should vanish as
     dt -> 0: ``visc`` accumulates 2 ||u(t_i)||^2 dt, ``sto`` accumulates
     2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.  They
-    are (P,) views of the rows of ``sums``, which may be the caller's array.
+    are views of the rows of ``sums``, which may be the caller's array: one sum per
+    path, or per level and path.
     """
 
-    sums: np.ndarray  # (3, P)
+    sums: np.ndarray  # (3, P) or (3, L, P)
 
     def __post_init__(self):
         self.visc, self.sto, self.hs = self.sums
@@ -153,19 +161,6 @@ class EnergyLedger:
         self.visc += 2.0 * h1_sq * dt
         self.sto += sto_increment
         self.hs += hs_sq * dt
-
-
-def _update(config: SimulationConfig, a: np.ndarray, kick: np.ndarray, ratio, a_decay,
-            zero_eigenvalues: bool) -> np.ndarray:
-    """The scheme's step of the (P, n) coefficients ``a``, row by row, from the
-    boundary ratio a'/a at the step start and a at the decay time."""
-    n, dt = config.n, config.dt
-    b = basis.scaled_coupling(n, ratio)
-    coupling_part = np.matmul(a[:, None, :], b)[:, 0, :]  # row p: b.T @ a[p]
-    lam = 0.0 if zero_eigenvalues else basis.interval_eigenvalues(n, a_decay)
-    if config.scheme == "explicit_em":
-        return a + (coupling_part + lam * a) * dt + kick
-    return np.exp(lam * dt) * (a + coupling_part * dt + kick)
 
 
 def _initial_coeffs(config: SimulationConfig, u0) -> np.ndarray:
@@ -182,11 +177,15 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     a0s[l], to t_end.
 
     The levels share one time grid, domain, scheme and noise model and differ only in n.
-    Level l is one (P, n_l) block whose row r is the path rows[r]; all levels step in
-    lockstep, so the boundary arrays and each draw of increments serve every level.  Each
-    row draws from its own (seed, path) stream, several steps of the whole block at a time,
-    and every product is taken row by row, so a row's bits do not depend on the rows or
-    levels beside it or on how the steps are grouped into draws.
+    They live side by side in one C-ordered (P, sum n_l) state whose row r is the path
+    rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
+    (noise diagonal and kick, ledger sums, eigenvalues and decay factors, the update
+    itself) is one call for every level, on one draw of increments.  The coupling
+    (a'/a) C_N is built once per step at the widest level N; level l multiplies by its
+    leading n_l x n_l block, which is bitwise C_{n_l}.  Products and sums stay per row
+    and per level and run on C-ordered operands, in the order a lone level takes them,
+    so a row's bits do not depend on the rows or levels beside it, on their order or on
+    how the steps are grouped into draws.
     Returns a(t) at the saved steps and, per level, the (5, P, saved) series l2, h1, visc,
     sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails
     at the first non-finite value of its ledger or coefficients (from step 1 on) or of its
@@ -196,12 +195,18 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     """
     config, domain = configs[0], configs[0].domain
     m, dt, model = config.model.m, config.dt, config.model
+    explicit = config.scheme == "explicit_em"
     saved = saved_steps(config.n_steps, config.snapshot_stride).tolist()
     times = np.arange(config.n_steps + 1) * dt
     a_t = domain.a_at(times)
     ratio = domain.a_prime_at(times[:-1]) / a_t[:-1]  # a'/a at each step start
     # a at the decay time: the step start for explicit_em, the midpoint for exponential_em
-    a_decay = a_t[:-1] if config.scheme == "explicit_em" else domain.a_at(times[:-1] + dt / 2)
+    a_decay = a_t[:-1] if explicit else domain.a_at(times[:-1] + dt / 2)
+    bounds = np.cumsum([0] + [cfg.n for cfg in configs]).tolist()
+    spans = tuple(zip(bounds, bounds[1:]))
+    k_pi = np.concatenate([basis.mode_numbers(cfg.n) for cfg in configs])
+    wide = max(cfg.n for cfg in configs)
+    b = np.empty((wide, wide))  # (a'/a) C_N of the current step
     n_rows = len(rows)
     streams = [NoiseStream(seed, path) for seed, path in rows]
     chunk = noise.steps_per_draw(n_rows, m)
@@ -210,35 +215,43 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     failures: dict[tuple[int, int], str] = {}  # (row, level) -> its first failure
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked
-        a = [np.tile(a0, (n_rows, 1)) for a0 in a0s]
+        a = np.concatenate([np.tile(a0, (n_rows, 1)) for a0 in a0s], axis=1)
         # per level: l2, h1 and the ledger sums of each row; h1 is also the next step's
         # ledger term
         cur = np.zeros((len(configs), 5, n_rows))
-        ledgers = [EnergyLedger(sums) for sums in cur[:, 2:]]
+        ledger = EnergyLedger(cur[:, 2:].swapaxes(0, 1))
+        sto = np.empty((len(configs), n_rows))
+        coupling = np.empty(a.shape)
         row = 0
         for i in range(config.n_steps + 1):
             if i and (i - 1) % chunk == 0:  # the (P, S, m) increments of steps i-1 .. i+S-2
                 increments = draw_increment(
                     streams, i - 1, min(chunk, config.n_steps + 1 - i), m, dt)
             is_saved = i == saved[row]
-            for level, cfg in enumerate(configs):
-                if i:
-                    diag = noise._diagonal(model, a[level])  # serves the kick and the HS norm
-                    kick = noise.noise_kick(model, a[level], increments[:, (i - 1) % chunk],
-                                            diag=diag)
-                    ledgers[level].record_step(cur[level, 1], 2.0 * np.vecdot(a[level], kick),
-                                               noise.hs_norm_sq(model, a[level], diag=diag), dt)
-                    a[level] = _update(cfg, a[level], kick, ratio[i - 1], a_decay[i - 1],
-                                       zero_eigenvalues)
-                np.vecdot(-basis.interval_eigenvalues(cfg.n, a_t[i]), a[level] ** 2,
-                          out=cur[level, 1])
+            if i:
+                kick, hs_sq = noise.flat_kick(model, a, increments[:, (i - 1) % chunk], spans)
+                for level, (lo, hi) in enumerate(spans):
+                    np.vecdot(a[:, lo:hi], kick[:, lo:hi], out=sto[level])
+                ledger.record_step(cur[:, 1], 2.0 * sto, hs_sq, dt)
+                basis.scaled_coupling(wide, ratio[i - 1], out=b)
+                for lo, hi in spans:  # row p: b_l.T @ a[p]
+                    np.matmul(a[:, None, lo:hi], b[:hi - lo, :hi - lo],
+                              out=coupling[:, None, lo:hi])
+                lam = 0.0 if zero_eigenvalues else -((k_pi / a_decay[i - 1]) ** 2)
+                if explicit:
+                    a = a + (coupling + lam * a) * dt + kick
+                else:
+                    a = np.exp(lam * dt) * (a + coupling * dt + kick)
+            neg_lam, a_sq = (k_pi / a_t[i]) ** 2, a**2
+            for level, (lo, hi) in enumerate(spans):
+                np.vecdot(neg_lam[lo:hi], a_sq[:, lo:hi], out=cur[level, 1])
                 if is_saved:
-                    np.vecdot(a[level], a[level], out=cur[level, 0])
+                    np.vecdot(a[:, lo:hi], a[:, lo:hi], out=cur[level, 0])
             # non-finite coefficients make h1 non-finite: one sum catches every failure
             if not math.isfinite(cur.sum()):
-                for level, cfg in enumerate(configs):
+                for level, (cfg, (lo, hi)) in enumerate(zip(configs, spans)):
                     for what, values, due in (("energy ledger", cur[level, 2:], i > 0),
-                                              ("coefficients", a[level].T, i > 0),
+                                              ("coefficients", a[:, lo:hi].T, i > 0),
                                               ("norms", cur[level, :2], is_saved)):
                         # rows run along the last axis of ``values``
                         for r in np.flatnonzero(~np.isfinite(values).all(axis=0) & due).tolist():
@@ -252,8 +265,8 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
             if is_saved:
                 series[..., row] = cur
                 if keep_coeffs:
-                    for level_coeffs, level_a in zip(coeffs, a):
-                        level_coeffs[:, row] = level_a
+                    for level_coeffs, (lo, hi) in zip(coeffs, spans):
+                        level_coeffs[:, row] = a[:, lo:hi]
                 row += 1
     if failures:
         raise NumericalError(failures[min(failures)])

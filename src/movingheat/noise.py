@@ -16,6 +16,7 @@ a run may draw many steps of many paths at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,13 +103,16 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
     )
 
 
-def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray | None:
-    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n), per row of ``coeffs``;
-    None for a model without one."""
+def _diagonal(model: DiffusionModel, coeffs: np.ndarray, weights=None) -> np.ndarray | None:
+    """The diagonal part q_j (gamma + beta A_j), per row: for j <= min(m, n) of the (..., n)
+    coefficients ``coeffs`` or, given ``weights``, of the already gathered diagonal columns
+    ``coeffs`` whose q_j are ``weights``.  None for a model without one."""
     if model.q is None:
         return None
-    d = min(model.m, coeffs.shape[-1])
-    return model.q[:d] * (model.gamma + model.beta * coeffs[..., :d])
+    if weights is None:
+        d = min(model.m, coeffs.shape[-1])
+        coeffs, weights = coeffs[..., :d], model.q[:d]
+    return weights * (model.gamma + model.beta * coeffs)
 
 
 def _sigma(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
@@ -132,13 +136,53 @@ def sigma_coeff(model: DiffusionModel, j: int, k: int, state: CoefficientState) 
     return float(_sigma(model, state.coeffs)[j - 1, k - 1])
 
 
-def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray, *, diag=None) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _diagonal_columns(m: int, spans: tuple) -> tuple[np.ndarray, np.ndarray, list]:
+    """For the levels at the column spans ``spans`` of a flat block: the read-only flat
+    columns of every level's diagonal modes j <= min(m, n_l), their 0-based noise indices
+    j - 1, and each level's span within that gathered list."""
+    widths = [min(m, hi - lo) for lo, hi in spans]
+    cols = np.concatenate([np.arange(lo, lo + d) for (lo, _), d in zip(spans, widths)])
+    js = cols - np.repeat([lo for lo, _ in spans], widths)
+    cols.flags.writeable = js.flags.writeable = False
+    bounds = np.cumsum([0, *widths]).tolist()
+    return cols, js, list(zip(bounds, bounds[1:]))
+
+
+def flat_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray,
+              spans) -> tuple[np.ndarray, np.ndarray]:
+    """Kick and squared Hilbert-Schmidt norms of a flat block of L truncation levels.
+
+    Level l holds the columns spans[l] = (lo, hi) of the C-ordered (P, sum n_l)
+    coefficients ``coeffs``, and every level is driven by the same (P, m) increments.
+    Returns the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and the (L, P) norms, the
+    sum over j <= m, k <= n_l of sigma_jk^2 (summed part by part), each row and level
+    computed on its own.  The diagonal is built once for every level, from the diagonal
+    columns gathered in C order: each level's norm then sums a C-ordered span, in the
+    order a lone level sums it.
+    """
+    kick = np.zeros(coeffs.shape)
+    hs = np.zeros((len(spans), coeffs.shape[0]))
+    if model.q is not None:
+        cols, js, diag_spans = _diagonal_columns(model.m, tuple(spans))
+        diag = _diagonal(model, coeffs.take(cols, axis=1), model.q[js])
+        parts, squares = diag * increment.take(js, axis=1), diag**2
+        for norm, (lo, _), (d_lo, d_hi) in zip(hs, spans, diag_spans):
+            kick[:, lo:lo + d_hi - d_lo] = parts[:, d_lo:d_hi]
+            np.add.reduce(squares[:, d_lo:d_hi], axis=-1, out=norm)
+    if model.table is not None:
+        for norm, (lo, hi) in zip(hs, spans):
+            cols = min(hi - lo, model.table.shape[1])
+            kick[:, lo:lo + cols] += np.matmul(increment[:, None, :],
+                                               model.table[:, :cols])[:, 0, :]
+            norm += np.sum(model.table[:, :cols] ** 2)
+    return kick, hs
+
+
+def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
     """Squared Hilbert-Schmidt norm, the sum over j <= m, k <= n of sigma_jk^2, for each
-    row of the (..., n) coefficients; summed part by part (no constructor gives both).
-    ``diag``, if given, is ``_diagonal(model, coeffs)``, computed once for this and the
-    kick of the same step."""
-    if diag is None:
-        diag = _diagonal(model, coeffs)
+    row of the (..., n) coefficients; summed part by part (no constructor gives both)."""
+    diag = _diagonal(model, coeffs)
     if diag is not None:
         total = np.sum(diag**2, axis=-1)
     else:
@@ -148,18 +192,15 @@ def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray, *, diag=None) -> np.nd
     return total
 
 
-def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray, *,
-               diag=None) -> np.ndarray:
+def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray) -> np.ndarray:
     """Coefficient-space kick kick_k = sum_j sigma_jk dB_j for each row of the (..., n)
-    coefficients and the (..., m) increments, every row computed on its own.  ``diag``
-    as in ``hs_norm_sq``."""
+    coefficients and the (..., m) increments, every row computed on its own."""
     increment = np.asarray(increment, dtype=float)
     shape = coeffs.shape[:-1] + (model.m,)
     if increment.shape != shape:
         raise ValueError(f"increment has shape {increment.shape}, expected {shape}")
     kick = np.zeros(coeffs.shape)
-    if diag is None:
-        diag = _diagonal(model, coeffs)
+    diag = _diagonal(model, coeffs)
     if diag is not None:
         kick[..., : diag.shape[-1]] = diag * increment[..., : diag.shape[-1]]
     if model.table is not None:

@@ -217,23 +217,28 @@ class TestSelfConvergence:
     @pytest.mark.parametrize("block_rows,budget", [(None, None), (1, 20)])
     @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
     @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
-    def test_study_matches_independent_runs_bitwise(self, monkeypatch, sin_domain, scheme,
-                                                    kind, block_rows, budget):
-        # m = 5 is odd and the table has 6 columns, fewer than the finest level's 8 modes
+    @pytest.mark.parametrize("levels,m", [([2, 4], 5), ([4, 8, 16], 12)])
+    def test_study_matches_independent_runs_bitwise(self, monkeypatch, sin_domain, levels, m,
+                                                    scheme, kind, block_rows, budget):
+        # m = 5 is odd; m = 12 makes the HS norms sum more than 8 terms, so a sum in another
+        # order would show.  The table has 3 n_1 columns, fewer than the finest level's modes
         models = {
-            "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=5),
+            "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=m),
             "general_matrix": general_matrix(
-                np.random.default_rng(4).normal(scale=0.3, size=(5, 6)), lipschitz_k=100.0),
+                np.random.default_rng(4).normal(scale=0.3, size=(m, 3 * levels[0])),
+                lipschitz_k=100.0),
         }
+        ns = levels + [2 * levels[-1]]
         dt = 2.0**-12
+        while scheme == "explicit_em" and dt > integrator.explicit_dt_bound(sin_domain, ns[-1]):
+            dt /= 2
         cfg = SimulationConfig(domain=sin_domain, n=2, model=models[kind], dt=dt,
                                t_end=37 * dt, scheme=scheme, seed=7, snapshot_stride=4)
         u0 = ParabolaInitial(1.0, 1.0)
-        expected = {}
-        for seed in (7, 8, 9):
-            trajs = {n: simulate(cfg.with_updates(n=n, seed=seed), u0) for n in (2, 4, 8)}
-            for n in (2, 4):
-                expected[seed, n] = level_distance(trajs[n], trajs[2 * n])
+        alone = {(seed, n): simulate(cfg.with_updates(n=n, seed=seed), u0)
+                 for seed in (7, 8, 9) for n in ns}
+        expected = {(seed, n): level_distance(alone[seed, n], alone[seed, 2 * n])
+                    for seed in (7, 8, 9) for n in levels}
 
         if block_rows is not None:
             monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", block_rows)
@@ -252,18 +257,25 @@ class TestSelfConvergence:
 
         monkeypatch.setattr(integrator, "draw_increment", draw_spy)
         monkeypatch.setattr(basis, "project_initial", project_spy)
-        rows = self_convergence_study(cfg, u0, [2, 4], 3)
-        assert [(r.seed, r.n) for r in rows] == [(s, n) for s in (7, 8, 9) for n in (2, 4)]
+        rows = self_convergence_study(cfg, u0, levels, 3)
+        assert [(r.seed, r.n) for r in rows] == [(s, n) for s in (7, 8, 9) for n in levels]
         for r in rows:
             assert (r.d_x, r.d_y) == expected[r.seed, r.n]
-        assert projected == [2, 4, 8]  # once per level, not per seed
+        assert projected == ns  # once per level, not per seed
         # ceil(N/S) draws per block of seeds, however many levels the block steps
         blocks = [(7,), (8,), (9,)] if block_rows == 1 else [(7, 8, 9)]
         want = []
         for block in blocks:
-            per_draw = noise.steps_per_draw(len(block), 5)
+            per_draw = noise.steps_per_draw(len(block), m)
             want += [(block, s, min(per_draw, 37 - s)) for s in range(0, 37, per_draw)]
         assert draws == want
+        # the whole ledger too: its HS sums are the only sums the distances do not read
+        configs = [cfg.with_updates(n=n) for n in ns]
+        for seed, trajs in integrator.level_trajectories(configs, u0, range(7, 10)):
+            for n, traj in zip(ns, trajs):
+                want = alone[seed, n]
+                for name in ("coeffs", "l2_sq", "h1_sq", "visc", "sto", "hs"):
+                    assert getattr(traj, name).tobytes() == getattr(want, name).tobytes()
 
     @pytest.mark.parametrize("kept,sizes", [
         (None, [5]),        # everything fits: one block

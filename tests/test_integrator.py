@@ -544,8 +544,9 @@ def test_path_and_step_counts_fit_the_noise_keys(unit_domain):
 
 
 @pytest.mark.parametrize("levels", [[5], [4, 8, 16]])
-def test_one_noise_diagonal_per_level_per_step(monkeypatch, sin_domain, levels):
-    # the kick and the HS norm of a step share the diagonal q_j (gamma + beta A_j)
+def test_one_noise_diagonal_per_step(monkeypatch, sin_domain, levels):
+    # one diagonal q_j (gamma + beta A_j) per step serves the kick and the HS norm of every
+    # level: it is built on the levels' diagonal columns j <= min(m, n_l), side by side
     model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=6)
     configs = [SimulationConfig(domain=sin_domain, n=n, model=model, dt=1e-3, t_end=0.03)
                for n in levels]
@@ -555,13 +556,43 @@ def test_one_noise_diagonal_per_level_per_step(monkeypatch, sin_domain, levels):
     shapes = []
     diagonal = noise._diagonal
 
-    def spy(model, coeffs):
+    def spy(model, coeffs, *weights):
         shapes.append(coeffs.shape)
-        return diagonal(model, coeffs)
+        return diagonal(model, coeffs, *weights)
 
     monkeypatch.setattr(noise, "_diagonal", spy)
     _, got = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
-    assert shapes == [(3, n) for _ in range(30) for n in levels]
+    assert shapes == [(3, sum(min(6, n) for n in levels))] * 30
     for (series, coeffs), (want_series, want_coeffs) in zip(got, expected):
+        assert series.tobytes() == want_series.tobytes()
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("zero_eigenvalues", [False, True])
+@pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
+@pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
+def test_levels_in_any_order_step_as_they_do_alone(sin_domain, scheme, kind,
+                                                   zero_eigenvalues):
+    # the widest level comes first: every level's coupling is the leading block of the
+    # widest level's matrix, wherever that level sits in the block
+    model = {
+        "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=12),
+        "general_matrix": general_matrix(
+            np.random.default_rng(3).normal(scale=0.3, size=(12, 10)), lipschitz_k=100.0),
+    }[kind]
+    levels = [16, 4, 8]
+    dt = 2.0**-12
+    while scheme == "explicit_em" and dt > explicit_dt_bound(sin_domain, max(levels)):
+        dt /= 2
+    configs = [SimulationConfig(domain=sin_domain, n=n, model=model, dt=dt, t_end=37 * dt,
+                                scheme=scheme, snapshot_stride=5) for n in levels]
+    a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
+    rows = [(6, 2), (6, 0), (6, 1)]
+    a_t, together = integrator._step_paths(configs, a0s, rows, zero_eigenvalues,
+                                           keep_coeffs=True)
+    for cfg, a0, (series, coeffs) in zip(configs, a0s, together):
+        a_t_alone, [(want_series, want_coeffs)] = integrator._step_paths(
+            [cfg], [a0], rows, zero_eigenvalues, keep_coeffs=True)
+        assert a_t.tobytes() == a_t_alone.tobytes()
         assert series.tobytes() == want_series.tobytes()
         assert coeffs.tobytes() == want_coeffs.tobytes()

@@ -251,10 +251,32 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
     kick[:d] = q * (gamma + beta * st.coeffs[:d]) * db[:d]
     assert noise_kick(model, st.coeffs, db).tobytes() == kick.tobytes()
     assert hs_norm_sq(model, st.coeffs) == float(np.sum((q * (gamma + beta * st.coeffs[:d])) ** 2))
-    # the stepper computes the diagonal once and hands it to both
-    diag = noise._diagonal(model, st.coeffs)
-    assert noise_kick(model, st.coeffs, db, diag=diag).tobytes() == kick.tobytes()
-    assert hs_norm_sq(model, st.coeffs, diag=diag) == hs_norm_sq(model, st.coeffs)
+    # the stepper's flat block of one level gives the same bits
+    flat, hs = noise.flat_kick(model, st.coeffs[None], db[None], [(0, n)])
+    assert flat[0].tobytes() == kick.tobytes()
+    assert hs[0, 0] == hs_norm_sq(model, st.coeffs)
+
+
+@pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix", "zero"])
+def test_flat_kick_matches_each_level_alone(kind):
+    # levels of 16, 4 and 24 modes side by side under m = 12 driving motions: the kick and
+    # HS norm of each level's span are bitwise those of the level alone; 12 > 8 terms per
+    # norm, so a sum in another order would show
+    model = {
+        "moving_diagonal": moving_diagonal(gamma=0.3, beta=0.7, decay_p=1.0, m=12),
+        "general_matrix": general_matrix(np.random.default_rng(5).normal(size=(12, 10)),
+                                         lipschitz_k=100.0),
+        "zero": zero_model(12),
+    }[kind]
+    rng = np.random.default_rng(6)
+    spans = [(0, 16), (16, 20), (20, 44)]
+    coeffs, db = rng.normal(size=(3, 44)), rng.normal(size=(3, 12))
+    kick, hs = noise.flat_kick(model, coeffs, db, spans)
+    assert kick.shape == coeffs.shape and hs.shape == (3, 3)
+    for (lo, hi), level_hs in zip(spans, hs):
+        level = np.ascontiguousarray(coeffs[:, lo:hi])
+        assert kick[:, lo:hi].tobytes() == noise_kick(model, level, db).tobytes()
+        assert level_hs.tobytes() == hs_norm_sq(model, level).tobytes()
 
 
 def test_general_matrix_bits_match_the_raw_formula():
