@@ -51,13 +51,10 @@ def sine_modes(ks, x, a, scale=1.0):
     return scale * np.sqrt(2.0 / a) * np.sin(ks * np.pi * x / a)
 
 
-@lru_cache(maxsize=16)
 def mode_numbers(n: int) -> np.ndarray:
-    """Read-only table of k pi for k = 1..n, built once per n."""
+    """The vector k pi for k = 1..n."""
     _check_mode(n)
-    k_pi = np.arange(1, n + 1, dtype=float) * np.pi
-    k_pi.flags.writeable = False
-    return k_pi
+    return np.arange(1, n + 1, dtype=float) * np.pi
 
 
 @lru_cache(maxsize=16)
@@ -124,8 +121,8 @@ def project_initial(u0, n: int, domain: DomainMotion) -> CoefficientState:
     for _ in range(_PROJECTION_MAX_DOUBLINGS):
         panels *= 2
         cur = _project_composite(u0, n, a0, panels)
-        scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if float(np.max(np.abs(cur - prev))) <= PROJECTION_RTOL * max(scale, 1.0):
+        scale = max(float(np.max(np.abs(cur))), 1.0)
+        if float(np.max(np.abs(cur - prev))) <= PROJECTION_RTOL * scale:
             return CoefficientState(0.0, cur)
         prev = cur
     raise NumericalError(

@@ -118,7 +118,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_end / self.dt)
+        return whole_steps(self.t_end, self.dt)
 
     def with_updates(self, **kwargs) -> "SimulationConfig":
         return replace(self, **kwargs)
@@ -179,7 +179,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     The levels share one time grid, domain, scheme and noise model and differ only in n.
     They live side by side in one C-ordered (P, sum n_l) state whose row r is the path
     rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
-    (noise diagonal and kick, ledger sums, eigenvalues and decay factors, the update
+    (noise factor gamma + beta A, ledger sums, eigenvalues and decay factors, the update
     itself) is one call for every level, on one draw of increments.  The coupling
     (a'/a) C_N is built once per step at the widest level N; level l multiplies by its
     leading n_l x n_l block, which is bitwise C_{n_l}.  Products and sums stay per row
@@ -421,7 +421,7 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
 
 @dataclass(frozen=True)
 class ModeInitial:
-    """u0 = amplitude * e_k(0, x); picklable for worker processes."""
+    """u0 = amplitude * e_k(0, x)."""
 
     mode: int
     amplitude: float = 1.0

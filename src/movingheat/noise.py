@@ -16,7 +16,6 @@ a run may draw many steps of many paths at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,16 +102,13 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
     )
 
 
-def _diagonal(model: DiffusionModel, coeffs: np.ndarray, weights=None) -> np.ndarray | None:
-    """The diagonal part q_j (gamma + beta A_j), per row: for j <= min(m, n) of the (..., n)
-    coefficients ``coeffs`` or, given ``weights``, of the already gathered diagonal columns
-    ``coeffs`` whose q_j are ``weights``.  None for a model without one."""
+def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray | None:
+    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n), per row of the (..., n)
+    coefficients ``coeffs``; None for a model without one."""
     if model.q is None:
         return None
-    if weights is None:
-        d = min(model.m, coeffs.shape[-1])
-        coeffs, weights = coeffs[..., :d], model.q[:d]
-    return weights * (model.gamma + model.beta * coeffs)
+    d = min(model.m, coeffs.shape[-1])
+    return model.q[:d] * (model.gamma + model.beta * coeffs[..., :d])
 
 
 def _sigma(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
@@ -136,19 +132,6 @@ def sigma_coeff(model: DiffusionModel, j: int, k: int, state: CoefficientState) 
     return float(_sigma(model, state.coeffs)[j - 1, k - 1])
 
 
-@lru_cache(maxsize=16)
-def _diagonal_columns(m: int, spans: tuple) -> tuple[np.ndarray, np.ndarray, list]:
-    """For the levels at the column spans ``spans`` of a flat block: the read-only flat
-    columns of every level's diagonal modes j <= min(m, n_l), their 0-based noise indices
-    j - 1, and each level's span within that gathered list."""
-    widths = [min(m, hi - lo) for lo, hi in spans]
-    cols = np.concatenate([np.arange(lo, lo + d) for (lo, _), d in zip(spans, widths)])
-    js = cols - np.repeat([lo for lo, _ in spans], widths)
-    cols.flags.writeable = js.flags.writeable = False
-    bounds = np.cumsum([0, *widths]).tolist()
-    return cols, js, list(zip(bounds, bounds[1:]))
-
-
 def flat_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray,
               spans) -> tuple[np.ndarray, np.ndarray]:
     """Kick and squared Hilbert-Schmidt norms of a flat block of L truncation levels.
@@ -157,19 +140,19 @@ def flat_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray,
     coefficients ``coeffs``, and every level is driven by the same (P, m) increments.
     Returns the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and the (L, P) norms, the
     sum over j <= m, k <= n_l of sigma_jk^2 (summed part by part), each row and level
-    computed on its own.  The diagonal is built once for every level, from the diagonal
-    columns gathered in C order: each level's norm then sums a C-ordered span, in the
-    order a lone level sums it.
+    computed on its own.  gamma + beta A is formed once for the whole block; level l
+    scales the leading d = min(m, n_l) columns of its span by q_1..q_d into a fresh
+    C-ordered (P, d) array, whose norm then sums in the order a lone level sums it.
     """
     kick = np.zeros(coeffs.shape)
     hs = np.zeros((len(spans), coeffs.shape[0]))
     if model.q is not None:
-        cols, js, diag_spans = _diagonal_columns(model.m, tuple(spans))
-        diag = _diagonal(model, coeffs.take(cols, axis=1), model.q[js])
-        parts, squares = diag * increment.take(js, axis=1), diag**2
-        for norm, (lo, _), (d_lo, d_hi) in zip(hs, spans, diag_spans):
-            kick[:, lo:lo + d_hi - d_lo] = parts[:, d_lo:d_hi]
-            np.add.reduce(squares[:, d_lo:d_hi], axis=-1, out=norm)
+        factor = model.gamma + model.beta * coeffs
+        for norm, (lo, hi) in zip(hs, spans):
+            d = min(model.m, hi - lo)
+            diag = model.q[:d] * factor[:, lo:lo + d]
+            np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
+            np.add.reduce(diag**2, axis=-1, out=norm)
     if model.table is not None:
         for norm, (lo, hi) in zip(hs, spans):
             cols = min(hi - lo, model.table.shape[1])

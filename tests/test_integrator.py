@@ -543,31 +543,6 @@ def test_path_and_step_counts_fit_the_noise_keys(unit_domain):
         config(unit_domain, dt=2.0**-33, t_end=1.0)
 
 
-@pytest.mark.parametrize("levels", [[5], [4, 8, 16]])
-def test_one_noise_diagonal_per_step(monkeypatch, sin_domain, levels):
-    # one diagonal q_j (gamma + beta A_j) per step serves the kick and the HS norm of every
-    # level: it is built on the levels' diagonal columns j <= min(m, n_l), side by side
-    model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=6)
-    configs = [SimulationConfig(domain=sin_domain, n=n, model=model, dt=1e-3, t_end=0.03)
-               for n in levels]
-    a0s = [np.linspace(1.0, 0.5, n) for n in levels]
-    rows = [(4, 0), (4, 1), (4, 2)]
-    _, expected = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
-    shapes = []
-    diagonal = noise._diagonal
-
-    def spy(model, coeffs, *weights):
-        shapes.append(coeffs.shape)
-        return diagonal(model, coeffs, *weights)
-
-    monkeypatch.setattr(noise, "_diagonal", spy)
-    _, got = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
-    assert shapes == [(3, sum(min(6, n) for n in levels))] * 30
-    for (series, coeffs), (want_series, want_coeffs) in zip(got, expected):
-        assert series.tobytes() == want_series.tobytes()
-        assert coeffs.tobytes() == want_coeffs.tobytes()
-
-
 @pytest.mark.parametrize("zero_eigenvalues", [False, True])
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
 @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])

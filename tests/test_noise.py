@@ -257,22 +257,31 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
     assert hs[0, 0] == hs_norm_sq(model, st.coeffs)
 
 
-@pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix", "zero"])
-def test_flat_kick_matches_each_level_alone(kind):
-    # levels of 16, 4 and 24 modes side by side under m = 12 driving motions: the kick and
-    # HS norm of each level's span are bitwise those of the level alone; 12 > 8 terms per
-    # norm, so a sum in another order would show
+@pytest.mark.parametrize("kind,m,levels", [
+    pytest.param("moving_diagonal", 12, [16, 4, 24], id="moving_diagonal"),
+    pytest.param("general_matrix", 12, [16, 4, 24], id="general_matrix"),
+    pytest.param("zero", 12, [16, 4, 24], id="zero"),
+    pytest.param("moving_diagonal", 6, [5], id="moving_diagonal-one-level"),
+    pytest.param("moving_diagonal", 6, [4, 8, 16], id="moving_diagonal-m-between"),
+    pytest.param("additive_diagonal", 6, [4, 8, 16], id="additive_diagonal-m-between"),
+])
+def test_flat_kick_matches_each_level_alone(kind, m, levels):
+    # levels side by side under m driving motions, m below, between and above the level
+    # widths: the kick and HS norm of each level's span are bitwise those of the level
+    # alone; at m = 12 a norm has 12 > 8 terms, so a sum in another order would show
     model = {
-        "moving_diagonal": moving_diagonal(gamma=0.3, beta=0.7, decay_p=1.0, m=12),
-        "general_matrix": general_matrix(np.random.default_rng(5).normal(size=(12, 10)),
+        "moving_diagonal": moving_diagonal(gamma=0.3, beta=0.7, decay_p=1.0, m=m),
+        "additive_diagonal": moving_diagonal(gamma=0.3, beta=0.0, decay_p=1.0, m=m),
+        "general_matrix": general_matrix(np.random.default_rng(5).normal(size=(m, 10)),
                                          lipschitz_k=100.0),
-        "zero": zero_model(12),
+        "zero": zero_model(m),
     }[kind]
     rng = np.random.default_rng(6)
-    spans = [(0, 16), (16, 20), (20, 44)]
-    coeffs, db = rng.normal(size=(3, 44)), rng.normal(size=(3, 12))
+    bounds = np.cumsum([0, *levels]).tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    coeffs, db = rng.normal(size=(3, bounds[-1])), rng.normal(size=(3, m))
     kick, hs = noise.flat_kick(model, coeffs, db, spans)
-    assert kick.shape == coeffs.shape and hs.shape == (3, 3)
+    assert kick.shape == coeffs.shape and hs.shape == (len(levels), 3)
     for (lo, hi), level_hs in zip(spans, hs):
         level = np.ascontiguousarray(coeffs[:, lo:hi])
         assert kick[:, lo:hi].tobytes() == noise_kick(model, level, db).tobytes()
