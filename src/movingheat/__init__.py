@@ -1,5 +1,15 @@
 """Spectral simulator for the stochastic heat equation on a moving interval."""
 
+import os
+import sys
+
+# Processes over paths (``--workers``) are the one level of parallelism: load BLAS
+# single-threaded, unless numpy is loaded already or the variable is set.
+if "numpy" not in sys.modules:
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                  "VECLIB_MAXIMUM_THREADS"):
+        os.environ.setdefault(_name, "1")
+
 from .basis import (
     CoefficientState,
     coupling,

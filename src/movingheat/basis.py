@@ -22,6 +22,11 @@ PROJECTION_RTOL = 1e-10
 _PROJECTION_PANELS = 8
 _PROJECTION_NODES = 16
 _PROJECTION_MAX_DOUBLINGS = 6
+# Words of one block of the projection's mode-by-node table
+_PROJECTION_BLOCK_WORDS = 2**15
+# Modes from which apply_coupling uses the FFT: the crossover with the dense product,
+# measured with single-threaded BLAS
+_FFT_MIN_N = 320
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,15 +62,20 @@ def mode_numbers(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) * np.pi
 
 
-@lru_cache(maxsize=16)
 def coupling_pattern(n: int) -> np.ndarray:
-    """Read-only (n, n) table C_n of the coupling b_jk(t) = (a'_t/a_t) C_jk, built once per n.
+    """Read-only (n, n) table C_n of the coupling b_jk(t) = (a'_t/a_t) C_jk.
 
     C_jk = (-1)^(j+k) 2jk/(j^2-k^2) off the diagonal, +0.0 on it.  The strict
     upper triangle is computed and mirrored with a sign flip, so C_n is
-    exactly skew-symmetric.
+    exactly skew-symmetric.  Built once per n below _FFT_MIN_N, the widths the
+    stepper applies densely; wider tables (up to 128 MiB) are built afresh.
     """
     _check_mode(n)
+    return _pattern(n) if n < _FFT_MIN_N else _pattern.__wrapped__(n)
+
+
+@lru_cache(maxsize=16)
+def _pattern(n: int) -> np.ndarray:
     ks = np.arange(1, n + 1, dtype=float)
     j, k = ks[:, None], ks[None, :]
     sign = np.where((j + k) % 2, -1.0, 1.0)
@@ -107,6 +117,76 @@ def scaled_coupling(n: int, ratio, out=None) -> np.ndarray:
     return b
 
 
+def dense_width(widths) -> int:
+    """The widest of ``widths`` whose coupling ``apply_coupling`` takes from a dense
+    table, 0 when every one is applied by FFT."""
+    return max((n for n in widths if n < _FFT_MIN_N), default=0)
+
+
+def apply_coupling(coeffs: np.ndarray, ratio, table=None, out=None) -> np.ndarray:
+    """The coupling drift of each row A of the (P, n) coefficients ``coeffs``: the row
+    A b = ratio C_n^T A, written into ``out`` when one is given.
+
+    Below _FFT_MIN_N modes row p is coeffs[p] @ table[:n, :n], ``table`` being
+    scaled_coupling(N, ratio) for some N >= n (built here when not given), whose leading
+    block is bitwise ratio C_n.  From _FFT_MIN_N on no table is built: one rfft/irfft
+    pair of the block applies C_n^T by circulant embedding (``_fft_coupling``), equal to
+    the dense product to rounding.  Either way each row is computed on its own.
+    """
+    n = coeffs.shape[-1]
+    if out is None:
+        out = np.empty(coeffs.shape)
+    if n < _FFT_MIN_N:
+        if table is None:
+            table = scaled_coupling(n, ratio)
+        np.matmul(coeffs[:, None], table[:n, :n], out=out[:, None])
+    elif ratio:
+        np.multiply(ratio, _fft_coupling(coeffs), out=out)
+    else:
+        out.fill(0.0)
+    return out
+
+
+def _fft_coupling(coeffs: np.ndarray) -> np.ndarray:
+    """C_n^T A for each row A of the (P, n) coefficients, in O(n log n) per row.
+
+    With 2jk/(j^2-k^2) = j (1/(j-k) - 1/(j+k)) and z_j = (-1)^j j A_j,
+    (C_n^T A)_k = (-1)^k [sum_{j!=k} z_j/(j-k) - sum_j z_j/(j+k)] + A_k/2, the last
+    term putting the j = k summand back into the second sum.  The first sum is a
+    Toeplitz, the second a Hankel product; both are convolutions that fit one circulant
+    of length L >= 2n - 1, and the Hankel one convolves the reversed z, whose transform
+    is conj(Z).  So the spectra add before a single inverse transform.  Weighting the
+    input by j, not the output by k, keeps the rounding error of a decaying spectrum at
+    about 1e-15 of the largest drift.
+    """
+    n = coeffs.shape[-1]
+    length, toeplitz, hankel, signed_j, signs = _coupling_spectra(n)
+    z = np.fft.rfft(coeffs * signed_j, length)
+    conv = np.fft.irfft(z * toeplitz + z.conj() * hankel, length)[:, :n]
+    return signs * conv + 0.5 * coeffs
+
+
+@lru_cache(maxsize=4)
+def _coupling_spectra(n: int):
+    """FFT length L, the spectra of the Toeplitz and the Hankel kernel (each with its sign)
+    and the vectors (-1)^j j and (-1)^k of ``_fft_coupling`` at n modes.
+
+    Row index i holds mode j = i + 1.  The Toeplitz sum is minus the circular
+    convolution of z with 1/d at d = k - j (0 at d = 0); the Hankel sum is the
+    convolution of the reversed z with 1/(s + 2) at s = j + k - 2.
+    """
+    length = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2n - 1
+    inverse = 1.0 / np.arange(1, 2 * n + 1, dtype=float)
+    toeplitz = np.zeros(length)
+    toeplitz[1:n] = inverse[: n - 1]
+    toeplitz[length - n + 1:] = -inverse[: n - 1][::-1]
+    hankel = np.zeros(length)
+    hankel[: 2 * n - 1] = inverse[1:]
+    signs = np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)
+    return (length, -np.fft.rfft(toeplitz), -np.fft.rfft(hankel),
+            signs * np.arange(1, n + 1), signs)
+
+
 def project_initial(u0, n: int, domain: DomainMotion) -> CoefficientState:
     """Expand u0 on (0, a_0) over the first n modes at t = 0.
 
@@ -132,10 +212,20 @@ def project_initial(u0, n: int, domain: DomainMotion) -> CoefficientState:
 
 
 def _project_composite(u0, n: int, a0: float, panels: int) -> np.ndarray:
+    """The n quadrature sums sum_i w_i u0(x_i) e_k(0, x_i), over blocks of modes.
+
+    Each block of the mode-by-node table holds a multiple of 16 rows, about
+    _PROJECTION_BLOCK_WORDS words, and the last block also takes the rows left over,
+    so a block's row groups and tail line up with the whole table's: under
+    single-threaded BLAS each row's dot product is the one-shot product's, bitwise.
+    """
     xs, ws = composite_gauss_nodes(0.0, a0, panels, _PROJECTION_NODES)
-    fx = np.asarray(u0(xs), dtype=float)
+    wfx = ws * np.asarray(u0(xs), dtype=float)
     ks = np.arange(1, n + 1, dtype=float)[:, None]
-    return sine_modes(ks, xs[None, :], a0) @ (ws * fx)
+    rows = max(16, _PROJECTION_BLOCK_WORDS // xs.size // 16 * 16)
+    bounds = [*range(0, rows * max(1, n // rows), rows), n]
+    return np.concatenate([sine_modes(ks[lo:hi], xs[None, :], a0) @ wfx
+                           for lo, hi in zip(bounds, bounds[1:])])
 
 
 @lru_cache(maxsize=64)

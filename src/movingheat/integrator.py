@@ -181,8 +181,10 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
     (noise factor gamma + beta A, ledger sums, eigenvalues and decay factors, the update
     itself) is one call for every level, on one draw of increments.  The coupling
-    (a'/a) C_N is built once per step at the widest level N; level l multiplies by its
-    leading n_l x n_l block, which is bitwise C_{n_l}.  Products and sums stay per row
+    (a'/a) C_N is built once per step at the widest level N below the FFT crossover;
+    such a level l multiplies by its leading n_l x n_l block, which is bitwise
+    (a'/a) C_{n_l}, and a level at or above the crossover applies it by FFT with no
+    table (``basis.apply_coupling``).  Products and sums stay per row
     and per level and run on C-ordered operands, in the order a lone level takes them,
     so a row's bits do not depend on the rows or levels beside it, on their order or on
     how the steps are grouped into draws.
@@ -205,11 +207,12 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     bounds = np.cumsum([0] + [cfg.n for cfg in configs]).tolist()
     spans = tuple(zip(bounds, bounds[1:]))
     k_pi = np.concatenate([basis.mode_numbers(cfg.n) for cfg in configs])
-    wide = max(cfg.n for cfg in configs)
+    wide = basis.dense_width(cfg.n for cfg in configs)
     b = np.empty((wide, wide))  # (a'/a) C_N of the current step
     n_rows = len(rows)
     streams = [NoiseStream(seed, path) for seed, path in rows]
     chunk = noise.steps_per_draw(n_rows, m)
+    kick_of = noise.flat_kick(model, spans)
     series = np.empty((len(configs), 5, n_rows, len(saved)))
     coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
     failures: dict[tuple[int, int], str] = {}  # (row, level) -> its first failure
@@ -229,14 +232,14 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                     streams, i - 1, min(chunk, config.n_steps + 1 - i), m, dt)
             is_saved = i == saved[row]
             if i:
-                kick, hs_sq = noise.flat_kick(model, a, increments[:, (i - 1) % chunk], spans)
+                kick, hs_sq = kick_of(a, increments[:, (i - 1) % chunk])
                 for level, (lo, hi) in enumerate(spans):
                     np.vecdot(a[:, lo:hi], kick[:, lo:hi], out=sto[level])
                 ledger.record_step(cur[:, 1], 2.0 * sto, hs_sq, dt)
-                basis.scaled_coupling(wide, ratio[i - 1], out=b)
-                for lo, hi in spans:  # row p: b_l.T @ a[p]
-                    np.matmul(a[:, None, lo:hi], b[:hi - lo, :hi - lo],
-                              out=coupling[:, None, lo:hi])
+                if wide:
+                    basis.scaled_coupling(wide, ratio[i - 1], out=b)
+                for lo, hi in spans:
+                    basis.apply_coupling(a[:, lo:hi], ratio[i - 1], b, out=coupling[:, lo:hi])
                 lam = 0.0 if zero_eigenvalues else -((k_pi / a_decay[i - 1]) ** 2)
                 if explicit:
                     a = a + (coupling + lam * a) * dt + kick

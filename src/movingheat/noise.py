@@ -132,34 +132,52 @@ def sigma_coeff(model: DiffusionModel, j: int, k: int, state: CoefficientState) 
     return float(_sigma(model, state.coeffs)[j - 1, k - 1])
 
 
-def flat_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray,
-              spans) -> tuple[np.ndarray, np.ndarray]:
-    """Kick and squared Hilbert-Schmidt norms of a flat block of L truncation levels.
+def flat_kick(model: DiffusionModel, spans):
+    """The kick function of a flat block of L truncation levels under ``model``.
 
-    Level l holds the columns spans[l] = (lo, hi) of the C-ordered (P, sum n_l)
-    coefficients ``coeffs``, and every level is driven by the same (P, m) increments.
-    Returns the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and the (L, P) norms, the
-    sum over j <= m, k <= n_l of sigma_jk^2 (summed part by part), each row and level
-    computed on its own.  gamma + beta A is formed once for the whole block; level l
-    scales the leading d = min(m, n_l) columns of its span by q_1..q_d into a fresh
-    C-ordered (P, d) array, whose norm then sums in the order a lone level sums it.
+    Level l holds the columns spans[l] = (lo, hi) of C-ordered (P, sum n_l) coefficients,
+    and every level is driven by the same (P, m) increments.  The returned
+    kick(coeffs, increment) gives the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and
+    the (L, P) norms, the sum over j <= m, k <= n_l of sigma_jk^2 (summed part by part),
+    each row and level computed on its own.  Level l's diagonal scales the leading
+    d = min(m, n_l) columns of its span by q_1..q_d into a fresh C-ordered (P, d) array,
+    whose norm then sums in the order a lone level sums it.  What does not depend on the
+    coefficients is built here once: the table's norms and, when beta = 0, each level's
+    diagonal q_{1..d} gamma and its norm, so that a step only scales the increments.
     """
-    kick = np.zeros(coeffs.shape)
-    hs = np.zeros((len(spans), coeffs.shape[0]))
-    if model.q is not None:
-        factor = model.gamma + model.beta * coeffs
-        for norm, (lo, hi) in zip(hs, spans):
-            d = min(model.m, hi - lo)
-            diag = model.q[:d] * factor[:, lo:lo + d]
-            np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
-            np.add.reduce(diag**2, axis=-1, out=norm)
+    widths = [min(model.m, hi - lo) for lo, hi in spans]
+    diagonals = None  # per level, when the diagonal does not depend on the coefficients
+    fixed = None  # the (L, 1) parts of the norms that do not depend on them
+    if model.q is not None and not model.beta:
+        diagonals = [model.q[:d] * model.gamma for d in widths]
+        fixed = np.array([[np.add.reduce(diag**2)] for diag in diagonals])
     if model.table is not None:
-        for norm, (lo, hi) in zip(hs, spans):
-            cols = min(hi - lo, model.table.shape[1])
-            kick[:, lo:lo + cols] += np.matmul(increment[:, None, :],
-                                               model.table[:, :cols])[:, 0, :]
-            norm += np.sum(model.table[:, :cols] ** 2)
-    return kick, hs
+        table_norms = np.array([[np.sum(model.table[:, :min(hi - lo, model.table.shape[1])] ** 2)]
+                                for lo, hi in spans])
+        fixed = table_norms if fixed is None else fixed + table_norms
+
+    def kick_of(coeffs: np.ndarray, increment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kick = np.zeros(coeffs.shape)
+        hs = np.zeros((len(spans), coeffs.shape[0]))
+        if diagonals is not None:
+            for diag, (lo, _), d in zip(diagonals, spans, widths):
+                np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
+        elif model.q is not None:
+            factor = model.gamma + model.beta * coeffs
+            for norm, (lo, _), d in zip(hs, spans, widths):
+                diag = model.q[:d] * factor[:, lo:lo + d]
+                np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
+                np.add.reduce(diag**2, axis=-1, out=norm)
+        if model.table is not None:
+            for lo, hi in spans:
+                cols = min(hi - lo, model.table.shape[1])
+                kick[:, lo:lo + cols] += np.matmul(increment[:, None, :],
+                                                   model.table[:, :cols])[:, 0, :]
+        if fixed is not None:
+            hs += fixed
+        return kick, hs
+
+    return kick_of
 
 
 def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:

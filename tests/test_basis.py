@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,10 @@ from movingheat import (
 from movingheat.basis import evaluate, sine_modes
 
 from conftest import gauss_quad
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
 
 
 def sine_mode(k, a, x):
@@ -163,6 +172,29 @@ class TestProjection:
             assert abs(analytic - quad) <= 1e-13
         assert st.coeffs[0] == pytest.approx(0.1824422296110943, abs=1e-12)
 
+    def test_blocks_of_modes_give_the_one_shot_product_bitwise(self):
+        # under the package's single-threaded BLAS (a fresh interpreter that imports it
+        # first), every row of the blocked projection is the one-shot product's row
+        script = """
+import movingheat
+import numpy as np
+from movingheat import basis
+
+u0 = lambda x: x * (1.3 - x) + np.sin(3.0 * x)
+for n in (1, 3, 17, 255, 256, 257, 1000):
+    for panels in (8, 13, 64, 100, 256, 1000):
+        xs, ws = basis.composite_gauss_nodes(0.0, 1.3, panels, 16)
+        ks = np.arange(1, n + 1, dtype=float)[:, None]
+        whole = basis.sine_modes(ks, xs[None, :], 1.3) @ (ws * u0(xs))
+        blocked = basis._project_composite(u0, n, 1.3, panels)
+        assert blocked.tobytes() == whole.tobytes(), (n, panels)
+"""
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_unresolvable_integrand_raises(self, unit_domain):
         from movingheat import NumericalError
 
@@ -293,3 +325,33 @@ class TestModeTables:
 
         with pytest.raises(ValueError):
             coupling_pattern(8)[0] = 1.0
+
+    def test_only_the_dense_widths_are_cached(self):
+        from movingheat.basis import _FFT_MIN_N, coupling_pattern
+
+        below, at = _FFT_MIN_N - 1, _FFT_MIN_N
+        assert coupling_pattern(below) is coupling_pattern(below)
+        first = coupling_pattern(at)
+        assert first is not coupling_pattern(at)
+        assert first.tobytes() == coupling_pattern(at).tobytes() and not first.flags.writeable
+
+
+class TestApplyCoupling:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 319])
+    def test_dense_drift_is_the_table_product(self, n):
+        # below the FFT crossover a row's drift is its product with the (n, n) table, or
+        # bitwise the same with the leading block of a wider table
+        from movingheat.basis import apply_coupling, scaled_coupling
+
+        coeffs = np.random.default_rng(n).normal(size=(3, n))
+        want = np.matmul(coeffs[:, None], scaled_coupling(n, -0.4))[:, 0]
+        assert apply_coupling(coeffs, -0.4).tobytes() == want.tobytes()
+        wide = scaled_coupling(n + 5, -0.4)
+        assert apply_coupling(coeffs, -0.4, wide).tobytes() == want.tobytes()
+
+    def test_dense_width_is_the_widest_below_the_crossover(self):
+        from movingheat.basis import _FFT_MIN_N, dense_width
+
+        assert dense_width([16, 4, 32]) == 32
+        assert dense_width([_FFT_MIN_N - 1, _FFT_MIN_N, 2 * _FFT_MIN_N]) == _FFT_MIN_N - 1
+        assert dense_width([_FFT_MIN_N]) == 0

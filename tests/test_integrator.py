@@ -236,6 +236,16 @@ class TestTransportConservation:
         traj = simulate(cfg, ModeInitial(1, 1.0, 1.0), zero_eigenvalues=True)
         assert traj.l2_sq[-1] == pytest.approx(traj.l2_sq[0], abs=5e-3)
 
+    @pytest.mark.parametrize("n,dt", [(basis._FFT_MIN_N, 2.0**-15), (1024, 2.0**-16)])
+    def test_exponential_scheme_transport_above_the_fft_crossover(self, sin_domain, n, dt):
+        # the same transport with the coupling applied by FFT; the coupling step is
+        # explicit, so dt n stays near the n = 8 case's 8e-3 (at dt = 1e-3 it is unstable
+        # from n = 256 on, below the crossover too)
+        cfg = SimulationConfig(domain=sin_domain, n=n, model=zero_model(8),
+                               dt=dt, t_end=0.25)
+        traj = simulate(cfg, ModeInitial(1, 1.0, 1.0), zero_eigenvalues=True)
+        assert traj.l2_sq[-1] == pytest.approx(traj.l2_sq[0], abs=5e-3)
+
 
 class TestEnsemble:
     def test_single_path_matches_simulate(self, sin_domain):
@@ -533,6 +543,28 @@ def test_non_finite_saved_norm_is_a_failure(unit_domain):
         simulate(cfg, CoefficientState(0.0, np.array([1e200])))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case,message", [
+    ("steep", r"^path 1, step 1: non-finite coefficients at t=0\.001$"),
+    ("fast", r"^path 1, step 164: non-finite energy ledger at t=0\.164$"),
+])
+def test_additive_noise_failure_names_its_step(case, message):
+    # beta = 0: the noise diagonal and HS norm are built once per block, not from the
+    # coefficients, and a row that turns non-finite still fails where it did when they
+    # were rebuilt every step: at step 1 where a'/a = 1e308 overflows the coupling, and
+    # where the transport (decay zeroed) of a fast-moving boundary overflows the ledger
+    domain, n = {
+        "steep": (make_domain("linear", {"a0": 1.0, "slope": 1e308}, 1e-2), 3),
+        "fast": (make_domain("sinusoidal", {"a0": 1.0, "amp": 0.5, "omega": 1000.0}, 1.0), 16),
+    }[case]
+    cfg = SimulationConfig(domain=domain, n=n, model=moving_diagonal(0.5, 0.0, 1.0, 4),
+                           dt=1e-3, t_end=1e-2 if case == "steep" else 0.5,
+                           snapshot_stride=1000)
+    with pytest.raises(NumericalError, match=message):
+        simulate(cfg, CoefficientState(0.0, np.linspace(1.0, 0.2, n)), path_index=1,
+                 zero_eigenvalues=case == "fast")
+
+
 def test_path_and_step_counts_fit_the_noise_keys(unit_domain):
     # paths and steps are capped at 2^32 each by the noise stream
     assert config(unit_domain, n_paths=2**32).n_paths == 2**32
@@ -569,5 +601,23 @@ def test_levels_in_any_order_step_as_they_do_alone(sin_domain, scheme, kind,
         a_t_alone, [(want_series, want_coeffs)] = integrator._step_paths(
             [cfg], [a0], rows, zero_eigenvalues, keep_coeffs=True)
         assert a_t.tobytes() == a_t_alone.tobytes()
+        assert series.tobytes() == want_series.tobytes()
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+
+
+def test_levels_across_the_fft_crossover_step_as_they_do_alone(sin_domain):
+    # levels below and above the crossover side by side: the dense table is built at the
+    # widest level below it, the others take the FFT, and each level keeps its bits
+    model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=12)
+    levels = [2 * basis._FFT_MIN_N, 16, basis._FFT_MIN_N - 1, basis._FFT_MIN_N]
+    dt = 2.0**-14
+    configs = [SimulationConfig(domain=sin_domain, n=n, model=model, dt=dt, t_end=9 * dt,
+                                snapshot_stride=4) for n in levels]
+    a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
+    rows = [(6, 2), (6, 0), (6, 1)]
+    _, together = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    for cfg, a0, (series, coeffs) in zip(configs, a0s, together):
+        _, [(want_series, want_coeffs)] = integrator._step_paths([cfg], [a0], rows,
+                                                                 keep_coeffs=True)
         assert series.tobytes() == want_series.tobytes()
         assert coeffs.tobytes() == want_coeffs.tobytes()

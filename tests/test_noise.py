@@ -252,7 +252,7 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
     assert noise_kick(model, st.coeffs, db).tobytes() == kick.tobytes()
     assert hs_norm_sq(model, st.coeffs) == float(np.sum((q * (gamma + beta * st.coeffs[:d])) ** 2))
     # the stepper's flat block of one level gives the same bits
-    flat, hs = noise.flat_kick(model, st.coeffs[None], db[None], [(0, n)])
+    flat, hs = noise.flat_kick(model, [(0, n)])(st.coeffs[None], db[None])
     assert flat[0].tobytes() == kick.tobytes()
     assert hs[0, 0] == hs_norm_sq(model, st.coeffs)
 
@@ -264,6 +264,7 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
     pytest.param("moving_diagonal", 6, [5], id="moving_diagonal-one-level"),
     pytest.param("moving_diagonal", 6, [4, 8, 16], id="moving_diagonal-m-between"),
     pytest.param("additive_diagonal", 6, [4, 8, 16], id="additive_diagonal-m-between"),
+    pytest.param("additive_diagonal", 12, [16, 4, 24], id="additive_diagonal"),
 ])
 def test_flat_kick_matches_each_level_alone(kind, m, levels):
     # levels side by side under m driving motions, m below, between and above the level
@@ -280,7 +281,7 @@ def test_flat_kick_matches_each_level_alone(kind, m, levels):
     bounds = np.cumsum([0, *levels]).tolist()
     spans = list(zip(bounds, bounds[1:]))
     coeffs, db = rng.normal(size=(3, bounds[-1])), rng.normal(size=(3, m))
-    kick, hs = noise.flat_kick(model, coeffs, db, spans)
+    kick, hs = noise.flat_kick(model, spans)(coeffs, db)
     assert kick.shape == coeffs.shape and hs.shape == (len(levels), 3)
     for (lo, hi), level_hs in zip(spans, hs):
         level = np.ascontiguousarray(coeffs[:, lo:hi])

@@ -7,7 +7,10 @@ Usage (from the root of a checkout):
 The runs are the four benchmark workloads of ``perfbench/workloads.py`` at
 seeds 3 and 17 (``ensemble_mc`` at ``--workers`` 1 and 2), then every CLI
 command on each domain of {sinusoidal, table} under each noise of
-{moving_diagonal, zero}.  Each CSV gives one line ``<case> <file> <sha256>``;
+{moving_diagonal, zero}, then a few steps of the cases whose coupling is applied
+by FFT: ``simulate`` and ``ensemble`` (at ``--workers`` 1 and 2) at n = 1024
+and ``converge --levels 256``, whose reference level is 512.  Each CSV gives
+one line ``<case> <file> <sha256>``;
 a command that exits non-zero gives ``<case> exit <code>: <stderr>`` instead.
 ``manifest.json`` is skipped: it records the version and the wall time.
 
@@ -52,11 +55,20 @@ COMMANDS = {
     "oracle-compare": ["--fd-m", "128"],
     "coupling-dump": ["--n", "12", "--t", "0.05"],
 }
+# Cases at or above the coupling's FFT crossover: n = 1024 (converge sets its own
+# levels), five steps each
+FFT_SIM = {**SIM, "n": 1024, "t_end": 0.005}
+FFT_COMMANDS = {
+    "simulate": ["simulate"],
+    "converge": ["converge", "--levels", "256", "--seeds", "2"],
+    "ensemble/workers=1": ["ensemble", "--workers", "1"],
+    "ensemble/workers=2": ["ensemble", "--workers", "2"],
+}
 
 
-def config_text(domain: str, noise: str) -> str:
+def config_text(domain: str, noise: str, sim: dict = SIM) -> str:
     sections = {"domain": DOMAINS[domain], "noise": NOISES[noise], "init": {"kind": "parabola"},
-                "sim": SIM, "output": {"grid_size": 17, "snapshot_stride": 7}}
+                "sim": sim, "output": {"grid_size": 17, "snapshot_stride": 7}}
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for name, keys in sections.items())
 
@@ -95,6 +107,12 @@ def digests(root: Path, work: Path) -> list[str]:
                 out = work / case.replace("/", "-")
                 lines += run(cli, case, [command, "--config", str(config), "--out", str(out),
                                          *extra], out)
+    config = work / "fft.cfg"
+    config.write_text(config_text("sinusoidal", "moving_diagonal", FFT_SIM), encoding="utf-8")
+    for name, args in FFT_COMMANDS.items():
+        case = f"fft/{name}"
+        out = work / case.replace("/", "-")
+        lines += run(cli, case, [*args, "--config", str(config), "--out", str(out)], out)
     return lines
 
 
