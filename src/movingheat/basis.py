@@ -24,8 +24,8 @@ _PROJECTION_NODES = 16
 _PROJECTION_MAX_DOUBLINGS = 6
 # Words of one block of the projection's mode-by-node table
 _PROJECTION_BLOCK_WORDS = 2**15
-# Modes from which apply_coupling uses the FFT: the crossover with the dense product,
-# measured with single-threaded BLAS
+# Modes from which a level of flat_coupling applies the coupling by FFT: the crossover
+# with the dense product, measured with single-threaded BLAS
 _FFT_MIN_N = 320
 
 
@@ -67,15 +67,9 @@ def coupling_pattern(n: int) -> np.ndarray:
 
     C_jk = (-1)^(j+k) 2jk/(j^2-k^2) off the diagonal, +0.0 on it.  The strict
     upper triangle is computed and mirrored with a sign flip, so C_n is
-    exactly skew-symmetric.  Built once per n below _FFT_MIN_N, the widths the
-    stepper applies densely; wider tables (up to 128 MiB) are built afresh.
+    exactly skew-symmetric.  Built afresh on every call: up to 128 MiB at n = 4096.
     """
     _check_mode(n)
-    return _pattern(n) if n < _FFT_MIN_N else _pattern.__wrapped__(n)
-
-
-@lru_cache(maxsize=16)
-def _pattern(n: int) -> np.ndarray:
     ks = np.arange(1, n + 1, dtype=float)
     j, k = ks[:, None], ks[None, :]
     sign = np.where((j + k) % 2, -1.0, 1.0)
@@ -105,50 +99,54 @@ def coupling_matrix(n: int, t: float, domain: DomainMotion) -> np.ndarray:
     return scaled_coupling(n, domain.a_prime_at(t) / domain.a_at(t))
 
 
-def scaled_coupling(n: int, ratio, out=None) -> np.ndarray:
-    """The coupling matrix (a'/a) C_n for the boundary ratio ``ratio`` = a'/a, written
-    into the C-contiguous (n, n) array ``out`` when one is given."""
-    b = np.empty((n, n)) if out is None else out
-    if ratio:
-        np.multiply(ratio, coupling_pattern(n), out=b)
-    else:
-        b.fill(0.0)
+def scaled_coupling(n: int, ratio) -> np.ndarray:
+    """The coupling matrix (a'/a) C_n for the boundary ratio ``ratio`` = a'/a."""
+    b = np.multiply(ratio, coupling_pattern(n)) if ratio else np.zeros((n, n))
     b.ravel()[:: n + 1] = 0.0  # a negative ratio leaves -0.0 there
     return b
 
 
-def dense_width(widths) -> int:
-    """The widest of ``widths`` whose coupling ``apply_coupling`` takes from a dense
-    table, 0 when every one is applied by FFT."""
-    return max((n for n in widths if n < _FFT_MIN_N), default=0)
+def flat_coupling(spans):
+    """The coupling drift of a flat block of L truncation levels.
 
-
-def apply_coupling(coeffs: np.ndarray, ratio, table=None, out=None) -> np.ndarray:
-    """The coupling drift of each row A of the (P, n) coefficients ``coeffs``: the row
-    A b = ratio C_n^T A, written into ``out`` when one is given.
-
-    Below _FFT_MIN_N modes row p is coeffs[p] @ table[:n, :n], ``table`` being
-    scaled_coupling(N, ratio) for some N >= n (built here when not given), whose leading
-    block is bitwise ratio C_n.  From _FFT_MIN_N on no table is built: one rfft/irfft
-    pair of the block applies C_n^T by circulant embedding (``_fft_coupling``), equal to
-    the dense product to rounding.  Either way each row is computed on its own.
+    Level l holds the columns spans[l] = (lo, hi) of C-ordered (P, sum n_l)
+    coefficients.  The returned drift(coeffs, ratio, out) writes each row A's drift
+    A b = ratio C_n^T A (n = hi - lo, ratio = a'/a) into the level's span of ``out``
+    and returns ``out``, each row and level computed on its own.  Below _FFT_MIN_N
+    modes a level multiplies its rows by the leading n x n block of the table ratio C_N,
+    scaled once per call (as ``scaled_coupling`` scales it) at the widest such level N;
+    that block is bitwise ratio C_n.  From _FFT_MIN_N on a level builds no table: one
+    rfft/irfft pair applies C_n^T by circulant embedding (``_fft_coupling``), equal to
+    the dense product to rounding.  C_N and the spectra are built here, once.
     """
-    n = coeffs.shape[-1]
-    if out is None:
-        out = np.empty(coeffs.shape)
-    if n < _FFT_MIN_N:
-        if table is None:
-            table = scaled_coupling(n, ratio)
-        np.matmul(coeffs[:, None], table[:n, :n], out=out[:, None])
-    elif ratio:
-        np.multiply(ratio, _fft_coupling(coeffs), out=out)
-    else:
-        out.fill(0.0)
-    return out
+    widths = [hi - lo for lo, hi in spans]
+    wide = max((n for n in widths if n < _FFT_MIN_N), default=0)
+    pattern = coupling_pattern(wide) if wide else None
+    table = np.empty((wide, wide))
+    spectra = {n: _coupling_spectra(n) for n in widths if n >= _FFT_MIN_N}
+
+    def drift(coeffs: np.ndarray, ratio, out: np.ndarray) -> np.ndarray:
+        if wide and ratio:
+            np.multiply(ratio, pattern, out=table)
+            table.ravel()[:: wide + 1] = 0.0
+        else:
+            table.fill(0.0)
+        for n, (lo, hi) in zip(widths, spans):
+            if n < _FFT_MIN_N:
+                np.matmul(coeffs[:, None, lo:hi], table[:n, :n], out=out[:, None, lo:hi])
+            elif ratio:
+                np.multiply(ratio, _fft_coupling(coeffs[:, lo:hi], *spectra[n]),
+                            out=out[:, lo:hi])
+            else:
+                out[:, lo:hi] = 0.0
+        return out
+
+    return drift
 
 
-def _fft_coupling(coeffs: np.ndarray) -> np.ndarray:
-    """C_n^T A for each row A of the (P, n) coefficients, in O(n log n) per row.
+def _fft_coupling(coeffs: np.ndarray, length, toeplitz, hankel, signed_j, signs) -> np.ndarray:
+    """C_n^T A for each row A of the (P, n) coefficients, in O(n log n) per row, from the
+    n-mode ``_coupling_spectra``.
 
     With 2jk/(j^2-k^2) = j (1/(j-k) - 1/(j+k)) and z_j = (-1)^j j A_j,
     (C_n^T A)_k = (-1)^k [sum_{j!=k} z_j/(j-k) - sum_j z_j/(j+k)] + A_k/2, the last
@@ -159,14 +157,11 @@ def _fft_coupling(coeffs: np.ndarray) -> np.ndarray:
     input by j, not the output by k, keeps the rounding error of a decaying spectrum at
     about 1e-15 of the largest drift.
     """
-    n = coeffs.shape[-1]
-    length, toeplitz, hankel, signed_j, signs = _coupling_spectra(n)
     z = np.fft.rfft(coeffs * signed_j, length)
-    conv = np.fft.irfft(z * toeplitz + z.conj() * hankel, length)[:, :n]
+    conv = np.fft.irfft(z * toeplitz + z.conj() * hankel, length)[:, :coeffs.shape[-1]]
     return signs * conv + 0.5 * coeffs
 
 
-@lru_cache(maxsize=4)
 def _coupling_spectra(n: int):
     """FFT length L, the spectra of the Toeplitz and the Hankel kernel (each with its sign)
     and the vectors (-1)^j j and (-1)^k of ``_fft_coupling`` at n modes.

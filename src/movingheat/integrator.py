@@ -180,14 +180,11 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     They live side by side in one C-ordered (P, sum n_l) state whose row r is the path
     rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
     (noise factor gamma + beta A, ledger sums, eigenvalues and decay factors, the update
-    itself) is one call for every level, on one draw of increments.  The coupling
-    (a'/a) C_N is built once per step at the widest level N below the FFT crossover;
-    such a level l multiplies by its leading n_l x n_l block, which is bitwise
-    (a'/a) C_{n_l}, and a level at or above the crossover applies it by FFT with no
-    table (``basis.apply_coupling``).  Products and sums stay per row
-    and per level and run on C-ordered operands, in the order a lone level takes them,
-    so a row's bits do not depend on the rows or levels beside it, on their order or on
-    how the steps are grouped into draws.
+    itself) is one call for every level, on one draw of increments, and so is the
+    coupling drift (``basis.flat_coupling``, built once per block).  Products and sums
+    stay per row and per level and run on C-ordered operands, in the order a lone level
+    takes them, so a row's bits do not depend on the rows or levels beside it, on their
+    order or on how the steps are grouped into draws.
     Returns a(t) at the saved steps and, per level, the (5, P, saved) series l2, h1, visc,
     sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails
     at the first non-finite value of its ledger or coefficients (from step 1 on) or of its
@@ -207,12 +204,11 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     bounds = np.cumsum([0] + [cfg.n for cfg in configs]).tolist()
     spans = tuple(zip(bounds, bounds[1:]))
     k_pi = np.concatenate([basis.mode_numbers(cfg.n) for cfg in configs])
-    wide = basis.dense_width(cfg.n for cfg in configs)
-    b = np.empty((wide, wide))  # (a'/a) C_N of the current step
     n_rows = len(rows)
     streams = [NoiseStream(seed, path) for seed, path in rows]
     chunk = noise.steps_per_draw(n_rows, m)
     kick_of = noise.flat_kick(model, spans)
+    drift = basis.flat_coupling(spans)
     series = np.empty((len(configs), 5, n_rows, len(saved)))
     coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
     failures: dict[tuple[int, int], str] = {}  # (row, level) -> its first failure
@@ -236,10 +232,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                 for level, (lo, hi) in enumerate(spans):
                     np.vecdot(a[:, lo:hi], kick[:, lo:hi], out=sto[level])
                 ledger.record_step(cur[:, 1], 2.0 * sto, hs_sq, dt)
-                if wide:
-                    basis.scaled_coupling(wide, ratio[i - 1], out=b)
-                for lo, hi in spans:
-                    basis.apply_coupling(a[:, lo:hi], ratio[i - 1], b, out=coupling[:, lo:hi])
+                drift(a, ratio[i - 1], coupling)
                 lam = 0.0 if zero_eigenvalues else -((k_pi / a_decay[i - 1]) ** 2)
                 if explicit:
                     a = a + (coupling + lam * a) * dt + kick

@@ -75,7 +75,6 @@ def fd_solve(
     ys = np.linspace(0.0, 1.0, M + 1)
     interior = ys[1:-1]
     dy = 1.0 / M
-    dys = np.diff(ys)
     half = 0.5 * dt_fd
     step_times = np.arange(n_steps + 1) * dt_fd
     a, a_prime = domain.a_at(step_times), domain.a_prime_at(step_times)
@@ -87,20 +86,12 @@ def fd_solve(
     block[0] = np.asarray(u0(a[0] * ys), dtype=float)
     block[0, 0] = 0.0
     block[0, -1] = 0.0
-    squares = np.empty_like(block)
-    panels = np.empty((_BLOCK_STEPS, M))
     diag, rhs, term = np.empty(M - 1), np.empty(M - 1), np.empty(M - 1)
 
     def check_norms(i0: int, k: int) -> None:
         """Norms of the block's first k states into l2_hist; raise at the first non-finite."""
         norms = l2_hist[i0:i0 + k]
-        np.square(block[:k], out=squares[:k])
-        y = panels[:k]  # np.trapezoid's d * (y[1:] + y[:-1]) / 2.0, row by row
-        np.add(squares[:k, 1:], squares[:k, :-1], out=y)
-        y *= dys
-        y /= 2.0
-        np.multiply(a[i0:i0 + k], np.add.reduce(y, axis=-1), out=norms)
-        np.sqrt(norms, out=norms)
+        np.sqrt(a[i0:i0 + k] * np.trapezoid(np.square(block[:k]), ys, axis=-1), out=norms)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise NumericalError(f"non-finite finite-difference state or L2 norm at "

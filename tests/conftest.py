@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from movingheat import make_domain
+from movingheat.basis import flat_coupling
 from movingheat.domain import DomainMotion
 
 
@@ -44,3 +45,8 @@ def gauss_quad(f, lo, hi, n_nodes):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return half * np.sum(ws * f(mid + half * xs))
+
+
+def lone_drift(coeffs, ratio):
+    """The coupling drift of the (P, n) coefficients as the only level of a block."""
+    return flat_coupling([(0, coeffs.shape[-1])])(coeffs, ratio, np.empty(coeffs.shape))

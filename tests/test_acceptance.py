@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 import sympy as sp
 
 from movingheat import (
@@ -109,29 +110,31 @@ def test_criterion_3_cross_solver_validation():
            discrepancy=disc, refined=disc2, shrink=disc / disc2)
 
 
-def test_criterion_4_self_convergence_in_n(sin_domain):
+# the second set's block holds dense (80, 160) and FFT (320, 640) levels side by side
+@pytest.mark.parametrize("levels", [[8, 16, 32], [80, 160, 320]], ids=["8-16-32", "80-160-320"])
+def test_criterion_4_self_convergence_in_n(sin_domain, levels):
     started = time.monotonic()
     model = moving_diagonal(gamma=0.5, beta=0.5, decay_p=1.0, m=64)
     base = SimulationConfig(domain=sin_domain, n=8, model=model, dt=1e-3,
                             t_end=0.5, seed=1000, snapshot_stride=5)
-    rows = self_convergence_study(base, ParabolaInitial(1.0, 1.0), [8, 16, 32],
-                                  n_seeds=10)
+    rows = self_convergence_study(base, ParabolaInitial(1.0, 1.0), levels, n_seeds=10)
     per_seed = {}
     for r in rows:
         per_seed.setdefault(r.seed, {})[r.n] = (r.d_x, r.d_y)
+    coarse, mid, fine = levels
     wins_x = sum(
-        1 for levels in per_seed.values()
-        if levels[8][0] > levels[16][0] > levels[32][0]
+        1 for by_n in per_seed.values()
+        if by_n[coarse][0] > by_n[mid][0] > by_n[fine][0]
     )
     wins_y = sum(
-        1 for levels in per_seed.values()
-        if levels[8][1] > levels[16][1] > levels[32][1]
+        1 for by_n in per_seed.values()
+        if by_n[coarse][1] > by_n[mid][1] > by_n[fine][1]
     )
     assert wins_x >= 9
     assert wins_y >= 9
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
-    report("criterion 4 self-convergence in n", elapsed, 300,
+    report(f"criterion 4 self-convergence in n, levels {levels}", elapsed, 300,
            wins_x=wins_x, wins_y=wins_y)
 
 

@@ -20,7 +20,7 @@ from movingheat import (
 )
 from movingheat.basis import evaluate, sine_modes
 
-from conftest import gauss_quad
+from conftest import gauss_quad, lone_drift
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -326,32 +326,51 @@ class TestModeTables:
         with pytest.raises(ValueError):
             coupling_pattern(8)[0] = 1.0
 
-    def test_only_the_dense_widths_are_cached(self):
-        from movingheat.basis import _FFT_MIN_N, coupling_pattern
+    @pytest.mark.parametrize("n", [319, 320])
+    def test_pattern_is_built_afresh(self, n):
+        # nothing is cached on either side of the FFT crossover: each call gives a new
+        # read-only table with the same bits
+        from movingheat.basis import coupling_pattern
 
-        below, at = _FFT_MIN_N - 1, _FFT_MIN_N
-        assert coupling_pattern(below) is coupling_pattern(below)
-        first = coupling_pattern(at)
-        assert first is not coupling_pattern(at)
-        assert first.tobytes() == coupling_pattern(at).tobytes() and not first.flags.writeable
+        first = coupling_pattern(n)
+        assert first is not coupling_pattern(n)
+        assert first.tobytes() == coupling_pattern(n).tobytes() and not first.flags.writeable
 
 
-class TestApplyCoupling:
+class TestFlatCoupling:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 319])
     def test_dense_drift_is_the_table_product(self, n):
         # below the FFT crossover a row's drift is its product with the (n, n) table, or
-        # bitwise the same with the leading block of a wider table
-        from movingheat.basis import apply_coupling, scaled_coupling
+        # bitwise the same with the leading block of the table of a wider level beside it
+        from movingheat.basis import _FFT_MIN_N, flat_coupling, scaled_coupling
 
         coeffs = np.random.default_rng(n).normal(size=(3, n))
         want = np.matmul(coeffs[:, None], scaled_coupling(n, -0.4))[:, 0]
-        assert apply_coupling(coeffs, -0.4).tobytes() == want.tobytes()
-        wide = scaled_coupling(n + 5, -0.4)
-        assert apply_coupling(coeffs, -0.4, wide).tobytes() == want.tobytes()
+        assert lone_drift(coeffs, -0.4).tobytes() == want.tobytes()
+        wide = _FFT_MIN_N - 1
+        block = np.hstack([coeffs, np.ones((3, wide))])
+        got = flat_coupling([(0, n), (n, n + wide)])(block, -0.4, np.empty(block.shape))
+        assert got[:, :n].tobytes() == want.tobytes()
 
-    def test_dense_width_is_the_widest_below_the_crossover(self):
-        from movingheat.basis import _FFT_MIN_N, dense_width
+    def test_levels_and_rows_get_their_lone_drift_across_the_crossover(self):
+        # one block holding dense (16, 319) and FFT (320, 1000) levels: each level's drift
+        # is bitwise its drift alone, and each row's its drift as a one-row block; a zero
+        # ratio gives +0.0 in both regimes
+        from movingheat.basis import flat_coupling
 
-        assert dense_width([16, 4, 32]) == 32
-        assert dense_width([_FFT_MIN_N - 1, _FFT_MIN_N, 2 * _FFT_MIN_N]) == _FFT_MIN_N - 1
-        assert dense_width([_FFT_MIN_N]) == 0
+        widths = [16, 319, 320, 1000]
+        bounds = np.cumsum([0] + widths).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        rng = np.random.default_rng(11)
+        block = rng.normal(size=(5, bounds[-1])) * rng.uniform(0.5, 2.0, size=(5, 1))
+        drift = flat_coupling(spans)
+        for ratio in (0.37, -1.25):
+            got = drift(block, ratio, np.empty(block.shape))
+            for lo, hi in spans:
+                level = np.ascontiguousarray(block[:, lo:hi])
+                want = lone_drift(level, ratio)
+                assert got[:, lo:hi].tobytes() == want.tobytes()
+                for r in range(level.shape[0]):
+                    assert lone_drift(level[r:r + 1], ratio)[0].tobytes() == want[r].tobytes()
+        zero = drift(block, 0.0, np.full(block.shape, np.nan))
+        assert np.all(zero == 0.0) and not np.any(np.signbit(zero))

@@ -7,7 +7,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from movingheat.basis import _FFT_MIN_N, apply_coupling  # noqa: E402
+from movingheat.basis import _FFT_MIN_N  # noqa: E402
+
+from conftest import lone_drift  # noqa: E402
 
 
 def dense_drift(coeffs, ratio, block=256):
@@ -34,7 +36,7 @@ def test_fft_drift_matches_the_dense_product(n, rows, ratio, negative, decay, se
     ratio = -ratio if negative else ratio
     coeffs = np.random.default_rng(seed).normal(size=(rows, n)) * np.arange(1, n + 1) ** -decay
     ref = dense_drift(coeffs, ratio)
-    got = apply_coupling(coeffs, ratio)
+    got = lone_drift(coeffs, ratio)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -42,14 +44,14 @@ def test_fft_drift_matches_the_dense_product(n, rows, ratio, negative, decay, se
 def test_fft_rows_do_not_depend_on_the_block(n):
     # a row computed alone is bitwise the same row inside blocks of 3, 64 and 65 rows
     coeffs = np.random.default_rng(n).normal(size=(65, n))
-    alone = [apply_coupling(coeffs[r:r + 1], 0.37)[0] for r in range(65)]
+    alone = [lone_drift(coeffs[r:r + 1], 0.37)[0] for r in range(65)]
     for rows in (3, 64, 65):
-        block = apply_coupling(coeffs[:rows], 0.37)
+        block = lone_drift(coeffs[:rows], 0.37)
         for r in range(rows):
             assert block[r].tobytes() == alone[r].tobytes()
 
 
 def test_static_domain_drift_is_zero_above_the_crossover():
     coeffs = np.random.default_rng(2).normal(size=(2, _FFT_MIN_N))
-    drift = apply_coupling(coeffs, 0.0)
+    drift = lone_drift(coeffs, 0.0)
     assert np.all(drift == 0.0) and not np.any(np.signbit(drift))

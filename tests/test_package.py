@@ -102,3 +102,56 @@ def test_a_thread_count_set_by_the_user_is_kept():
 def test_numpy_imported_first_is_left_alone():
     _, *values = fresh_interpreter("import numpy, movingheat\n" + REPORT).split()
     assert values == ["None"] * 4
+
+
+BLAS_CONFIG = """[domain]
+kind = sinusoidal
+a0 = 1.0
+amp = 0.5
+omega = 1.0
+T = 1.0
+[noise]
+kind = moving_diagonal
+gamma = 0.4
+beta = 0.3
+m = 12
+[init]
+kind = parabola
+[sim]
+n = {n}
+dt = 0.001
+t_end = 0.005
+seed = 5
+n_paths = 6
+[output]
+grid_size = 17
+snapshot_stride = 2
+"""
+# simulate projects over 65 and 130 panels at n = 257 and over 256 and 512 at n = 1024;
+# the converge reference level (256) takes the coupling from a dense table
+BLAS_RUNS = {"simulate-257": (257, ["simulate"]), "simulate-1024": (1024, ["simulate"]),
+             "converge": (16, ["converge", "--levels", "128", "--seeds", "2"]),
+             "ensemble": (257, ["ensemble"])}
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread whatever the setting")
+    runs = []
+    for case, (n, args) in BLAS_RUNS.items():
+        config = tmp_path / f"{case}.cfg"
+        config.write_text(BLAS_CONFIG.format(n=n), encoding="utf-8")
+        runs.append((case, [*args, "--config", str(config)]))
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        code = ("from movingheat import cli\n"
+                f"for case, args in {runs!r}:\n"
+                f"    assert cli.main([*args, '--out', {str(out)!r} + '/' + case]) == 0, case\n")
+        fresh_interpreter(code, OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = {path.relative_to(out).as_posix(): path.read_bytes()
+                            for path in sorted(out.glob("*/*.csv"))}
+    assert len(outputs["1"]) == 7 and outputs["1"].keys() == outputs["2"].keys()
+    differ = [name for name, data in outputs["1"].items() if outputs["2"][name] != data]
+    assert not differ, f"these CSVs differ between 1 and 2 BLAS threads: {differ}"

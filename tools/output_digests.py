@@ -8,8 +8,10 @@ The runs are the four benchmark workloads of ``perfbench/workloads.py`` at
 seeds 3 and 17 (``ensemble_mc`` at ``--workers`` 1 and 2), then every CLI
 command on each domain of {sinusoidal, table} under each noise of
 {moving_diagonal, zero}, then a few steps of the cases whose coupling is applied
-by FFT: ``simulate`` and ``ensemble`` (at ``--workers`` 1 and 2) at n = 1024
-and ``converge --levels 256``, whose reference level is 512.  Each CSV gives
+by FFT: ``simulate`` and ``ensemble`` (at ``--workers`` 1 and 2) at n = 1024,
+``converge --levels 256``, whose reference level is 512, and ``converge --levels
+160,320``, whose block holds a dense level (160) and FFT levels (320, 640) side by
+side, with n = 320 itself the crossover.  Each CSV gives
 one line ``<case> <file> <sha256>``;
 a command that exits non-zero gives ``<case> exit <code>: <stderr>`` instead.
 ``manifest.json`` is skipped: it records the version and the wall time.
@@ -61,6 +63,7 @@ FFT_SIM = {**SIM, "n": 1024, "t_end": 0.005}
 FFT_COMMANDS = {
     "simulate": ["simulate"],
     "converge": ["converge", "--levels", "256", "--seeds", "2"],
+    "converge/crossover": ["converge", "--levels", "160,320", "--seeds", "2"],
     "ensemble/workers=1": ["ensemble", "--workers", "1"],
     "ensemble/workers=2": ["ensemble", "--workers", "2"],
 }
