@@ -83,11 +83,17 @@ def coupling_pattern(n: int) -> np.ndarray:
 def coupling(j: int, k: int, t: float, domain: DomainMotion) -> float:
     """Mode-coupling coefficient b_jk(t) = integral of e_j d/dt e_k over (0, a_t).
 
-    The [j-1, k-1] entry of ``coupling_matrix``, so b_jk == -b_kj bitwise;
-    builds the max(j, k) table.
+    The [j-1, k-1] entry of ``coupling_matrix`` bit for bit, so b_jk == -b_kj bitwise,
+    from the closed form in the table's operand order, without building the table.
     """
-    _check_mode(min(j, k))  # coupling_pattern checks the larger index
-    return float(coupling_matrix(max(j, k), t, domain)[j - 1, k - 1])
+    _check_mode(min(j, k))
+    _check_mode(max(j, k))
+    ratio = domain.a_prime_at(t) / domain.a_at(t)
+    if j == k or not ratio:
+        return 0.0
+    lo, hi = float(min(j, k)), float(max(j, k))
+    upper = (-1.0 if (j + k) % 2 else 1.0) * (2.0 * lo * hi / (lo * lo - hi * hi))
+    return float(ratio * (upper if j < k else 0.0 - upper))
 
 
 def coupling_matrix(n: int, t: float, domain: DomainMotion) -> np.ndarray:

@@ -37,24 +37,25 @@ class DiffusionModel:
     """Affine noise coefficients sigma_jk(u) = table_jk + delta_jk q_j (gamma + beta A_j).
 
     ``m`` is the number of driving Brownian motions and ``kind`` names the
-    constructor.  ``moving_diagonal`` holds the diagonal part (weights
-    q_j = j^(-p)), ``general_matrix`` the constant (m, n) table, ``zero``
-    neither; a missing part is None and costs nothing per step.
+    constructor.  Every model holds both parts, the diagonal weights ``q``
+    (``moving_diagonal``: q_j = j^(-p)) and the constant (m, k) ``table``
+    (``general_matrix``); a missing part is empty, a length-0 ``q`` or an
+    (m, 0) table, and costs nothing per step.
     """
 
     kind: str
     m: int
+    q: np.ndarray
+    table: np.ndarray
     gamma: float = 0.0
     beta: float = 0.0
-    q: np.ndarray | None = None
     lipschitz_k: float = 0.0
-    table: np.ndarray | None = None
 
 
 def zero_model(m: int = 1) -> DiffusionModel:
     """No noise; sigma identically zero."""
     _check_m(m)
-    return DiffusionModel("zero", m)
+    return DiffusionModel("zero", m, np.zeros(0), np.zeros((m, 0)))
 
 
 def moving_diagonal(
@@ -78,7 +79,8 @@ def moving_diagonal(
     q = np.arange(1, m + 1, dtype=float) ** (-decay_p)
     if lipschitz_k is None:
         lipschitz_k = max(gamma * float(np.sqrt(np.sum(q**2))), beta * float(np.max(q)))
-    return DiffusionModel("moving_diagonal", m, gamma, beta, q, float(lipschitz_k))
+    return DiffusionModel("moving_diagonal", m, q, np.zeros((m, 0)), gamma, beta,
+                          float(lipschitz_k))
 
 
 def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
@@ -97,29 +99,23 @@ def general_matrix(table, lipschitz_k: float) -> DiffusionModel:
             f"declared lipschitz_k={lipschitz_k} is below the table's "
             f"Hilbert-Schmidt norm {hs:.6g}; growth bound would fail at u=0"
         )
-    return DiffusionModel(
-        "general_matrix", table.shape[0], lipschitz_k=float(lipschitz_k), table=table
-    )
+    return DiffusionModel("general_matrix", table.shape[0], np.zeros(0), table,
+                          lipschitz_k=float(lipschitz_k))
 
 
-def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray | None:
-    """The diagonal part q_j (gamma + beta A_j) for j <= min(m, n), per row of the (..., n)
-    coefficients ``coeffs``; None for a model without one."""
-    if model.q is None:
-        return None
-    d = min(model.m, coeffs.shape[-1])
-    return model.q[:d] * (model.gamma + model.beta * coeffs[..., :d])
+def _diagonal(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
+    """The diagonal part q_j (gamma + beta A_j) for j <= min(len(q), n), per row of the
+    (..., n) coefficients ``coeffs``."""
+    q = model.q[:coeffs.shape[-1]]
+    return q * (model.gamma + model.beta * coeffs[..., :q.size])
 
 
 def _sigma(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
     """Dense (m, n) coefficient matrix sigma_jk at the coefficients ``coeffs``."""
     sigma = np.zeros((model.m, coeffs.shape[0]))
     diag = _diagonal(model, coeffs)
-    if diag is not None:
-        sigma[range(diag.size), range(diag.size)] = diag
-    if model.table is not None:
-        cols = min(coeffs.shape[0], model.table.shape[1])
-        sigma[:, :cols] += model.table[:, :cols]
+    sigma[range(diag.size), range(diag.size)] = diag
+    sigma[:, :model.table.shape[1]] += model.table[:, :sigma.shape[1]]
     return sigma
 
 
@@ -140,40 +136,38 @@ def flat_kick(model: DiffusionModel, spans):
     kick(coeffs, increment) gives the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and
     the (L, P) norms, the sum over j <= m, k <= n_l of sigma_jk^2 (summed part by part),
     each row and level computed on its own.  Level l's diagonal scales the leading
-    d = min(m, n_l) columns of its span by q_1..q_d into a fresh C-ordered (P, d) array,
-    whose norm then sums in the order a lone level sums it.  What does not depend on the
-    coefficients is built here once: the table's norms and, when beta = 0, each level's
-    diagonal q_{1..d} gamma and its norm, so that a step only scales the increments.
+    d = min(len(q), n_l) columns of its span by q_1..q_d into a fresh C-ordered (P, d)
+    array, whose norm then sums in the order a lone level sums it.  What does not depend
+    on the coefficients is built here once: each level's table slice and its norm and,
+    when beta = 0, each level's diagonal q_{1..d} gamma and its norm, so that a step only
+    scales the increments.  An empty part adds no product to a step.
     """
-    widths = [min(model.m, hi - lo) for lo, hi in spans]
-    diagonals = None  # per level, when the diagonal does not depend on the coefficients
-    fixed = None  # the (L, 1) parts of the norms that do not depend on them
-    if model.q is not None and not model.beta:
-        diagonals = [model.q[:d] * model.gamma for d in widths]
-        fixed = np.array([[np.add.reduce(diag**2)] for diag in diagonals])
-    if model.table is not None:
-        table_norms = np.array([[np.sum(model.table[:, :min(hi - lo, model.table.shape[1])] ** 2)]
-                                for lo, hi in spans])
-        fixed = table_norms if fixed is None else fixed + table_norms
+    widths = [min(model.q.size, hi - lo) for lo, hi in spans]
+    tables = [model.table[:, :hi - lo] for lo, hi in spans]
+    fixed = np.array([[np.sum(table**2)] for table in tables])  # the (L, 1) constant norms
+    diagonals = [model.q[:d] * model.gamma for d in widths]  # each level's, when beta = 0
+    if not model.beta:
+        fixed += [[np.add.reduce(diag**2)] for diag in diagonals]
+    # a step visits only the nonempty parts, and adds the constant norms when there are some
+    diagonal_levels = [(level, spans[level][0], d) for level, d in enumerate(widths) if d]
+    table_levels = [(lo, table) for (lo, _), table in zip(spans, tables) if table.size]
+    constant = bool(table_levels or diagonal_levels and not model.beta)
 
     def kick_of(coeffs: np.ndarray, increment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kick = np.zeros(coeffs.shape)
         hs = np.zeros((len(spans), coeffs.shape[0]))
-        if diagonals is not None:
-            for diag, (lo, _), d in zip(diagonals, spans, widths):
-                np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
-        elif model.q is not None:
+        if model.beta:
             factor = model.gamma + model.beta * coeffs
-            for norm, (lo, _), d in zip(hs, spans, widths):
+        for level, lo, d in diagonal_levels:
+            if model.beta:
                 diag = model.q[:d] * factor[:, lo:lo + d]
-                np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
-                np.add.reduce(diag**2, axis=-1, out=norm)
-        if model.table is not None:
-            for lo, hi in spans:
-                cols = min(hi - lo, model.table.shape[1])
-                kick[:, lo:lo + cols] += np.matmul(increment[:, None, :],
-                                                   model.table[:, :cols])[:, 0, :]
-        if fixed is not None:
+                np.add.reduce(diag**2, axis=-1, out=hs[level])
+            else:
+                diag = diagonals[level]
+            np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
+        for lo, table in table_levels:
+            kick[:, lo:lo + table.shape[1]] += np.matmul(increment[:, None, :], table)[:, 0, :]
+        if constant:
             hs += fixed
         return kick, hs
 
@@ -182,15 +176,8 @@ def flat_kick(model: DiffusionModel, spans):
 
 def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:
     """Squared Hilbert-Schmidt norm, the sum over j <= m, k <= n of sigma_jk^2, for each
-    row of the (..., n) coefficients; summed part by part (no constructor gives both)."""
-    diag = _diagonal(model, coeffs)
-    if diag is not None:
-        total = np.sum(diag**2, axis=-1)
-    else:
-        total = np.zeros(coeffs.shape[:-1])
-    if model.table is not None:
-        total = total + np.sum(model.table[:, : min(coeffs.shape[-1], model.table.shape[1])] ** 2)
-    return total
+    row of the (..., n) coefficients; summed part by part."""
+    return np.sum(_diagonal(model, coeffs)**2, -1) + np.sum(model.table[:, :coeffs.shape[-1]]**2)
 
 
 def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray) -> np.ndarray:
@@ -202,11 +189,9 @@ def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray)
         raise ValueError(f"increment has shape {increment.shape}, expected {shape}")
     kick = np.zeros(coeffs.shape)
     diag = _diagonal(model, coeffs)
-    if diag is not None:
-        kick[..., : diag.shape[-1]] = diag * increment[..., : diag.shape[-1]]
-    if model.table is not None:
-        cols = min(coeffs.shape[-1], model.table.shape[1])
-        kick[..., :cols] += np.matmul(increment[..., None, :], model.table[:, :cols])[..., 0, :]
+    kick[..., :diag.shape[-1]] = diag * increment[..., :diag.shape[-1]]
+    table = model.table[:, :coeffs.shape[-1]]
+    kick[..., :table.shape[1]] += np.matmul(increment[..., None, :], table)[..., 0, :]
     return kick
 
 

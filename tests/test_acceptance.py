@@ -202,17 +202,21 @@ def test_criterion_7_moment_bound_uniformity(sin_domain):
     started = time.monotonic()
     model = moving_diagonal(gamma=0.5, beta=0.5, decay_p=1.0, m=64)
     estimates = {}
-    for n in (16, 32):
+    # n = 1024 runs the coupling by FFT, where the paper's n -> infinity claim is tested
+    for n in (16, 32, 1024):
         cfg = SimulationConfig(domain=sin_domain, n=n, model=model, dt=1e-3,
                                t_end=0.5, seed=7, n_paths=200, snapshot_stride=10)
         summ = simulate_ensemble(cfg, ParabolaInitial(1.0, 1.0), workers=4)
         estimates[n] = float(np.mean(summ.sup_l2_sq + summ.y_norm_sq))
     ratio = estimates[32] / estimates[16]
+    ratio_1024 = estimates[1024] / estimates[16]
     assert 0.8 <= ratio <= 1.25
+    assert 0.8 <= ratio_1024 <= 1.25
     elapsed = time.monotonic() - started
     assert elapsed < 180.0
     report("criterion 7 moment-bound uniformity", elapsed, 180,
-           e16=estimates[16], e32=estimates[32], ratio=ratio)
+           e16=estimates[16], e32=estimates[32], e1024=estimates[1024], ratio=ratio,
+           ratio_1024=ratio_1024)
 
 
 def test_criterion_8_noise_assumption_suite():

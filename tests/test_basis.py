@@ -299,6 +299,13 @@ class TestModeTables:
             # the first j eigenvalues of an n-mode table are its first j entries
             assert eigenvalues(j, t, domain).tobytes() == lam[:j].tobytes()
 
+    @pytest.mark.parametrize("j, k", [(1024, 1023), (1023, 1024), (1, 1024), (1024, 1024)])
+    def test_far_scalars_are_the_table_entries(self, case, j, k):
+        # the closed form builds no table: it must still give the table's bits far out
+        domain, t, _ = case
+        b = coupling_matrix(1024, t, domain)
+        assert np.float64(coupling(j, k, t, domain)).tobytes() == b[j - 1, k - 1].tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
     def test_skew_with_positive_zero_diagonal(self, case, n):
         domain, t, sign = case

@@ -322,6 +322,46 @@ class TestEnsemble:
             assert h1[r].tobytes() == trajs[p].h1_sq.tobytes()
 
 
+def exact_additive_moments(domain, model, n, dt, steps):
+    """E|u_N|^2, E visc_N and hs_N of exponential_em from u0 = 0 under the additive diagonal
+    ``model``, with no sampling error.
+
+    The coefficients' covariance obeys Sigma_{i+1} = M_i Sigma_i M_i^T + D_i Q D_i dt, with
+    M_i = D_i (I + dt b(t_i)^T), D_i = diag e^{lambda_k dt} at a(t_i + dt/2) and
+    Q = diag (q_k gamma)^2; E visc_N = 2 dt sum_i tr(-Lambda(t_i) Sigma_i), left endpoints.
+    """
+    k_pi = np.arange(1, n + 1) * np.pi
+    d = min(model.m, n)
+    var = np.zeros(n)
+    var[:d] = (model.q[:d] * model.gamma) ** 2
+    times = np.arange(steps + 1) * dt
+    a_t, a_mid = domain.a_at(times), domain.a_at(times[:-1] + dt / 2)
+    sigma, visc = np.zeros((n, n)), 0.0
+    for i in range(steps):
+        visc += 2.0 * dt * np.sum((k_pi / a_t[i]) ** 2 * np.diag(sigma))
+        decay = np.exp(-((k_pi / a_mid[i]) ** 2) * dt)
+        step = decay[:, None] * (np.eye(n) + dt * coupling_matrix(n, times[i], domain).T)
+        sigma = step @ sigma @ step.T + np.diag(decay**2 * var * dt)
+    return np.trace(sigma), visc, steps * dt * var.sum()
+
+
+@pytest.mark.parametrize("n, n_paths", [(16, 2000), (64, 1000)])
+def test_ensemble_matches_the_schemes_exact_moments(sin_domain, n, n_paths):
+    # Over seeds 1..24 the z-scores of final_l2_sq and final_visc against the recursion
+    # spread like N(0, 1): |z| <= 2.3 at n = 16 and <= 3.2 at n = 64 (seed 21's visc).  A
+    # bound of 4 se fails a correct stepper with probability 6e-5 per statistic.
+    model = moving_diagonal(gamma=0.5, beta=0.0, decay_p=1.0, m=n)
+    cfg = SimulationConfig(domain=sin_domain, n=n, model=model, dt=1e-3, t_end=0.25, seed=7,
+                           n_paths=n_paths, snapshot_stride=250)
+    summ = simulate_ensemble(cfg, CoefficientState(0.0, np.zeros(n)), workers=2)
+    l2, visc, hs = exact_additive_moments(sin_domain, model, n, cfg.dt, cfg.n_steps)
+    for values, exact in ((summ.final_l2_sq, l2), (summ.final_visc, visc)):
+        se = np.std(values, ddof=1) / np.sqrt(n_paths)
+        assert abs(np.mean(values) - exact) <= 4.0 * se
+    # the ledger's hs term does not depend on the path
+    np.testing.assert_allclose(summ.final_hs, hs, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
 @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
 def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):

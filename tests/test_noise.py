@@ -304,11 +304,13 @@ def test_general_matrix_bits_match_the_raw_formula():
 
 
 def test_models_hold_only_their_parts():
-    assert zero_model(3).q is None and zero_model(3).table is None
+    # a missing part is empty: a length-0 q, an (m, 0) table
+    zm = zero_model(3)
+    assert zm.q.shape == (0,) and zm.table.shape == (3, 0)
     md = moving_diagonal(gamma=0.1, beta=0.0, decay_p=2.0, m=3)
-    assert md.table is None and np.array_equal(md.q, [1.0, 0.25, 1.0 / 9.0])
+    assert md.table.shape == (3, 0) and np.array_equal(md.q, [1.0, 0.25, 1.0 / 9.0])
     gm = general_matrix(np.eye(2), lipschitz_k=2.0)
-    assert gm.q is None and gm.table.shape == (2, 2)
+    assert gm.q.shape == (0,) and gm.table.shape == (2, 2)
 
 
 def test_truncations_are_capped():

@@ -6,14 +6,16 @@ Usage (from the root of a checkout):
 
 The runs are the four benchmark workloads of ``perfbench/workloads.py`` at
 seeds 3 and 17 (``ensemble_mc`` at ``--workers`` 1 and 2), then every CLI
-command on each domain of {sinusoidal, table} under each noise of
-{moving_diagonal, zero}, then a few steps of the cases whose coupling is applied
-by FFT: ``simulate`` and ``ensemble`` (at ``--workers`` 1 and 2) at n = 1024,
-``converge --levels 256``, whose reference level is 512, and ``converge --levels
-160,320``, whose block holds a dense level (160) and FFT levels (320, 640) side by
-side, with n = 320 itself the crossover.  Each CSV gives
-one line ``<case> <file> <sha256>``;
-a command that exits non-zero gives ``<case> exit <code>: <stderr>`` instead.
+command on each domain of {sinusoidal, table} under each noise of ``NOISES``,
+which between them hold every part of sigma: the diagonal at beta > 0
+(``moving_diagonal``) and at beta = 0 (``additive_diagonal``), the 12 x 16 table
+of ``matrix.csv`` (``general_matrix``) and neither (``zero``).  Last come a few
+steps of the cases whose coupling is applied by FFT: ``simulate`` and
+``ensemble`` (at ``--workers`` 1 and 2) at n = 1024, ``converge --levels 256``,
+whose reference level is 512, and ``converge --levels 160,320``, whose block
+holds a dense level (160) and FFT levels (320, 640) side by side, with n = 320
+itself the crossover.  Each CSV gives one line ``<case> <file> <sha256>``; a
+command that exits non-zero gives ``<case> exit <code>: <stderr>`` instead.
 ``manifest.json`` is skipped: it records the version and the wall time.
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
@@ -42,9 +44,14 @@ DOMAINS = {
     "table": {"kind": "table", "table_path": "knots.csv", "T": 1.0},
 }
 KNOTS = "t,a\n0.0,1.0\n0.25,1.12\n0.5,0.93\n0.75,1.05\n1.0,1.2\n"
+# 12 driving motions by the 16 modes of SIM: entry [j, k] = 0.3 (-1)^(j+k) / (1 + j + k)
+MATRIX = "".join(",".join(repr(0.3 * (-1) ** (j + k) / (1 + j + k)) for k in range(16)) + "\n"
+                 for j in range(12))
 NOISES = {
     # m = 12 > 8: each level's HS norm sums more than 8 terms
     "moving_diagonal": {"kind": "moving_diagonal", "gamma": 0.4, "beta": 0.3, "m": 12},
+    "additive_diagonal": {"kind": "moving_diagonal", "gamma": 0.4, "beta": 0.0, "m": 12},
+    "general_matrix": {"kind": "general_matrix", "matrix_path": "matrix.csv", "lipschitz_k": 1.0},
     "zero": {"kind": "zero"},
 }
 SIM = {"n": 16, "dt": 0.001, "t_end": 0.1, "seed": 5, "n_paths": 6}
@@ -101,6 +108,7 @@ def digests(root: Path, work: Path) -> list[str]:
                 out = work / case.replace("/", "-")
                 lines += run(cli, case, wl.cli_args(out, workers), out)
     (work / "knots.csv").write_text(KNOTS, encoding="utf-8")
+    (work / "matrix.csv").write_text(MATRIX, encoding="utf-8")
     for domain in DOMAINS:
         for noise in NOISES:
             config = work / f"{domain}-{noise}.cfg"
