@@ -149,7 +149,7 @@ class EnergyLedger:
     dt -> 0: ``visc`` accumulates 2 ||u(t_i)||^2 dt, ``sto`` accumulates
     2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.  They
     are views of the rows of ``sums``, which may be the caller's array: one sum per
-    path, or per level and path.
+    path, or per level and path.  The steps are added a chunk at a time.
     """
 
     sums: np.ndarray  # (3, P) or (3, L, P)
@@ -157,10 +157,17 @@ class EnergyLedger:
     def __post_init__(self):
         self.visc, self.sto, self.hs = self.sums
 
-    def record_step(self, h1_sq, sto_increment, hs_sq, dt: float) -> None:
-        self.visc += 2.0 * h1_sq * dt
-        self.sto += sto_increment
-        self.hs += hs_sq * dt
+    def record_step(self, terms: np.ndarray, dt: float) -> None:
+        """Add S steps: rows 1..S of the (S + 1, 3, ...) ``terms`` hold each step's raw
+        terms ||u(t_i)||^2, sum_k A_k(t_i) kick_k(t_i) and ||sigma||_HS^2.  Row 0 receives
+        the sums so far and row s the sums after s steps; each term is scaled and added
+        left to right as a step at a time would do it, so the sums do not depend on how
+        the steps are grouped."""
+        terms[0] = self.sums
+        terms[1:, :2] *= 2.0  # (2 h1) dt, 2 sto and hs dt, each product in a step's order
+        terms[1:, ::2] *= dt
+        np.add.accumulate(terms, axis=0, out=terms)
+        self.sums[...] = terms[-1]
 
 
 def _initial_coeffs(config: SimulationConfig, u0) -> np.ndarray:
@@ -179,18 +186,22 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     The levels share one time grid, domain, scheme and noise model and differ only in n.
     They live side by side in one C-ordered (P, sum n_l) state whose row r is the path
     rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
-    (noise factor gamma + beta A, ledger sums, eigenvalues and decay factors, the update
-    itself) is one call for every level, on one draw of increments, and so is the
-    coupling drift (``basis.flat_coupling``, built once per block).  Products and sums
-    stay per row and per level and run on C-ordered operands, in the order a lone level
-    takes them, so a row's bits do not depend on the rows or levels beside it, on their
-    order or on how the steps are grouped into draws.
+    (noise factor gamma + beta A, ledger terms, the update itself) is one call for every
+    level, and so is the coupling drift (``basis.flat_coupling``, built once per block).
+    The steps run in chunks (``noise.steps_per_draw``), each building once what does not
+    read the state: one draw of increments, (steps, sum n_l) tables of decay factors
+    (e^(lambda dt), or lambda for explicit_em) and H1 weights (k pi / a)^2, and the ledger
+    sums, which ``EnergyLedger.record_step`` adds from the chunk's per-step terms.
+    Products and sums stay per row and per level and run on C-ordered operands, in the
+    order a lone level takes them, so a row's bits do not depend on the rows or levels
+    beside it, on their order or on how the steps are grouped into chunks.
     Returns a(t) at the saved steps and, per level, the (5, P, saved) series l2, h1, visc,
     sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails
     at the first non-finite value of its ledger or coefficients (from step 1 on) or of its
     saved norms, checked in that order; the error ``{label}, step {i}: non-finite {what} at t={t}``
     names the lowest failed row, then its lowest failed level, labelled ``path p`` for one
-    level and ``seed s, n=N`` for several.
+    level and ``seed s, n=N`` for several.  The ledger is checked once per chunk; the
+    stepping stops at the end of the chunk in which row 0 fails at level 0.
     """
     config, domain = configs[0], configs[0].domain
     m, dt, model = config.model.m, config.dt, config.model
@@ -204,68 +215,83 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     bounds = np.cumsum([0] + [cfg.n for cfg in configs]).tolist()
     spans = tuple(zip(bounds, bounds[1:]))
     k_pi = np.concatenate([basis.mode_numbers(cfg.n) for cfg in configs])
-    n_rows = len(rows)
+    n_rows, n_levels = len(rows), len(configs)
     streams = [NoiseStream(seed, path) for seed, path in rows]
-    chunk = noise.steps_per_draw(n_rows, m)
+    chunk = noise.steps_per_draw(n_rows, m, bounds[-1], n_levels)
     kick_of = noise.flat_kick(model, spans)
     drift = basis.flat_coupling(spans)
-    series = np.empty((len(configs), 5, n_rows, len(saved)))
+    series = np.zeros((n_levels, 5, n_rows, len(saved)))  # state 0's ledger sums are 0
     coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
-    failures: dict[tuple[int, int], str] = {}  # (row, level) -> its first failure
+    failures: dict[tuple[int, int], tuple] = {}  # (row, level) -> (step, kind, message)
+
+    def fail(r, level, i, kind):  # keeps each row and level's least (step, kind)
+        seed, path = rows[r]
+        label = f"path {path}" if n_levels == 1 else f"seed {seed}, n={configs[level].n}"
+        what = ("energy ledger", "coefficients", "norms")[kind]
+        failure = (i, kind, f"{label}, step {i}: non-finite {what} at t={times[i]:.6g}")
+        failures[r, level] = min(failures.get((r, level), failure), failure)
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked
         a = np.concatenate([np.tile(a0, (n_rows, 1)) for a0 in a0s], axis=1)
-        # per level: l2, h1 and the ledger sums of each row; h1 is also the next step's
-        # ledger term
-        cur = np.zeros((len(configs), 5, n_rows))
-        ledger = EnergyLedger(cur[:, 2:].swapaxes(0, 1))
-        sto = np.empty((len(configs), n_rows))
+        cur = np.zeros((n_levels, 2, n_rows))  # per level: l2 and h1 of each row
+        ledger = EnergyLedger(np.zeros((3, n_levels, n_rows)))
         coupling = np.empty(a.shape)
-        row = 0
+        weights = (k_pi / a_t[0]) ** 2
+        row = start = steps = 0
         for i in range(config.n_steps + 1):
-            if i and (i - 1) % chunk == 0:  # the (P, S, m) increments of steps i-1 .. i+S-2
-                increments = draw_increment(
-                    streams, i - 1, min(chunk, config.n_steps + 1 - i), m, dt)
             is_saved = i == saved[row]
             if i:
-                kick, hs_sq = kick_of(a, increments[:, (i - 1) % chunk])
+                s = i - start - 1  # step i - 1 is step s of the chunk from state ``start``
+                if s == steps:  # the next chunk: steps i-1 .. i+S-2
+                    start, s, first_row = i - 1, 0, row
+                    steps = min(chunk, config.n_steps - start)
+                    increments = draw_increment(streams, start, steps, m, dt)
+                    lam = (np.zeros((steps, k_pi.size)) if zero_eigenvalues
+                           else -((k_pi / a_decay[start:start + steps, None]) ** 2))
+                    decay = lam if explicit else np.exp(lam * dt)
+                    h1_weights = (k_pi / a_t[i:i + steps, None]) ** 2
+                    terms = np.empty((steps + 1, 3, n_levels, n_rows))
+                terms[s + 1, 0] = cur[:, 1]
+                kick, terms[s + 1, 2] = kick_of(a, increments[:, s])
                 for level, (lo, hi) in enumerate(spans):
-                    np.vecdot(a[:, lo:hi], kick[:, lo:hi], out=sto[level])
-                ledger.record_step(cur[:, 1], 2.0 * sto, hs_sq, dt)
+                    np.vecdot(a[:, lo:hi], kick[:, lo:hi], out=terms[s + 1, 1, level])
                 drift(a, ratio[i - 1], coupling)
-                lam = 0.0 if zero_eigenvalues else -((k_pi / a_decay[i - 1]) ** 2)
                 if explicit:
-                    a = a + (coupling + lam * a) * dt + kick
+                    a = a + (coupling + decay[s] * a) * dt + kick
                 else:
-                    a = np.exp(lam * dt) * (a + coupling * dt + kick)
-            neg_lam, a_sq = (k_pi / a_t[i]) ** 2, a**2
+                    a = decay[s] * (a + coupling * dt + kick)
+                weights = h1_weights[s]
+            a_sq = a**2
             for level, (lo, hi) in enumerate(spans):
-                np.vecdot(neg_lam[lo:hi], a_sq[:, lo:hi], out=cur[level, 1])
+                np.vecdot(weights[lo:hi], a_sq[:, lo:hi], out=cur[level, 1])
                 if is_saved:
                     np.vecdot(a[:, lo:hi], a[:, lo:hi], out=cur[level, 0])
-            # non-finite coefficients make h1 non-finite: one sum catches every failure
+            # non-finite coefficients make h1 non-finite: one sum catches them and the norms
             if not math.isfinite(cur.sum()):
-                for level, (cfg, (lo, hi)) in enumerate(zip(configs, spans)):
-                    for what, values, due in (("energy ledger", cur[level, 2:], i > 0),
-                                              ("coefficients", a[:, lo:hi].T, i > 0),
-                                              ("norms", cur[level, :2], is_saved)):
-                        # rows run along the last axis of ``values``
+                for level, (lo, hi) in enumerate(spans):
+                    # rows run along the last axis of ``values``
+                    for kind, values, due in ((1, a[:, lo:hi].T, i > 0),
+                                              (2, cur[level], is_saved)):
                         for r in np.flatnonzero(~np.isfinite(values).all(axis=0) & due).tolist():
-                            seed, path = rows[r]
-                            label = (f"path {path}" if len(configs) == 1
-                                     else f"seed {seed}, n={cfg.n}")
-                            failures.setdefault((r, level), f"{label}, step {i}: non-finite "
-                                                f"{what} at t={times[i]:.6g}")
-                if (0, 0) in failures:  # the lowest key: no later failure is reported
-                    break
+                            fail(r, level, i, kind)
             if is_saved:
-                series[..., row] = cur
+                series[:, :2, :, row] = cur
                 if keep_coeffs:
                     for level_coeffs, (lo, hi) in zip(coeffs, spans):
                         level_coeffs[:, row] = a[:, lo:hi]
                 row += 1
+            if i and s == steps - 1:  # the chunk's last step: add it to the ledger
+                ledger.record_step(terms, dt)
+                if not math.isfinite(terms[-1].sum()):  # a non-finite sum stays so
+                    bad = ~np.isfinite(terms[1:]).all(axis=1)  # (steps, L, P)
+                    for level, r in np.argwhere(bad.any(axis=0)).tolist():
+                        fail(r, level, start + 1 + int(np.argmax(bad[:, level, r])), 0)
+                ledger_rows = terms[np.array(saved[first_row:row], dtype=int) - start]
+                series[:, 2:, :, first_row:row] = ledger_rows.transpose(2, 1, 3, 0)
+                if (0, 0) in failures:  # the lowest key: no later failure is reported
+                    break
     if failures:
-        raise NumericalError(failures[min(failures)])
+        raise NumericalError(failures[min(failures)][2])
     return a_t[saved], list(zip(series, coeffs))
 
 

@@ -27,7 +27,7 @@ MAX_SEED = 2**64  # the seed is one 64-bit word of the Philox key
 # The increment stream's layout; every manifest names it, since a change of it
 # changes every noisy output
 STREAM = "philox4x64-10 key=(seed,path) counter=step*ceil(m/4) box-muller-53"
-# uint64 words per bulk draw; bounds the working set of draw_increment
+# words per chunk of steps: bounds the working set of draw_increment and of the stepper
 DRAW_BUDGET = 2**15
 MAX_MODES = 4096  # cap on the truncations n and m; the dense (n, n) coupling is 128 MiB
 
@@ -200,9 +200,13 @@ def words_per_step(m: int) -> int:
     return 4 * -(-m // 4)
 
 
-def steps_per_draw(rows: int, m: int) -> int:
-    """Steps per bulk draw of ``rows`` streams: as many as fit DRAW_BUDGET words, at least one."""
-    return max(1, DRAW_BUDGET // (rows * words_per_step(m)))
+def steps_per_draw(rows: int, m: int, width: int, levels: int) -> int:
+    """Steps per chunk of a stepper on ``rows`` streams and ``levels`` truncation levels
+    of total width ``width``: as many as fit DRAW_BUDGET words with the chunk's raw
+    increments, its two (steps, width) tables and its (steps + 1, 3, levels, rows)
+    ledger buffer; at least one."""
+    ledger = 3 * levels * rows
+    return max(1, (DRAW_BUDGET - ledger) // (rows * words_per_step(m) + 2 * width + ledger))
 
 
 class NoiseStream:

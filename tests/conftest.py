@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from movingheat import make_domain
+from movingheat import make_domain, noise
 from movingheat.basis import flat_coupling
 from movingheat.domain import DomainMotion
 
@@ -20,6 +20,14 @@ def sin_domain():
 @pytest.fixture(scope="session")
 def lin_domain():
     return make_domain("linear", {"a0": 1.0, "slope": 1.0}, 1.0)
+
+
+@pytest.fixture(params=[1, None], ids=["budget=1", "budget=default"])
+def draw_budget(request, monkeypatch):
+    """Steps in chunks of one step (``noise.DRAW_BUDGET`` = 1 word) and at the default
+    budget; a test parametrizes ``draw_budget`` indirectly for other budgets."""
+    if request.param is not None:
+        monkeypatch.setattr(noise, "DRAW_BUDGET", request.param)
 
 
 @pytest.fixture

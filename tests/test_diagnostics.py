@@ -266,7 +266,7 @@ class TestSelfConvergence:
         blocks = [(7,), (8,), (9,)] if block_rows == 1 else [(7, 8, 9)]
         want = []
         for block in blocks:
-            per_draw = noise.steps_per_draw(len(block), m)
+            per_draw = noise.steps_per_draw(len(block), m, sum(ns), len(ns))
             want += [(block, s, min(per_draw, 37 - s)) for s in range(0, 37, per_draw)]
         assert draws == want
         # the whole ledger too: its HS sums are the only sums the distances do not read
@@ -298,7 +298,7 @@ class TestSelfConvergence:
         self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [2, 4], 5)
         assert rows == sizes
 
-    def test_failure_names_lowest_seed_then_lowest_level(self, unit_domain):
+    def test_failure_names_lowest_seed_then_lowest_level(self, unit_domain, draw_budget):
         # from seed 2 the per-seed failures are seed 2 at n=1, 2, 4 after 115, 112, 114
         # steps and seed 3 at every level after 107 steps: the report is seed 2, n=1
         model = moving_diagonal(gamma=0.0, beta=2000.0, decay_p=0.6, m=2)

@@ -365,8 +365,10 @@ def test_ensemble_matches_the_schemes_exact_moments(sin_domain, n, n_paths):
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
 @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
 def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
-    # m = 5 is odd; a budget of one word draws one step at a time, 120 words draw 5 of the
-    # 37 steps (3 rows x 8 words each) with a short last draw, 1e9 draws every step at once
+    # m = 5 is odd; a budget of one word draws one step at a time, 120 words draw 2 of the
+    # 37 steps with a short last draw, 1e9 draws every step at once.  A step takes 45 words:
+    # 3 rows x 8 of increments, 2 x 6 of tables and 3 x 3 of ledger terms, and the ledger's
+    # running sums 9 more
     models = {
         "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=5),
         "general_matrix": general_matrix(
@@ -397,7 +399,7 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
         _, [(series, coeffs)] = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
                                                        keep_coeffs=True)
         outputs.add((series.tobytes(), coeffs.tobytes()))
-        per_draw = min(max(1, budget // 24), 37)
+        per_draw = min(max(1, (budget - 9) // 45), 37)
         starts = list(range(0, 37, per_draw))
         assert draws == [(s, min(per_draw, 37 - s)) for s in starts]
         assert positioned == [2, 0, 1] * len(starts)
@@ -433,10 +435,14 @@ def reference_loop(cfg, a0):
     return [np.array(series) for series in zip(*out)]
 
 
+# one step per chunk; chunks of 5 steps, (118 - 3) // (8 + 2 x 6 + 3) words, and a short
+# last chunk of 2; every step in one chunk
+@pytest.mark.parametrize("draw_budget", [1, 118, None], indirect=True,
+                         ids=["budget=1", "budget=118", "budget=default"])
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
 @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
 @pytest.mark.parametrize("domain", ["sinusoidal", "table"])
-def test_stepper_matches_reference_loop(sin_domain, domain, scheme, kind):
+def test_stepper_matches_reference_loop(sin_domain, domain, scheme, kind, draw_budget):
     # the block stepper and its energy ledger against the plain loop, bitwise
     domains = {
         "sinusoidal": sin_domain,
@@ -544,7 +550,7 @@ def overflowing_config(domain):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_numerical_failure_names_the_path(unit_domain, workers):
+def test_numerical_failure_names_the_path(unit_domain, workers, draw_budget):
     with pytest.raises(NumericalError,
                        match=r"^path 0, step 102: non-finite energy ledger at t=0\.102$"):
         simulate_ensemble(overflowing_config(unit_domain), ModeInitial(1, 1.0, 1.0),
@@ -553,7 +559,7 @@ def test_numerical_failure_names_the_path(unit_domain, workers):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers):
+def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers, draw_budget):
     # seed 9: paths 0 and 3 reach t_end, path 2 fails at step 96 and path 1 at step 99;
     # at 1 worker the one block must step past path 2's failure and report path 1
     cfg = overflowing_config(unit_domain).with_updates(seed=9, t_end=0.1)

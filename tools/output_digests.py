@@ -14,9 +14,14 @@ steps of the cases whose coupling is applied by FFT: ``simulate`` and
 ``ensemble`` (at ``--workers`` 1 and 2) at n = 1024, ``converge --levels 256``,
 whose reference level is 512, and ``converge --levels 160,320``, whose block
 holds a dense level (160) and FFT levels (320, 640) side by side, with n = 320
-itself the crossover.  Each CSV gives one line ``<case> <file> <sha256>``; a
-command that exits non-zero gives ``<case> exit <code>: <stderr>`` instead.
-``manifest.json`` is skipped: it records the version and the wall time.
+itself the crossover.  Then ``simulate``, ``ensemble`` and ``converge`` under
+``scheme = explicit_em``, and on ``OVERFLOW_SIM``, whose every path overflows
+its energy ledger, so that the failure reports pin the step and kind of the
+first failure.  Each CSV gives one line ``<case> <file> <sha256>``; a command
+that exits non-zero gives ``<case> exit <code>: <stderr>`` instead.
+``manifest.json`` is skipped: it records the version and the wall time.  The
+output opens with ``# `` lines naming the Python, numpy, scipy and BLAS the
+digests were computed with; another of any of them may move the last bits.
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this script), so one copy of the script compares two
@@ -25,6 +30,9 @@ checkouts, say the parent of a change and the change itself:
     python3 tools/output_digests.py --root ../parent > parent.txt
     python3 tools/output_digests.py > change.txt
     diff parent.txt change.txt
+
+``tests/data/output_digests.txt`` holds its output, and a tier-1 test compares
+the program's digests with it.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -55,14 +64,14 @@ NOISES = {
     "zero": {"kind": "zero"},
 }
 SIM = {"n": 16, "dt": 0.001, "t_end": 0.1, "seed": 5, "n_paths": 6}
-# command -> extra CLI arguments; stride 7 does not divide the 100 steps
+# case -> CLI arguments; stride 7 does not divide the 100 steps
 COMMANDS = {
-    "simulate": [],
-    "ensemble": ["--workers", "2"],
-    "converge": ["--levels", "4,8,16", "--seeds", "3"],
-    "energy-check": [],
-    "oracle-compare": ["--fd-m", "128"],
-    "coupling-dump": ["--n", "12", "--t", "0.05"],
+    "simulate": ["simulate"],
+    "ensemble": ["ensemble", "--workers", "2"],
+    "converge": ["converge", "--levels", "4,8,16", "--seeds", "3"],
+    "energy-check": ["energy-check"],
+    "oracle-compare": ["oracle-compare", "--fd-m", "128"],
+    "coupling-dump": ["coupling-dump", "--n", "12", "--t", "0.05"],
 }
 # Cases at or above the coupling's FFT crossover: n = 1024 (converge sets its own
 # levels), five steps each
@@ -74,10 +83,29 @@ FFT_COMMANDS = {
     "ensemble/workers=1": ["ensemble", "--workers", "1"],
     "ensemble/workers=2": ["ensemble", "--workers", "2"],
 }
+# explicit_em at dt = 5e-4, under explicit_dt_bound at the widest level (7.4e-4 at
+# n = 16, converge's reference level), for 200 steps
+EXPLICIT_SIM = {**SIM, "scheme": "explicit_em", "dt": 0.0005}
+EXPLICIT_COMMANDS = {
+    "simulate": ["simulate"],
+    "ensemble": ["ensemble", "--workers", "2"],
+    "converge": ["converge", "--levels", "4,8", "--seeds", "3"],
+}
+# n = 1 under beta = 2000 on a fixed interval: every path's ledger overflows; path 0
+# (seed 0 for converge) first, at step 103
+OVERFLOW_DOMAIN = {"kind": "constant", "a0": 1.0, "T": 1.0}
+OVERFLOW_NOISE = {"kind": "moving_diagonal", "gamma": 0.0, "beta": 2000.0, "p": 1.0, "m": 1}
+OVERFLOW_SIM = {"n": 1, "dt": 0.001, "t_end": 0.2, "seed": 0, "n_paths": 4}
+OVERFLOW_COMMANDS = {
+    "simulate": ["simulate"],
+    "ensemble/workers=1": ["ensemble", "--workers", "1"],
+    "ensemble/workers=2": ["ensemble", "--workers", "2"],
+    "converge": ["converge", "--levels", "1,2", "--seeds", "3"],
+}
 
 
-def config_text(domain: str, noise: str, sim: dict = SIM) -> str:
-    sections = {"domain": DOMAINS[domain], "noise": NOISES[noise], "init": {"kind": "parabola"},
+def config_text(domain: dict, noise: dict, sim: dict = SIM) -> str:
+    sections = {"domain": domain, "noise": noise, "init": {"kind": "parabola"},
                 "sim": sim, "output": {"grid_size": 17, "snapshot_stride": 7}}
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for name, keys in sections.items())
@@ -94,8 +122,31 @@ def run(cli, case: str, args: list[str], out_dir: Path) -> list[str]:
             for path in sorted(out_dir.glob("*.csv"))]
 
 
-def digests(root: Path, work: Path) -> list[str]:
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+def run_commands(cli, prefix: str, text: str, commands: dict, work: Path) -> list[str]:
+    """Run each of ``commands`` (case name -> CLI arguments) on the config ``text``."""
+    config = work / f"{prefix.replace('/', '-')}.cfg"
+    config.write_text(text, encoding="utf-8")
+    lines = []
+    for name, args in commands.items():
+        case = f"{prefix}/{name}"
+        out = work / case.replace("/", "-")
+        lines += run(cli, case, [*args, "--config", str(config), "--out", str(out)], out)
+    return lines
+
+
+def environment() -> list[str]:
+    """The header lines: the Python, numpy, scipy and BLAS in use."""
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# python {platform.python_version()}", f"# numpy {numpy.__version__}",
+            f"# scipy {scipy.__version__}", f"# blas {blas['name']} {blas['version']}"]
+
+
+def digests(work: Path) -> list[str]:
+    """The digest lines of every case, run in ``work``; ``movingheat`` and the
+    benchmark's ``workloads`` must be importable."""
     import workloads
     from movingheat import cli
 
@@ -111,19 +162,16 @@ def digests(root: Path, work: Path) -> list[str]:
     (work / "matrix.csv").write_text(MATRIX, encoding="utf-8")
     for domain in DOMAINS:
         for noise in NOISES:
-            config = work / f"{domain}-{noise}.cfg"
-            config.write_text(config_text(domain, noise), encoding="utf-8")
-            for command, extra in COMMANDS.items():
-                case = f"{domain}/{noise}/{command}"
-                out = work / case.replace("/", "-")
-                lines += run(cli, case, [command, "--config", str(config), "--out", str(out),
-                                         *extra], out)
-    config = work / "fft.cfg"
-    config.write_text(config_text("sinusoidal", "moving_diagonal", FFT_SIM), encoding="utf-8")
-    for name, args in FFT_COMMANDS.items():
-        case = f"fft/{name}"
-        out = work / case.replace("/", "-")
-        lines += run(cli, case, [*args, "--config", str(config), "--out", str(out)], out)
+            lines += run_commands(cli, f"{domain}/{noise}",
+                                  config_text(DOMAINS[domain], NOISES[noise]), COMMANDS, work)
+    sinusoidal, diagonal = DOMAINS["sinusoidal"], NOISES["moving_diagonal"]
+    lines += run_commands(cli, "fft", config_text(sinusoidal, diagonal, FFT_SIM),
+                          FFT_COMMANDS, work)
+    lines += run_commands(cli, "explicit", config_text(sinusoidal, diagonal, EXPLICIT_SIM),
+                          EXPLICIT_COMMANDS, work)
+    lines += run_commands(cli, "overflow",
+                          config_text(OVERFLOW_DOMAIN, OVERFLOW_NOISE, OVERFLOW_SIM),
+                          OVERFLOW_COMMANDS, work)
     return lines
 
 
@@ -132,9 +180,11 @@ def main() -> None:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/ and perfbench/ are used")
     args = parser.parse_args()
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     os.environ.pop("MOVINGHEAT_OUT", None)  # it would override every --out
     with tempfile.TemporaryDirectory() as work:
-        print("\n".join(digests(args.root.resolve(), Path(work))))
+        print("\n".join(environment() + digests(Path(work))))
 
 
 if __name__ == "__main__":
