@@ -77,11 +77,6 @@ class DomainMotion:
     def _check_time(self, t):
         """t as floats clipped to [0, horizon]; a 0-d t comes back as an np.float64."""
         slack = _T_SLACK * max(1.0, self.horizon)
-        if isinstance(t, float):  # a scalar skips the array calls: ~1 us, not ~20 us
-            if not -slack <= t <= self.horizon + slack:  # NaN fails it
-                raise ValueError(
-                    f"time {float(t)!r} outside [0, {self.horizon}] for domain motion")
-            return np.float64(min(max(t, 0.0), self.horizon))
         t = np.asarray(t, dtype=float)
         if not (np.all(t >= -slack) and np.all(t <= self.horizon + slack)):  # NaN fails both
             what = f"time {float(t)!r}" if t.ndim == 0 else "time array"

@@ -147,15 +147,12 @@ class EnergyLedger:
 
     r(t) = |u(t)|^2 - |u(0)|^2 + visc(t) - sto(t) - hs(t) should vanish as
     dt -> 0: ``visc`` accumulates 2 ||u(t_i)||^2 dt, ``sto`` accumulates
-    2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.  They
-    are views of the rows of ``sums``, which may be the caller's array: one sum per
-    path, or per level and path.  The steps are added a chunk at a time.
+    2 sum_k A_k(t_i) kick_k(t_i), ``hs`` accumulates ||sigma||_HS^2 dt.  Rows 0, 1
+    and 2 of ``sums`` hold visc, sto and hs: one sum per path, or per level and path.
+    The steps are added a chunk at a time.
     """
 
     sums: np.ndarray  # (3, P) or (3, L, P)
-
-    def __post_init__(self):
-        self.visc, self.sto, self.hs = self.sums
 
     def record_step(self, terms: np.ndarray, dt: float) -> None:
         """Add S steps: rows 1..S of the (S + 1, 3, ...) ``terms`` hold each step's raw
@@ -246,9 +243,11 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                     start, s, first_row = i - 1, 0, row
                     steps = min(chunk, config.n_steps - start)
                     increments = draw_increment(streams, start, steps, m, dt)
-                    lam = (np.zeros((steps, k_pi.size)) if zero_eigenvalues
-                           else -((k_pi / a_decay[start:start + steps, None]) ** 2))
-                    decay = lam if explicit else np.exp(lam * dt)
+                    decay = (np.zeros((steps, k_pi.size)) if zero_eigenvalues
+                             else -((k_pi / a_decay[start:start + steps, None]) ** 2))
+                    if not explicit:  # lambda becomes e^(lambda dt) in place
+                        decay *= dt
+                        np.exp(decay, out=decay)
                     h1_weights = (k_pi / a_t[i:i + steps, None]) ** 2
                     terms = np.empty((steps + 1, 3, n_levels, n_rows))
                 terms[s + 1, 0] = cur[:, 1]
