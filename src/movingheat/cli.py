@@ -2,8 +2,8 @@
 
 Every command reads a config file, writes its CSV products into the output
 directory and drops a ``manifest.json`` recording the fully resolved
-configuration and the layout of the increment stream, so a run can be
-reproduced bitwise from its manifest.
+configuration, the layout of the increment stream and the BLAS thread variables
+the process saw, so a run can be reproduced bitwise from its manifest.
 Floats are written with shortest round-trip formatting.
 
 Exit codes: 0 success, 1 usage error, invalid configuration, out of memory or
@@ -184,6 +184,10 @@ def run_command(args) -> int:
         "version": _version_string(),
         "seed": setup.config.seed,
         "noise_stream": STREAM,
+        # a BLAS product's bits can depend on its thread count
+        "blas_threads": {name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS")},
         "config_text": setup.text,
         "outputs": sorted(outputs),
         "duration_s": time.monotonic() - started,

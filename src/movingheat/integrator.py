@@ -183,12 +183,15 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     The levels share one time grid, domain, scheme and noise model and differ only in n.
     They live side by side in one C-ordered (P, sum n_l) state whose row r is the path
     rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
-    (noise factor gamma + beta A, ledger terms, the update itself) is one call for every
-    level, and so is the coupling drift (``basis.flat_coupling``, built once per block).
-    The steps run in chunks (``noise.steps_per_draw``), each building once what does not
-    read the state: one draw of increments, (steps, sum n_l) tables of decay factors
-    (e^(lambda dt), or lambda for explicit_em) and H1 weights (k pi / a)^2, and the ledger
-    sums, which ``EnergyLedger.record_step`` adds from the chunk's per-step terms.
+    (noise factor gamma + beta A, the update itself) is one call for every level, and so is
+    the coupling drift (``basis.flat_coupling``, built once per block).
+    The steps run in chunks of S steps (``noise.steps_per_draw``).  A chunk draws its
+    increments, builds (S, sum n_l) tables of decay factors (e^(lambda dt), or lambda for
+    explicit_em) and H1 weights (k pi / a)^2, and keeps its (S + 1, P, sum n_l) states and
+    (S, P, sum n_l) kicks: a step makes only its kick, drift and next state.  Once per chunk,
+    batched calls over the kept states then take the ledger terms (h1 of the state before
+    each step, sum_k A_k kick_k and the HS norm), which ``EnergyLedger.record_step`` adds,
+    the norms and coefficients of the saved steps, and the failure checks.
     Products and sums stay per row and per level and run on C-ordered operands, in the
     order a lone level takes them, so a row's bits do not depend on the rows or levels
     beside it, on their order or on how the steps are grouped into chunks.
@@ -197,13 +200,13 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     at the first non-finite value of its ledger or coefficients (from step 1 on) or of its
     saved norms, checked in that order; the error ``{label}, step {i}: non-finite {what} at t={t}``
     names the lowest failed row, then its lowest failed level, labelled ``path p`` for one
-    level and ``seed s, n=N`` for several.  The ledger is checked once per chunk; the
-    stepping stops at the end of the chunk in which row 0 fails at level 0.
+    level and ``seed s, n=N`` for several.  The stepping stops at the end of the chunk in
+    which row 0 fails at level 0.
     """
     config, domain = configs[0], configs[0].domain
     m, dt, model = config.model.m, config.dt, config.model
     explicit = config.scheme == "explicit_em"
-    saved = saved_steps(config.n_steps, config.snapshot_stride).tolist()
+    saved = saved_steps(config.n_steps, config.snapshot_stride)
     times = np.arange(config.n_steps + 1) * dt
     a_t = domain.a_at(times)
     ratio = domain.a_prime_at(times[:-1]) / a_t[:-1]  # a'/a at each step start
@@ -219,76 +222,73 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     drift = basis.flat_coupling(spans)
     series = np.zeros((n_levels, 5, n_rows, len(saved)))  # state 0's ledger sums are 0
     coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
-    failures: dict[tuple[int, int], tuple] = {}  # (row, level) -> (step, kind, message)
+    failures: dict[tuple[int, int], tuple] = {}  # (row, level) -> least (step, kind, message)
 
-    def fail(r, level, i, kind):  # keeps each row and level's least (step, kind)
-        seed, path = rows[r]
-        label = f"path {path}" if n_levels == 1 else f"seed {seed}, n={configs[level].n}"
-        what = ("energy ledger", "coefficients", "norms")[kind]
-        failure = (i, kind, f"{label}, step {i}: non-finite {what} at t={times[i]:.6g}")
-        failures[r, level] = min(failures.get((r, level), failure), failure)
+    def fail(bad, step_of, kind):  # bad[j, level, r]: row r's level fails at step_of[j]
+        for level, r in np.argwhere(bad.any(axis=0)).tolist():
+            i = int(step_of[np.argmax(bad[:, level, r])])
+            seed, path = rows[r]
+            label = f"path {path}" if n_levels == 1 else f"seed {seed}, n={configs[level].n}"
+            what = ("energy ledger", "coefficients", "norms")[kind]
+            failure = (i, kind, f"{label}, step {i}: non-finite {what} at t={times[i]:.6g}")
+            failures[r, level] = min(failures.get((r, level), failure), failure)
+
+    def per_level(x, y):  # the (S, L, P) dot products of the (S, P or 1, sum n_l) x and y
+        out = np.empty((len(y), n_levels, n_rows))
+        for level, (lo, hi) in enumerate(spans):
+            np.vecdot(x[:, :, lo:hi], y[:, :, lo:hi], out=out[:, level])
+        return out
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked
-        a = np.concatenate([np.tile(a0, (n_rows, 1)) for a0 in a0s], axis=1)
-        cur = np.zeros((n_levels, 2, n_rows))  # per level: l2 and h1 of each row
+        states = np.concatenate([np.tile(a0, (n_rows, 1)) for a0 in a0s], axis=1)[None]
+        h1 = per_level((k_pi / a_t[:1, None, None]) ** 2, states**2)  # h1 of state 0
         ledger = EnergyLedger(np.zeros((3, n_levels, n_rows)))
-        coupling = np.empty(a.shape)
-        weights = (k_pi / a_t[0]) ** 2
-        row = start = steps = 0
-        for i in range(config.n_steps + 1):
-            is_saved = i == saved[row]
-            if i:
-                s = i - start - 1  # step i - 1 is step s of the chunk from state ``start``
-                if s == steps:  # the next chunk: steps i-1 .. i+S-2
-                    start, s, first_row = i - 1, 0, row
-                    steps = min(chunk, config.n_steps - start)
-                    increments = draw_increment(streams, start, steps, m, dt)
-                    decay = (np.zeros((steps, k_pi.size)) if zero_eigenvalues
-                             else -((k_pi / a_decay[start:start + steps, None]) ** 2))
-                    if not explicit:  # lambda becomes e^(lambda dt) in place
-                        decay *= dt
-                        np.exp(decay, out=decay)
-                    h1_weights = (k_pi / a_t[i:i + steps, None]) ** 2
-                    terms = np.empty((steps + 1, 3, n_levels, n_rows))
-                terms[s + 1, 0] = cur[:, 1]
-                kick, terms[s + 1, 2] = kick_of(a, increments[:, s])
-                for level, (lo, hi) in enumerate(spans):
-                    np.vecdot(a[:, lo:hi], kick[:, lo:hi], out=terms[s + 1, 1, level])
-                drift(a, ratio[i - 1], coupling)
+        coupling = np.empty(states.shape[1:])
+        row = 0
+        for start in range(0, config.n_steps, chunk):
+            steps = min(chunk, config.n_steps - start)
+            new = range(start + 1, start + steps + 1)  # the steps of the chunk's new states
+            increments = draw_increment(streams, start, steps, m, dt)
+            decay = (np.zeros((steps, k_pi.size)) if zero_eigenvalues
+                     else -((k_pi / a_decay[start:start + steps, None]) ** 2))
+            if not explicit:  # lambda becomes e^(lambda dt) in place
+                decay *= dt
+                np.exp(decay, out=decay)
+            states, last = np.empty((steps + 1, *coupling.shape)), states[-1]
+            states[0] = last
+            kicks = np.zeros((steps, *coupling.shape))
+            terms = np.zeros((steps + 1, 3, n_levels, n_rows))  # see EnergyLedger.record_step
+            for s in range(steps):
+                a = states[s]
+                kick_of(a, increments[:, s], kicks[s], terms[s + 1, 2])
+                drift(a, ratio[start + s], coupling)
                 if explicit:
-                    a = a + (coupling + decay[s] * a) * dt + kick
+                    np.add(a + (coupling + decay[s] * a) * dt, kicks[s], out=states[s + 1])
                 else:
-                    a = decay[s] * (a + coupling * dt + kick)
-                weights = h1_weights[s]
-            a_sq = a**2
-            for level, (lo, hi) in enumerate(spans):
-                np.vecdot(weights[lo:hi], a_sq[:, lo:hi], out=cur[level, 1])
-                if is_saved:
-                    np.vecdot(a[:, lo:hi], a[:, lo:hi], out=cur[level, 0])
+                    np.multiply(decay[s], a + coupling * dt + kicks[s], out=states[s + 1])
+            terms[1:, 1] = per_level(states[:-1], kicks)
+            np.square(states[1:], out=kicks)  # the kicks are spent: their buffer takes A^2
+            h1 = np.concatenate([h1[-1:], per_level((k_pi / a_t[new, None, None]) ** 2, kicks)])
+            terms[1:, 0] = h1[:-1]
+            ledger.record_step(terms, dt)
+            if not math.isfinite(terms[-1].sum()):  # a non-finite sum stays so
+                fail(~np.isfinite(terms[1:]).all(axis=1), new, 0)
+            first_row, row = row, int(np.searchsorted(saved, start + steps, side="right"))
+            at = saved[first_row:row] - start  # the chunk's saved states
+            kept = states[at]
+            norms = np.stack([per_level(kept, kept), h1[at]], axis=1)  # l2 and h1
             # non-finite coefficients make h1 non-finite: one sum catches them and the norms
-            if not math.isfinite(cur.sum()):
-                for level, (lo, hi) in enumerate(spans):
-                    # rows run along the last axis of ``values``
-                    for kind, values, due in ((1, a[:, lo:hi].T, i > 0),
-                                              (2, cur[level], is_saved)):
-                        for r in np.flatnonzero(~np.isfinite(values).all(axis=0) & due).tolist():
-                            fail(r, level, i, kind)
-            if is_saved:
-                series[:, :2, :, row] = cur
-                if keep_coeffs:
-                    for level_coeffs, (lo, hi) in zip(coeffs, spans):
-                        level_coeffs[:, row] = a[:, lo:hi]
-                row += 1
-            if i and s == steps - 1:  # the chunk's last step: add it to the ledger
-                ledger.record_step(terms, dt)
-                if not math.isfinite(terms[-1].sum()):  # a non-finite sum stays so
-                    bad = ~np.isfinite(terms[1:]).all(axis=1)  # (steps, L, P)
-                    for level, r in np.argwhere(bad.any(axis=0)).tolist():
-                        fail(r, level, start + 1 + int(np.argmax(bad[:, level, r])), 0)
-                ledger_rows = terms[np.array(saved[first_row:row], dtype=int) - start]
-                series[:, 2:, :, first_row:row] = ledger_rows.transpose(2, 1, 3, 0)
-                if (0, 0) in failures:  # the lowest key: no later failure is reported
-                    break
+            if not math.isfinite(h1.sum() + norms.sum()):
+                fail(np.stack([~np.isfinite(states[1:, :, lo:hi]).all(axis=-1)
+                               for lo, hi in spans], axis=1), new, 1)
+                fail(~np.isfinite(norms).all(axis=1), at + start, 2)
+            series[:, :2, :, first_row:row] = norms.transpose(2, 1, 3, 0)
+            series[:, 2:, :, first_row:row] = terms[at].transpose(2, 1, 3, 0)
+            if keep_coeffs:
+                for level_coeffs, (lo, hi) in zip(coeffs, spans):
+                    level_coeffs[:, first_row:row] = kept[:, :, lo:hi].transpose(1, 0, 2)
+            if (0, 0) in failures:  # the lowest key: no later failure is reported
+                break
     if failures:
         raise NumericalError(failures[min(failures)][2])
     return a_t[saved], list(zip(series, coeffs))

@@ -133,7 +133,8 @@ def flat_kick(model: DiffusionModel, spans):
 
     Level l holds the columns spans[l] = (lo, hi) of C-ordered (P, sum n_l) coefficients,
     and every level is driven by the same (P, m) increments.  The returned
-    kick(coeffs, increment) gives the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and
+    kick(coeffs, increment, kick, hs) writes into its out-arrays, zero on entry (None gives
+    fresh zeros), and returns them: the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and
     the (L, P) norms, the sum over j <= m, k <= n_l of sigma_jk^2 (summed part by part),
     each row and level computed on its own.  Level l's diagonal scales the leading
     d = min(len(q), n_l) columns of its span by q_1..q_d into a fresh C-ordered (P, d)
@@ -153,9 +154,10 @@ def flat_kick(model: DiffusionModel, spans):
     table_levels = [(lo, table) for (lo, _), table in zip(spans, tables) if table.size]
     constant = bool(table_levels or diagonal_levels and not model.beta)
 
-    def kick_of(coeffs: np.ndarray, increment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kick = np.zeros(coeffs.shape)
-        hs = np.zeros((len(spans), coeffs.shape[0]))
+    def kick_of(coeffs: np.ndarray, increment: np.ndarray, kick: np.ndarray | None = None,
+                hs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        if kick is None:
+            kick, hs = np.zeros(coeffs.shape), np.zeros((len(spans), coeffs.shape[0]))
         if model.beta:
             factor = model.gamma + model.beta * coeffs
         for level, lo, d in diagonal_levels:
@@ -203,10 +205,12 @@ def words_per_step(m: int) -> int:
 def steps_per_draw(rows: int, m: int, width: int, levels: int) -> int:
     """Steps per chunk of a stepper on ``rows`` streams and ``levels`` truncation levels
     of total width ``width``: as many as fit DRAW_BUDGET words with the chunk's raw
-    increments, its two (steps, width) tables and its (steps + 1, 3, levels, rows)
-    ledger buffer; at least one."""
-    ledger = 3 * levels * rows
-    return max(1, (DRAW_BUDGET - ledger) // (rows * words_per_step(m) + 2 * width + ledger))
+    increments, its two (steps, width) tables, its (steps + 1, rows, width) states and
+    (steps, rows, width) kicks, and its (steps + 1, 3, levels, rows) ledger terms and
+    (steps + 1, levels, rows) h1 norms; at least one."""
+    ledger, state = 4 * levels * rows, rows * width
+    return max(1, (DRAW_BUDGET - ledger - state)
+               // (rows * words_per_step(m) + 2 * width + ledger + 2 * state))
 
 
 class NoiseStream:
@@ -214,7 +218,11 @@ class NoiseStream:
 
     Identical keys give bitwise identical increments, distinct keys give
     independent streams, and the counter carries the step, so paths and steps
-    can be drawn in any order and any grouping on any worker.
+    can be drawn in any order and any grouping on any worker.  A stream keeps one
+    Philox, positioned where its last draw ended: a draw that goes on from there (the
+    next steps, at the same m) reads on without re-keying, so a stepper that draws its
+    chunks in order keys each stream once.  So a draw moves the stream: share none
+    between threads.
     """
 
     def __init__(self, seed: int, path_index: int = 0):
@@ -223,30 +231,17 @@ class NoiseStream:
         _check_index("path_index", path_index)
         self.seed = int(seed)
         self.path_index = int(path_index)
+        self._philox, self._next_draw = None, None  # the Philox and the (step, m) it is at
 
-    def generator_at(self, step_index: int, m: int,
-                     bit_generator: np.random.Philox | None = None) -> np.random.Philox:
-        """This path's Philox positioned at the first word of step ``step_index`` of an
-        m-wide stream.  Re-keys ``bit_generator`` when one is given: a new Philox costs
-        OS entropy for a seed sequence it does not use."""
+    def generator_at(self, step_index: int, m: int) -> np.random.Philox:
+        """A Philox of this path positioned at the first word of step ``step_index`` of an
+        m-wide stream."""
         _check_index("step_index", step_index)
-        if bit_generator is None:
-            bit_generator = np.random.Philox(0)
         # numpy bumps the counter before each block: counter s B with an empty
         # buffer makes s B + 1 the next block
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([step_index * (words_per_step(m) // 4), 0, 0, 0],
-                                    dtype=np.uint64),
-                "key": np.array([self.seed, self.path_index], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return bit_generator
+        return np.random.Philox(
+            counter=np.array([step_index * (words_per_step(m) // 4), 0, 0, 0], dtype=np.uint64),
+            key=np.array([self.seed, self.path_index], dtype=np.uint64))
 
 
 def _check_index(name: str, index: int) -> None:
@@ -256,7 +251,8 @@ def _check_index(name: str, index: int) -> None:
 
 def draw_increment(streams, step_index: int, steps: int, m: int, dt: float) -> np.ndarray:
     """(P, steps, m) independent N(0, dt) draws: steps step_index, step_index + 1, ...
-    of each of the P ``streams``.
+    of each of the P ``streams``.  A stream whose last draw ended elsewhere, or at
+    another m, is re-keyed (``NoiseStream.generator_at``); the bits do not depend on it.
 
     Each pair of 53-bit uniforms (u, v) gives r cos(2 pi v), r sin(2 pi v) with
     r = sqrt(-2 dt log1p(-u)) (Box-Muller); an odd m drops the last sine.
@@ -268,9 +264,11 @@ def draw_increment(streams, step_index: int, steps: int, m: int, dt: float) -> n
     _check_index("step_index", step_index + steps - 1)
     words = words_per_step(m)
     raw = np.empty((len(streams), steps * words), dtype=np.uint64)
-    bit_generator = np.random.Philox(0)
     for row, stream in zip(raw, streams):
-        row[:] = stream.generator_at(step_index, m, bit_generator).random_raw(row.size)
+        if stream._next_draw != (step_index, m):
+            stream._philox = stream.generator_at(step_index, m)
+        row[:] = stream._philox.random_raw(row.size)
+        stream._next_draw = (step_index + steps, m)
     u = (raw.reshape(-1, steps, words)[..., : 2 * -(-m // 2)] >> 11) * 2.0**-53
     radius = np.sqrt(-2.0 * dt * np.log1p(-u[..., 0::2]))
     angle = 2.0 * np.pi * u[..., 1::2]

@@ -404,7 +404,15 @@ COMMAND_CASES = [
 
 @pytest.mark.parametrize("command,extra,outputs,keys", COMMAND_CASES,
                          ids=[c[0] for c in COMMAND_CASES])
-def test_manifest_lists_written_files(tmp_path, cfg_path, command, extra, outputs, keys):
+def test_manifest_lists_written_files(monkeypatch, tmp_path, cfg_path, command, extra, outputs,
+                                      keys):
+    threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+               "VECLIB_MAXIMUM_THREADS": None}
+    for name, value in threads.items():
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
     cfg = cfg_path
     if command == "oracle-compare":
         cfg = tmp_path / "det.cfg"
@@ -415,8 +423,10 @@ def test_manifest_lists_written_files(tmp_path, cfg_path, command, extra, output
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert manifest["command"] == command
     assert set(manifest["outputs"]) == written == outputs
-    base = {"command", "version", "seed", "noise_stream", "config_text", "outputs", "duration_s"}
+    base = {"command", "version", "seed", "noise_stream", "blas_threads", "config_text",
+            "outputs", "duration_s"}
     assert set(manifest) == base | keys
+    assert manifest["blas_threads"] == threads  # as the process saw them; unset is null
     # a manifest without this key, or with another layout, replays its config, not its bytes
     assert manifest["noise_stream"] == noise.STREAM
 

@@ -298,6 +298,10 @@ class TestSelfConvergence:
         self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [2, 4], 5)
         assert rows == sizes
 
+    # 5985 and 2449 words put the failing step 115 first (chunks of 57 steps) and last (23)
+    # in a chunk of the 3-row block
+    @pytest.mark.parametrize("draw_budget", [1, None, 5985, 2449], indirect=True,
+                             ids=["budget=1", "budget=default", "budget=5985", "budget=2449"])
     def test_failure_names_lowest_seed_then_lowest_level(self, unit_domain, draw_budget):
         # from seed 2 the per-seed failures are seed 2 at n=1, 2, 4 after 115, 112, 114
         # steps and seed 3 at every level after 107 steps: the report is seed 2, n=1

@@ -365,10 +365,11 @@ def test_ensemble_matches_the_schemes_exact_moments(sin_domain, n, n_paths):
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
 @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
 def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
-    # m = 5 is odd; a budget of one word draws one step at a time, 120 words draw 2 of the
-    # 37 steps with a short last draw, 1e9 draws every step at once.  A step takes 45 words:
-    # 3 rows x 8 of increments, 2 x 6 of tables and 3 x 3 of ledger terms, and the ledger's
-    # running sums 9 more
+    # m = 5 is odd; budgets of one word and of 120 draw one step at a time, the default
+    # budget and 1e9 every step at once.  A step takes 84 words: 3 rows x 8 of increments,
+    # 2 x 6 of tables, 3 x 4 of ledger terms and h1 norms, and 2 x 3 x 6 of states and
+    # kicks; the ledger's running sums, the h1 norms and the states of the chunk's start 30
+    # more
     models = {
         "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=5),
         "general_matrix": general_matrix(
@@ -399,10 +400,10 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
         _, [(series, coeffs)] = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
                                                        keep_coeffs=True)
         outputs.add((series.tobytes(), coeffs.tobytes()))
-        per_draw = min(max(1, (budget - 9) // 45), 37)
+        per_draw = min(max(1, (budget - 30) // 84), 37)
         starts = list(range(0, 37, per_draw))
         assert draws == [(s, min(per_draw, 37 - s)) for s in starts]
-        assert positioned == [2, 0, 1] * len(starts)
+        assert positioned == [2, 0, 1]
     assert len(outputs) == 1
 
 
@@ -548,8 +549,13 @@ def overflowing_config(domain):
                             dt=1e-3, t_end=0.2, n_paths=4)
 
 
+# 4262 and 2162 words put the failing step 102 first (chunks of 101 steps) and last (51)
+# in a chunk of the one 4-row block at 1 worker; the 2-row blocks at 2 workers then step 193
+# and 97 at a time
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("draw_budget", [1, None, 4262, 2162], indirect=True,
+                         ids=["budget=1", "budget=default", "budget=4262", "budget=2162"])
 def test_numerical_failure_names_the_path(unit_domain, workers, draw_budget):
     with pytest.raises(NumericalError,
                        match=r"^path 0, step 102: non-finite energy ledger at t=0\.102$"):
@@ -557,8 +563,12 @@ def test_numerical_failure_names_the_path(unit_domain, workers, draw_budget):
                           workers=workers)
 
 
+# 2078 and 1406 words put path 1's failing step 99 first (chunks of 49 steps) and last (33)
+# in a chunk of the one 4-row block at 1 worker
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("draw_budget", [1, None, 2078, 1406], indirect=True,
+                         ids=["budget=1", "budget=default", "budget=2078", "budget=1406"])
 def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers, draw_budget):
     # seed 9: paths 0 and 3 reach t_end, path 2 fails at step 96 and path 1 at step 99;
     # at 1 worker the one block must step past path 2's failure and report path 1
@@ -572,6 +582,35 @@ def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers, draw
         simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=2)
     simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=0)
     simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=3)
+
+
+# 1648 and 864 words put step 30 first (chunks of 29 steps) and last (15) in a chunk of the
+# 3-row block; the default budget steps all 60 at once
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("draw_budget", [1, None, 1648, 864], indirect=True,
+                         ids=["budget=1", "budget=default", "budget=1648", "budget=864"])
+def test_coefficient_failure_names_its_own_step(monkeypatch, unit_domain, draw_budget):
+    # a drift that turns path 1's coefficients infinite on step 30 of 60: they fail there,
+    # one step before the ledger, wherever the step falls in its chunk
+    flat_coupling = basis.flat_coupling
+
+    def spiking(spans):
+        drift, calls = flat_coupling(spans), []
+
+        def spiked(coeffs, ratio, out):
+            drift(coeffs, ratio, out)
+            calls.append(ratio)
+            if len(calls) == 30:
+                out[1] = np.inf
+            return out
+
+        return spiked
+
+    monkeypatch.setattr(basis, "flat_coupling", spiking)
+    cfg = config(unit_domain, model=moving_diagonal(0.3, 0.0, m=4), t_end=0.06, n_paths=3)
+    with pytest.raises(NumericalError,
+                       match=r"^path 1, step 30: non-finite coefficients at t=0\.03$"):
+        simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -13,7 +13,7 @@ from movingheat import (
     sigma_coeff,
     zero_model,
 )
-from movingheat import noise
+from movingheat import integrator, noise
 
 
 def state_of(*coeffs, t=0.0):
@@ -196,6 +196,54 @@ class TestIncrements:
     def test_no_steps_rejected(self):
         with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
             draw_increment([NoiseStream(1)], 0, 0, 4, 1e-3)
+
+
+class TestStreamPosition:
+    """A stream reads on from where its last draw ended and re-keys anywhere else."""
+
+    def test_consecutive_draws_read_on(self):
+        # chunks of 3, 1 and 4 steps from step 5 give the bits of one draw of all 8
+        stream = NoiseStream(9, 4)
+        parts = [draw_increment([stream], start, steps, 7, 1e-3)
+                 for start, steps in ((5, 3), (8, 1), (9, 4))]
+        whole = draw_increment([NoiseStream(9, 4)], 5, 8, 7, 1e-3)
+        assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+
+    # the first draw ends before step 8 of a 7-wide stream (8 words a step); a draw at
+    # step 9, 7 or 5, or at step 8 of a 3- or 12-wide stream (4 or 12 words a step),
+    # starts elsewhere
+    @pytest.mark.parametrize("start,m", [(9, 7), (7, 7), (5, 7), (8, 3), (8, 12)])
+    def test_a_draw_elsewhere_is_a_fresh_stream(self, start, m):
+        stream = NoiseStream(9, 4)
+        draw_increment([stream], 5, 3, 7, 1e-3)
+        got = draw_increment([stream], start, 2, m, 1e-3)
+        assert got.tobytes() == draw_increment([NoiseStream(9, 4)], start, 2, m, 1e-3).tobytes()
+
+    # 40 rows at n = 8, m = 5 over 37 steps: chunks of one step, one step and 28 steps, so
+    # that every budget draws more than once
+    @pytest.mark.parametrize("draw_budget", [1, 120, None], indirect=True,
+                             ids=["budget=1", "budget=120", "budget=default"])
+    def test_the_stepper_keys_each_row_once(self, monkeypatch, sin_domain, draw_budget):
+        keyed, draws = [], []
+        generator_at, draw = NoiseStream.generator_at, integrator.draw_increment
+
+        def generator_spy(stream, *args):
+            keyed.append((stream.seed, stream.path_index))
+            return generator_at(stream, *args)
+
+        def draw_spy(streams, step_index, steps, m, dt):
+            draws.append(step_index)
+            return draw(streams, step_index, steps, m, dt)
+
+        monkeypatch.setattr(NoiseStream, "generator_at", generator_spy)
+        monkeypatch.setattr(integrator, "draw_increment", draw_spy)
+        dt = 2.0**-12
+        cfg = integrator.SimulationConfig(domain=sin_domain, n=8, model=moving_diagonal(
+            0.4, 0.3, 1.0, m=5), dt=dt, t_end=37 * dt, seed=3, n_paths=40)
+        rows = [(3, path) for path in range(40)]
+        integrator._step_paths([cfg], [np.linspace(1.0, 0.5, 8)], rows)
+        assert keyed == rows
+        assert len(draws) > 1
 
 
 SHIPPED_MODELS = [
