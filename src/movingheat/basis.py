@@ -3,6 +3,10 @@
 Eigenpairs of the Dirichlet Laplacian on the instantaneous interval,
 the mode-coupling coefficients induced by the boundary motion, and the
 projection/synthesis maps between coefficient space and physical grids.
+Both maps are sine transforms, O(points log points + n) rather than a sine
+table of n rows: the initial projection is one FFT over the panels of its
+composite Gauss rule per Gauss offset, and the synthesis on a uniform grid of
+M + 1 points folds the modes onto M - 1 bins of one shared sine table.
 Norms are computed through the Parseval identities, never by quadrature
 (quadrature appears only in the test oracles and in the initial
 projection).
@@ -22,8 +26,6 @@ PROJECTION_RTOL = 1e-10
 _PROJECTION_PANELS = 8
 _PROJECTION_NODES = 16
 _PROJECTION_MAX_DOUBLINGS = 6
-# Words of one block of the projection's mode-by-node table
-_PROJECTION_BLOCK_WORDS = 2**15
 # Modes from which a level of flat_coupling applies the coupling by FFT: the crossover
 # with the dense product, measured with single-threaded BLAS
 _FFT_MIN_N = 320
@@ -176,7 +178,7 @@ def _coupling_spectra(n: int):
     convolution of z with 1/d at d = k - j (0 at d = 0); the Hankel sum is the
     convolution of the reversed z with 1/(s + 2) at s = j + k - 2.
     """
-    length = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2n - 1
+    length = _smooth_length(2 * n - 1)
     inverse = 1.0 / np.arange(1, 2 * n + 1, dtype=float)
     toeplitz = np.zeros(length)
     toeplitz[1:n] = inverse[: n - 1]
@@ -186,6 +188,20 @@ def _coupling_spectra(n: int):
     signs = np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)
     return (length, -np.fft.rfft(toeplitz), -np.fft.rfft(hankel),
             signs * np.arange(1, n + 1), signs)
+
+
+def _smooth_length(target: int) -> int:
+    """The least 5-smooth integer (2^a 3^b 5^c) >= target: a length pocketfft transforms
+    with its radix-2, 3 and 5 passes."""
+    length = target
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
 
 
 def project_initial(u0, n: int, domain: DomainMotion) -> CoefficientState:
@@ -213,20 +229,21 @@ def project_initial(u0, n: int, domain: DomainMotion) -> CoefficientState:
 
 
 def _project_composite(u0, n: int, a0: float, panels: int) -> np.ndarray:
-    """The n quadrature sums sum_i w_i u0(x_i) e_k(0, x_i), over blocks of modes.
+    """The n quadrature sums sum_i w_i u0(x_i) e_k(0, x_i) of the composite rule, by FFT.
 
-    Each block of the mode-by-node table holds a multiple of 16 rows, about
-    _PROJECTION_BLOCK_WORDS words, and the last block also takes the rows left over,
-    so a block's row groups and tail line up with the whole table's: under
-    single-threaded BLAS each row's dot product is the one-shot product's, bitwise.
+    Panel p's node q is x = h (2p + 1 + xi_q), h = a0 / (2P), so k pi x / a0 =
+    theta_k 2p + theta_k (1 + xi_q) with theta_k = k pi / (2P).  For each Gauss offset q
+    the sum over panels is then one length-2P DFT, read at bin k mod 2P, and
+    A_k = sqrt(2/a0) Im sum_q e^(i theta_k (1 + xi_q)) G_q(k): O(16 P log P + 16 n) work
+    in place of the O(16 P n) sine table.
     """
-    xs, ws = composite_gauss_nodes(0.0, a0, panels, _PROJECTION_NODES)
-    wfx = ws * np.asarray(u0(xs), dtype=float)
-    ks = np.arange(1, n + 1, dtype=float)[:, None]
-    rows = max(16, _PROJECTION_BLOCK_WORDS // xs.size // 16 * 16)
-    bounds = [*range(0, rows * max(1, n // rows), rows), n]
-    return np.concatenate([sine_modes(ks[lo:hi], xs[None, :], a0) @ wfx
-                           for lo, hi in zip(bounds, bounds[1:])])
+    xs, ws = composite_gauss_nodes(a0, panels)
+    weighted = (ws.ravel() * np.asarray(u0(xs.ravel()), dtype=float)).reshape(xs.shape)
+    ks = np.arange(1, n + 1)
+    sums = np.fft.ifft(weighted, 2 * panels, axis=0, norm="forward")[ks % (2 * panels)]
+    offsets = 1.0 + _gauss_nodes(_PROJECTION_NODES)[0]
+    phases = np.exp(1j * (np.pi / (2 * panels)) * np.multiply.outer(ks, offsets))
+    return np.sqrt(2.0 / a0) * np.sum(phases * sums, axis=-1).imag
 
 
 @lru_cache(maxsize=64)
@@ -234,15 +251,13 @@ def _gauss_nodes(n_nodes: int):
     return np.polynomial.legendre.leggauss(n_nodes)
 
 
-def composite_gauss_nodes(lo: float, hi: float, panels: int, nodes_per_panel: int):
-    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
-    base_x, base_w = _gauss_nodes(nodes_per_panel)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    ws = (half[:, None] * base_w[None, :]).ravel()
-    return xs, ws
+def composite_gauss_nodes(a0: float, panels: int):
+    """Nodes h (2p + 1 + xi_q) and weights h w_q, h = a0 / (2 panels), of the composite
+    16-point Gauss-Legendre rule on [0, a0]: two (panels, 16) arrays, a row per panel."""
+    base_x, base_w = _gauss_nodes(_PROJECTION_NODES)
+    h = a0 / (2 * panels)
+    xs = h * (2.0 * np.arange(panels)[:, None] + (1.0 + base_x))
+    return xs, np.tile(h * base_w, (panels, 1))
 
 
 def evaluate(state: CoefficientState, xs, domain: DomainMotion) -> np.ndarray:
@@ -261,16 +276,26 @@ def synthesize(coeffs: np.ndarray, a: np.ndarray, grid_size: int) -> tuple[np.nd
     """Sample the S fields of the (S, n) coefficient rows ``coeffs``, row s on the
     uniform inclusive grid over [0, a[s]]: the (S, grid_size) arrays (xs, values).
 
-    Endpoint values are pinned to exactly 0 (Dirichlet); sin(k pi) would
-    otherwise leave O(eps) dust at x = a.
+    On the grid x_i = i a / M, M = grid_size - 1, sin(k pi x_i / a) = sin(k pi i / M): it
+    does not depend on a, and it is 2M-periodic and odd in k.  So coefficient k folds into
+    bin k mod 2M, and from there, with its sign, into the bins 1 .. M - 1 (bins 0 and M
+    vanish on the grid).  One sine table of those bins, built from the exact integer
+    arguments k i mod 2M, serves every row, and row s is scaled by sqrt(2/a_s).  The
+    endpoint values are exactly 0 (Dirichlet).
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     xs = np.linspace(0.0, a, grid_size, axis=-1)
-    values = np.empty(xs.shape)
-    for row, (c, x, a_s) in enumerate(zip(coeffs, xs, a, strict=True)):
-        values[row] = sine_series(c, x, a_s)
-    values[:, [0, -1]] = 0.0
+    rows, n = coeffs.shape
+    m = grid_size - 1
+    bins = np.zeros((rows, -(-(n + 1) // (2 * m)) * 2 * m))
+    bins[:, 1:n + 1] = coeffs
+    bins = bins.reshape(rows, -1, 2 * m).sum(axis=1)  # bin r: the sum over k = r mod 2M
+    width = min(n, m - 1)
+    folded = bins[:, 1:width + 1] - np.flip(bins, -1)[:, :width]  # bin b less bin 2M - b
+    table = np.sin(np.pi / m * (np.outer(np.arange(1, width + 1), np.arange(1, m)) % (2 * m)))
+    values = np.zeros(xs.shape)
+    values[:, 1:-1] = np.sqrt(2.0 / a)[:, None] * (folded @ table)
     return xs, values
 
 

@@ -218,7 +218,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     n_rows, n_levels = len(rows), len(configs)
     streams = [NoiseStream(seed, path) for seed, path in rows]
     chunk = noise.steps_per_draw(n_rows, m, bounds[-1], n_levels)
-    kick_of = noise.flat_kick(model, spans)
+    kick_of, norms_of = noise.flat_kick(model, spans)
     drift = basis.flat_coupling(spans)
     series = np.zeros((n_levels, 5, n_rows, len(saved)))  # state 0's ledger sums are 0
     coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
@@ -260,13 +260,14 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
             terms = np.zeros((steps + 1, 3, n_levels, n_rows))  # see EnergyLedger.record_step
             for s in range(steps):
                 a = states[s]
-                kick_of(a, increments[:, s], kicks[s], terms[s + 1, 2])
+                kick_of(a, increments[:, s], kicks[s])
                 drift(a, ratio[start + s], coupling)
                 if explicit:
                     np.add(a + (coupling + decay[s] * a) * dt, kicks[s], out=states[s + 1])
                 else:
                     np.multiply(decay[s], a + coupling * dt + kicks[s], out=states[s + 1])
             terms[1:, 1] = per_level(states[:-1], kicks)
+            norms_of(states[:-1], terms[1:, 2])
             np.square(states[1:], out=kicks)  # the kicks are spent: their buffer takes A^2
             h1 = np.concatenate([h1[-1:], per_level((k_pi / a_t[new, None, None]) ** 2, kicks)])
             terms[1:, 0] = h1[:-1]

@@ -129,19 +129,21 @@ def sigma_coeff(model: DiffusionModel, j: int, k: int, state: CoefficientState) 
 
 
 def flat_kick(model: DiffusionModel, spans):
-    """The kick function of a flat block of L truncation levels under ``model``.
+    """The kick and the norm functions of a flat block of L truncation levels under ``model``.
 
     Level l holds the columns spans[l] = (lo, hi) of C-ordered (P, sum n_l) coefficients,
     and every level is driven by the same (P, m) increments.  The returned
-    kick(coeffs, increment, kick, hs) writes into its out-arrays, zero on entry (None gives
-    fresh zeros), and returns them: the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j and
-    the (L, P) norms, the sum over j <= m, k <= n_l of sigma_jk^2 (summed part by part),
-    each row and level computed on its own.  Level l's diagonal scales the leading
-    d = min(len(q), n_l) columns of its span by q_1..q_d into a fresh C-ordered (P, d)
-    array, whose norm then sums in the order a lone level sums it.  What does not depend
-    on the coefficients is built here once: each level's table slice and its norm and,
-    when beta = 0, each level's diagonal q_{1..d} gamma and its norm, so that a step only
-    scales the increments.  An empty part adds no product to a step.
+    kick(coeffs, increment, kick) writes the (P, sum n_l) kick kick_k = sum_j sigma_jk dB_j
+    into its out-array, zero on entry (None gives fresh zeros), and returns it.  The
+    returned norms(states, out) does the same with the (..., L, P) squared HS norms of the
+    (..., P, sum n_l) states, the sum over j <= m, k <= n_l of sigma_jk^2 (summed part by
+    part), so a stepper takes them once for a chunk of kept states.  Each row and level is
+    computed on its own.  Level l's diagonal scales the leading d = min(len(q), n_l)
+    columns of its span by q_1..q_d into a fresh C-ordered (..., P, d) array, whose norm
+    then sums in the order a lone level sums it.  What does not depend on the coefficients
+    is built here once: each level's table slice and its norm and, when beta = 0, each
+    level's diagonal q_{1..d} gamma and its norm, so that a step only scales the
+    increments.  An empty part adds no product to a step.
     """
     widths = [min(model.q.size, hi - lo) for lo, hi in spans]
     tables = [model.table[:, :hi - lo] for lo, hi in spans]
@@ -154,26 +156,32 @@ def flat_kick(model: DiffusionModel, spans):
     table_levels = [(lo, table) for (lo, _), table in zip(spans, tables) if table.size]
     constant = bool(table_levels or diagonal_levels and not model.beta)
 
-    def kick_of(coeffs: np.ndarray, increment: np.ndarray, kick: np.ndarray | None = None,
-                hs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def kick_of(coeffs: np.ndarray, increment: np.ndarray,
+                kick: np.ndarray | None = None) -> np.ndarray:
         if kick is None:
-            kick, hs = np.zeros(coeffs.shape), np.zeros((len(spans), coeffs.shape[0]))
+            kick = np.zeros(coeffs.shape)
         if model.beta:
             factor = model.gamma + model.beta * coeffs
         for level, lo, d in diagonal_levels:
-            if model.beta:
-                diag = model.q[:d] * factor[:, lo:lo + d]
-                np.add.reduce(diag**2, axis=-1, out=hs[level])
-            else:
-                diag = diagonals[level]
+            diag = model.q[:d] * factor[:, lo:lo + d] if model.beta else diagonals[level]
             np.multiply(diag, increment[:, :d], out=kick[:, lo:lo + d])
         for lo, table in table_levels:
             kick[:, lo:lo + table.shape[1]] += np.matmul(increment[:, None, :], table)[:, 0, :]
-        if constant:
-            hs += fixed
-        return kick, hs
+        return kick
 
-    return kick_of
+    def norms_of(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros((*states.shape[:-2], len(spans), states.shape[-2]))
+        if model.beta:
+            factor = model.gamma + model.beta * states
+            for level, lo, d in diagonal_levels:
+                out[..., level, :] = np.add.reduce((model.q[:d] * factor[..., lo:lo + d])**2,
+                                                   axis=-1)
+        if constant:
+            out += fixed
+        return out
+
+    return kick_of, norms_of
 
 
 def hs_norm_sq(model: DiffusionModel, coeffs: np.ndarray) -> np.ndarray:

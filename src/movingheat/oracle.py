@@ -138,16 +138,13 @@ def fd_solve(
 def compare_with_spectral(traj, sol: MappedGridSolution, t: float) -> float:
     """L^2(0, a_t) discrepancy between the spectral and mapped-grid fields.
 
-    The spectral field is synthesized at the mapped points x = a_t y_i and
-    the squared difference integrated with the trapezoid rule.
+    The spectral field is synthesized (``basis.synthesize``) at the mapped points
+    x = a_t y_i of the uniform grid ys and the squared difference integrated with the
+    trapezoid rule.
     """
     ti = _time_index(traj.times, t, "spectral")
     v = sol.values_at(t)
-    a_t = traj.a_t[ti]
-    xs = a_t * sol.ys
-    u_spec = basis.sine_series(traj.coeffs[ti], xs, a_t)
-    u_spec[0] = 0.0
-    u_spec[-1] = 0.0
+    [xs], [u_spec] = basis.synthesize(traj.coeffs[ti:ti + 1], traj.a_t[ti:ti + 1], sol.ys.size)
     return float(np.sqrt(np.trapezoid((u_spec - v) ** 2, xs)))
 
 

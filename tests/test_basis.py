@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -21,11 +16,6 @@ from movingheat import (
 from movingheat.basis import evaluate, sine_modes
 
 from conftest import gauss_quad, lone_drift
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS")
-
 
 def sine_mode(k, a, x):
     # reimplemented here so quadrature oracles do not lean on the package
@@ -171,29 +161,6 @@ class TestProjection:
             )
             assert abs(analytic - quad) <= 1e-13
         assert st.coeffs[0] == pytest.approx(0.1824422296110943, abs=1e-12)
-
-    def test_blocks_of_modes_give_the_one_shot_product_bitwise(self):
-        # under the package's single-threaded BLAS (a fresh interpreter that imports it
-        # first), every row of the blocked projection is the one-shot product's row
-        script = """
-import movingheat
-import numpy as np
-from movingheat import basis
-
-u0 = lambda x: x * (1.3 - x) + np.sin(3.0 * x)
-for n in (1, 3, 17, 255, 256, 257, 1000):
-    for panels in (8, 13, 64, 100, 256, 1000):
-        xs, ws = basis.composite_gauss_nodes(0.0, 1.3, panels, 16)
-        ks = np.arange(1, n + 1, dtype=float)[:, None]
-        whole = basis.sine_modes(ks, xs[None, :], 1.3) @ (ws * u0(xs))
-        blocked = basis._project_composite(u0, n, 1.3, panels)
-        assert blocked.tobytes() == whole.tobytes(), (n, panels)
-"""
-        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
 
     def test_unresolvable_integrand_raises(self, unit_domain):
         from movingheat import NumericalError

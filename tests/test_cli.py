@@ -559,10 +559,10 @@ class TestFailureReports:
     @pytest.mark.parametrize("edits,message", [
         ({"n_paths = 2": "seed = 1"},
          "seed 1, n=1, step 94: non-finite energy ledger at t=0.094"),
-        # seed 3 fails first in time (step 107) and so does n=2 of seed 2 (step 112), but
+        # seed 3 fails first in time (step 107) and every level of seed 2 at step 112, but
         # the report is the lowest seed, then its lowest level
         ({"n_paths = 2": "seed = 2", "mode = 1": "mode = 2", "m = 1": "m = 2", "p = 1": "p = 0.6"},
-         "seed 2, n=1, step 115: non-finite energy ledger at t=0.115"),
+         "seed 2, n=1, step 112: non-finite energy ledger at t=0.112"),
     ])
     def test_study_failure_names_seed_and_level(self, tmp_path, capfd, edits, message):
         text = OVERFLOW_CFG
@@ -791,7 +791,7 @@ def read_csv(path):
 @pytest.mark.parametrize("grid_size", [2, 33])
 @pytest.mark.parametrize("domain", ["sinusoidal", "table"])
 def test_fields_are_the_trajectory_rows_synthesized_bitwise(tmp_path, domain, grid_size):
-    # the x grid of each saved t spans that row's a_t, and u is the sine series of its A_k
+    # the x grid of each saved t spans that row's a_t, and u is the field of its A_k
     if domain == "table":
         ts = np.linspace(0.0, 0.5, 11)
         cfg = write_table(tmp_path, ts, 1.0 + 0.3 * np.sin(7.0 * ts))
@@ -805,13 +805,12 @@ def test_fields_are_the_trajectory_rows_synthesized_bitwise(tmp_path, domain, gr
     traj_header, traj = read_csv(out / "trajectory.csv")
     fields_header, fields = read_csv(out / "fields.csv")
     assert traj_header[:3] == ["step", "t", "a_t"] and fields_header == ["t", "x", "u"]
-    for row, (t, x, u) in zip(traj, fields.reshape(len(traj), grid_size, 3).transpose(0, 2, 1),
-                              strict=True):
-        a_t, coeffs = row[2], row[5:]
-        want = basis.sine_series(coeffs, x, a_t)
-        want[[0, -1]] = 0.0
+    xs, values = basis.synthesize(traj[:, 5:], traj[:, 2], grid_size)
+    for row, (t, x, u), want_x, want in zip(
+            traj, fields.reshape(len(traj), grid_size, 3).transpose(0, 2, 1), xs, values,
+            strict=True):
         assert t.tolist() == [row[1]] * grid_size
-        assert x.tobytes() == np.linspace(0.0, a_t, grid_size).tobytes()
+        assert x.tobytes() == want_x.tobytes() == np.linspace(0.0, row[2], grid_size).tobytes()
         assert u.tobytes() == want.tobytes()
 
 

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from movingheat.basis import _FFT_MIN_N  # noqa: E402
+from movingheat.basis import _FFT_MIN_N, _coupling_spectra, coupling_pattern  # noqa: E402
 
 from conftest import lone_drift  # noqa: E402
 
@@ -55,3 +55,16 @@ def test_static_domain_drift_is_zero_above_the_crossover():
     coeffs = np.random.default_rng(2).normal(size=(2, _FFT_MIN_N))
     drift = lone_drift(coeffs, 0.0)
     assert np.all(drift == 0.0) and not np.any(np.signbit(drift))
+
+
+def test_circulant_pads_to_a_5_smooth_length():
+    # the least 2^a 3^b 5^c >= 2n - 1, not the least power of two (2048 at n = 513)
+    assert [_coupling_spectra(n)[0] for n in (320, 513, 1000, 1024)] == [640, 1080, 2000, 2048]
+
+
+@pytest.mark.parametrize("n", [320, 513, 1000])
+def test_fft_drift_matches_the_coupling_pattern_product(n):
+    # at lengths 640, 1080 and 2000 the circulant product is the dense one to rounding
+    coeffs = np.random.default_rng(n).normal(size=(3, n)) / np.arange(1, n + 1)
+    ref = coeffs @ (0.37 * coupling_pattern(n))
+    assert np.max(np.abs(lone_drift(coeffs, 0.37) - ref)) <= 1e-13 * np.max(np.abs(ref))

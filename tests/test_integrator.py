@@ -365,11 +365,11 @@ def test_ensemble_matches_the_schemes_exact_moments(sin_domain, n, n_paths):
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
 @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
 def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
-    # m = 5 is odd; budgets of one word and of 120 draw one step at a time, the default
-    # budget and 1e9 every step at once.  A step takes 84 words: 3 rows x 8 of increments,
-    # 2 x 6 of tables, 3 x 4 of ledger terms and h1 norms, and 2 x 3 x 6 of states and
-    # kicks; the ledger's running sums, the h1 norms and the states of the chunk's start 30
-    # more
+    # m = 5 is odd; a budget of one word draws one step at a time, 450 words 5 steps at a
+    # time with a short last draw of 2, the default budget and 1e9 every step at once.  A
+    # step takes 84 words: 3 rows x 8 of increments, 2 x 6 of tables, 3 x 4 of ledger terms
+    # and h1 norms, and 2 x 3 x 6 of states and kicks; the ledger's running sums, the h1
+    # norms and the states of the chunk's start 30 more
     models = {
         "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=5),
         "general_matrix": general_matrix(
@@ -393,7 +393,7 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
     monkeypatch.setattr(integrator, "draw_increment", draw_spy)
     monkeypatch.setattr(noise.NoiseStream, "generator_at", generator_spy)
     outputs = set()
-    for budget in (1, 120, noise.DRAW_BUDGET, 10**9):
+    for budget in (1, 450, noise.DRAW_BUDGET, 10**9):
         monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
         draws.clear()
         positioned.clear()
@@ -436,8 +436,8 @@ def reference_loop(cfg, a0):
     return [np.array(series) for series in zip(*out)]
 
 
-# one step per chunk; chunks of 5 steps, (118 - 3) // (8 + 2 x 6 + 3) words, and a short
-# last chunk of 2; every step in one chunk
+# one step per chunk; chunks of 3 steps, (118 - 4 - 6) // (8 + 2 x 6 + 4 + 2 x 6) words, and
+# a short last chunk of 1; every step in one chunk
 @pytest.mark.parametrize("draw_budget", [1, 118, None], indirect=True,
                          ids=["budget=1", "budget=118", "budget=default"])
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])

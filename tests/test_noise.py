@@ -300,7 +300,8 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
     assert noise_kick(model, st.coeffs, db).tobytes() == kick.tobytes()
     assert hs_norm_sq(model, st.coeffs) == float(np.sum((q * (gamma + beta * st.coeffs[:d])) ** 2))
     # the stepper's flat block of one level gives the same bits
-    flat, hs = noise.flat_kick(model, [(0, n)])(st.coeffs[None], db[None])
+    kick_of, norms_of = noise.flat_kick(model, [(0, n)])
+    flat, hs = kick_of(st.coeffs[None], db[None]), norms_of(st.coeffs[None])
     assert flat[0].tobytes() == kick.tobytes()
     assert hs[0, 0] == hs_norm_sq(model, st.coeffs)
 
@@ -317,7 +318,8 @@ def test_moving_diagonal_bits_match_the_raw_formula(m, n, gamma):
 def test_flat_kick_matches_each_level_alone(kind, m, levels):
     # levels side by side under m driving motions, m below, between and above the level
     # widths: the kick and HS norm of each level's span are bitwise those of the level
-    # alone; at m = 12 a norm has 12 > 8 terms, so a sum in another order would show
+    # alone, and so are the norms of a chunk of states taken at once; at m = 12 a norm has
+    # 12 > 8 terms, so a sum in another order would show
     model = {
         "moving_diagonal": moving_diagonal(gamma=0.3, beta=0.7, decay_p=1.0, m=m),
         "additive_diagonal": moving_diagonal(gamma=0.3, beta=0.0, decay_p=1.0, m=m),
@@ -329,8 +331,11 @@ def test_flat_kick_matches_each_level_alone(kind, m, levels):
     bounds = np.cumsum([0, *levels]).tolist()
     spans = list(zip(bounds, bounds[1:]))
     coeffs, db = rng.normal(size=(3, bounds[-1])), rng.normal(size=(3, m))
-    kick, hs = noise.flat_kick(model, spans)(coeffs, db)
+    kick_of, norms_of = noise.flat_kick(model, spans)
+    kick, hs = kick_of(coeffs, db), norms_of(coeffs)
     assert kick.shape == coeffs.shape and hs.shape == (len(levels), 3)
+    chunk = norms_of(np.stack([2.0 * coeffs, coeffs]))
+    assert chunk.shape == (2, len(levels), 3) and chunk[1].tobytes() == hs.tobytes()
     for (lo, hi), level_hs in zip(spans, hs):
         level = np.ascontiguousarray(coeffs[:, lo:hi])
         assert kick[:, lo:hi].tobytes() == noise_kick(model, level, db).tobytes()

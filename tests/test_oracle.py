@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from movingheat import (
-    CoefficientState,
     MappedGridSolution,
     ModeInitial,
     NumericalError,
@@ -22,7 +21,6 @@ from movingheat import (
     zero_model,
 )
 from movingheat import integrator
-from movingheat.basis import evaluate
 
 
 class TestFixedDomain:
@@ -91,9 +89,7 @@ class TestCompare:
         ys = np.linspace(0.0, 1.0, 65)
         t = 0.2
         a_t = sin_domain.a_at(t)
-        vals = evaluate(CoefficientState(t, traj.coeffs[-1]), a_t * ys, sin_domain)
-        vals[0] = 0.0
-        vals[-1] = 0.0
+        [vals] = synthesize(traj.coeffs[-1:], np.array([a_t]), ys.size)[1]
         sol = MappedGridSolution(
             ys=ys,
             times=np.array([t]),

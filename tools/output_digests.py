@@ -17,8 +17,10 @@ holds a dense level (160) and FFT levels (320, 640) side by side, with n = 320
 itself the crossover.  Then ``simulate``, ``ensemble`` and ``converge`` under
 ``scheme = explicit_em``, and on ``OVERFLOW_SIM``, whose every path overflows
 its energy ledger, so that the failure reports pin the step and kind of the
-first failure.  Each CSV gives one line ``<case> <file> <sha256>``; a command
-that exits non-zero gives ``<case> exit <code>: <stderr>`` instead.
+first failure.  Last, ``simulate`` on a grid of 5 points, where the synthesis
+folds modes 5 to 16 onto bins 1 to 3 with their signs.  Each CSV gives one line
+``<case> <file> <sha256>``; a command that exits non-zero gives
+``<case> exit <code>: <stderr>`` instead.
 ``manifest.json`` is skipped: it records the version and the wall time.  The
 output opens with ``# `` lines naming the Python, numpy, scipy and BLAS the
 digests were computed with; another of any of them may move the last bits.
@@ -102,11 +104,16 @@ OVERFLOW_COMMANDS = {
     "ensemble/workers=2": ["ensemble", "--workers", "2"],
     "converge": ["converge", "--levels", "1,2", "--seeds", "3"],
 }
+OUTPUT = {"grid_size": 17, "snapshot_stride": 7}
+# n = 16 > 2M on 5 points (M = 4): mode k lands in bin k mod 8, and bins 5 to 7 fold back
+# onto 3 to 1 with a minus sign
+FOLD_OUTPUT = {**OUTPUT, "grid_size": 5}
+FOLD_COMMANDS = {"simulate": ["simulate"]}
 
 
-def config_text(domain: dict, noise: dict, sim: dict = SIM) -> str:
+def config_text(domain: dict, noise: dict, sim: dict = SIM, output: dict = OUTPUT) -> str:
     sections = {"domain": domain, "noise": noise, "init": {"kind": "parabola"},
-                "sim": sim, "output": {"grid_size": 17, "snapshot_stride": 7}}
+                "sim": sim, "output": output}
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for name, keys in sections.items())
 
@@ -172,6 +179,8 @@ def digests(work: Path) -> list[str]:
     lines += run_commands(cli, "overflow",
                           config_text(OVERFLOW_DOMAIN, OVERFLOW_NOISE, OVERFLOW_SIM),
                           OVERFLOW_COMMANDS, work)
+    lines += run_commands(cli, "fold", config_text(sinusoidal, diagonal, SIM, FOLD_OUTPUT),
+                          FOLD_COMMANDS, work)
     return lines
 
 
