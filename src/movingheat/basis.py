@@ -115,38 +115,28 @@ def scaled_coupling(n: int, ratio) -> np.ndarray:
 
 
 def flat_coupling(spans):
-    """The coupling drift of a flat block of L truncation levels.
+    """The unscaled coupling drift of a flat block of L truncation levels.
 
     Level l holds the columns spans[l] = (lo, hi) of C-ordered (P, sum n_l)
-    coefficients.  The returned drift(coeffs, ratio, out) writes each row A's drift
-    A b = ratio C_n^T A (n = hi - lo, ratio = a'/a) into the level's span of ``out``
-    and returns ``out``, each row and level computed on its own.  Below _FFT_MIN_N
-    modes a level multiplies its rows by the leading n x n block of the table ratio C_N,
-    scaled once per call (as ``scaled_coupling`` scales it) at the widest such level N;
-    that block is bitwise ratio C_n.  From _FFT_MIN_N on a level builds no table: one
-    rfft/irfft pair applies C_n^T by circulant embedding (``_fft_coupling``), equal to
-    the dense product to rounding.  C_N and the spectra are built here, once.
+    coefficients.  The returned drift(coeffs, out) writes each row A's C_n^T A (n = hi - lo),
+    which the caller scales by a'/a, into the level's span of ``out`` and returns ``out``,
+    each row and level computed on its own.  Below _FFT_MIN_N modes a level multiplies its
+    rows by the leading n x n block of the read-only C_N of the widest such level N, which
+    is bitwise C_n.  From _FFT_MIN_N on a level builds no table: one rfft/irfft pair
+    applies C_n^T by circulant embedding (``_fft_coupling``), equal to the dense product to
+    rounding.  C_N and the spectra are built here, once.
     """
     widths = [hi - lo for lo, hi in spans]
     wide = max((n for n in widths if n < _FFT_MIN_N), default=0)
     pattern = coupling_pattern(wide) if wide else None
-    table = np.empty((wide, wide))
     spectra = {n: _coupling_spectra(n) for n in widths if n >= _FFT_MIN_N}
 
-    def drift(coeffs: np.ndarray, ratio, out: np.ndarray) -> np.ndarray:
-        if wide and ratio:
-            np.multiply(ratio, pattern, out=table)
-            table.ravel()[:: wide + 1] = 0.0
-        else:
-            table.fill(0.0)
+    def drift(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         for n, (lo, hi) in zip(widths, spans):
             if n < _FFT_MIN_N:
-                np.matmul(coeffs[:, None, lo:hi], table[:n, :n], out=out[:, None, lo:hi])
-            elif ratio:
-                np.multiply(ratio, _fft_coupling(coeffs[:, lo:hi], *spectra[n]),
-                            out=out[:, lo:hi])
+                np.matmul(coeffs[:, None, lo:hi], pattern[:n, :n], out=out[:, None, lo:hi])
             else:
-                out[:, lo:hi] = 0.0
+                out[:, lo:hi] = _fft_coupling(coeffs[:, lo:hi], *spectra[n])
         return out
 
     return drift
@@ -266,10 +256,14 @@ def evaluate(state: CoefficientState, xs, domain: DomainMotion) -> np.ndarray:
 
 
 def sine_series(coeffs: np.ndarray, xs, a) -> np.ndarray:
-    """sum_k coeffs[k-1] sqrt(2/a) sin(k pi x / a) at the points ``xs`` of [0, a]."""
+    """sum_k coeffs[k-1] sqrt(2/a) sin(k pi x / a) at the points ``xs`` of [0, a], k x / a
+    reduced modulo 2 exactly (x split at 26 bits, k < 2^26, ``np.fmod`` by 2a) before pi."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ks = np.arange(1, coeffs.shape[0] + 1, dtype=float)[:, None]
-    return coeffs @ sine_modes(ks, xs[None, :], a)
+    split = 134217729.0 * xs  # (2^27 + 1) x
+    high = split - (split - xs)
+    turns = np.fmod(ks * high, 2.0 * a) + np.fmod(ks * (xs - high), 2.0 * a)
+    return coeffs @ (np.sqrt(2.0 / a) * np.sin(np.pi * (turns / a)))
 
 
 def synthesize(coeffs: np.ndarray, a: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@
 The coefficients obey dA_k = [sum_j b_jk(t) A_j + lambda_k(t) A_k] dt
 + sum_j sigma_jk dB_j.  The stiff diagonal part grows like (n pi / a)^2, so
 the default scheme integrates it with an exact exponential factor (midpoint
-coefficient) and keeps the order-one coupling and noise terms explicit; the
+coefficient) and keeps the order-one coupling and noise terms explicit, the
+coupling b(t) = (a'/a) C_n as the unscaled drift C_n^T A times a'/a dt; the
 plain Euler-Maruyama scheme is retained behind a step-size guard.
 
 One stepper serves a single path, an ensemble block and a level study: the
@@ -184,7 +185,8 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     They live side by side in one C-ordered (P, sum n_l) state whose row r is the path
     rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
     (noise factor gamma + beta A, the update itself) is one call for every level, and so is
-    the coupling drift (``basis.flat_coupling``, built once per block).
+    the unscaled coupling drift C_n^T A (``basis.flat_coupling``, built once per block),
+    which the update e^(lambda dt) (A + (C_n^T A) (a'/a dt) + kick) scales by a'/a dt.
     The steps run in chunks of S steps (``noise.steps_per_draw``).  A chunk draws its
     increments, builds (S, sum n_l) tables of decay factors (e^(lambda dt), or lambda for
     explicit_em) and H1 weights (k pi / a)^2, and keeps its (S + 1, P, sum n_l) states and
@@ -210,6 +212,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     times = np.arange(config.n_steps + 1) * dt
     a_t = domain.a_at(times)
     ratio = domain.a_prime_at(times[:-1]) / a_t[:-1]  # a'/a at each step start
+    scale = ratio if explicit else ratio * dt  # of the drift C_n^T A in the update
     # a at the decay time: the step start for explicit_em, the midpoint for exponential_em
     a_decay = a_t[:-1] if explicit else domain.a_at(times[:-1] + dt / 2)
     bounds = np.cumsum([0] + [cfg.n for cfg in configs]).tolist()
@@ -261,11 +264,12 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
             for s in range(steps):
                 a = states[s]
                 kick_of(a, increments[:, s], kicks[s])
-                drift(a, ratio[start + s], coupling)
+                drift(a, coupling)
+                coupling *= scale[start + s]
                 if explicit:
                     np.add(a + (coupling + decay[s] * a) * dt, kicks[s], out=states[s + 1])
                 else:
-                    np.multiply(decay[s], a + coupling * dt + kicks[s], out=states[s + 1])
+                    np.multiply(decay[s], a + coupling + kicks[s], out=states[s + 1])
             terms[1:, 1] = per_level(states[:-1], kicks)
             norms_of(states[:-1], terms[1:, 2])
             np.square(states[1:], out=kicks)  # the kicks are spent: their buffer takes A^2

@@ -55,6 +55,7 @@ def gauss_quad(f, lo, hi, n_nodes):
     return half * np.sum(ws * f(mid + half * xs))
 
 
-def lone_drift(coeffs, ratio):
-    """The coupling drift of the (P, n) coefficients as the only level of a block."""
-    return flat_coupling([(0, coeffs.shape[-1])])(coeffs, ratio, np.empty(coeffs.shape))
+def lone_drift(coeffs):
+    """The unscaled coupling drift C_n^T A of the (P, n) coefficients as the only level of
+    a block."""
+    return flat_coupling([(0, coeffs.shape[-1])])(coeffs, np.empty(coeffs.shape))

@@ -313,23 +313,22 @@ class TestModeTables:
 
 class TestFlatCoupling:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 319])
-    def test_dense_drift_is_the_table_product(self, n):
-        # below the FFT crossover a row's drift is its product with the (n, n) table, or
-        # bitwise the same with the leading block of the table of a wider level beside it
-        from movingheat.basis import _FFT_MIN_N, flat_coupling, scaled_coupling
+    def test_dense_drift_is_the_pattern_product(self, n):
+        # below the FFT crossover a row's drift is its product with C_n, or bitwise the
+        # same with the leading block of the C_N of a wider level beside it
+        from movingheat.basis import _FFT_MIN_N, coupling_pattern, flat_coupling
 
         coeffs = np.random.default_rng(n).normal(size=(3, n))
-        want = np.matmul(coeffs[:, None], scaled_coupling(n, -0.4))[:, 0]
-        assert lone_drift(coeffs, -0.4).tobytes() == want.tobytes()
+        want = np.matmul(coeffs[:, None], coupling_pattern(n))[:, 0]
+        assert lone_drift(coeffs).tobytes() == want.tobytes()
         wide = _FFT_MIN_N - 1
         block = np.hstack([coeffs, np.ones((3, wide))])
-        got = flat_coupling([(0, n), (n, n + wide)])(block, -0.4, np.empty(block.shape))
+        got = flat_coupling([(0, n), (n, n + wide)])(block, np.empty(block.shape))
         assert got[:, :n].tobytes() == want.tobytes()
 
     def test_levels_and_rows_get_their_lone_drift_across_the_crossover(self):
         # one block holding dense (16, 319) and FFT (320, 1000) levels: each level's drift
-        # is bitwise its drift alone, and each row's its drift as a one-row block; a zero
-        # ratio gives +0.0 in both regimes
+        # is bitwise its drift alone, and each row's its drift as a one-row block
         from movingheat.basis import flat_coupling
 
         widths = [16, 319, 320, 1000]
@@ -337,14 +336,10 @@ class TestFlatCoupling:
         spans = list(zip(bounds, bounds[1:]))
         rng = np.random.default_rng(11)
         block = rng.normal(size=(5, bounds[-1])) * rng.uniform(0.5, 2.0, size=(5, 1))
-        drift = flat_coupling(spans)
-        for ratio in (0.37, -1.25):
-            got = drift(block, ratio, np.empty(block.shape))
-            for lo, hi in spans:
-                level = np.ascontiguousarray(block[:, lo:hi])
-                want = lone_drift(level, ratio)
-                assert got[:, lo:hi].tobytes() == want.tobytes()
-                for r in range(level.shape[0]):
-                    assert lone_drift(level[r:r + 1], ratio)[0].tobytes() == want[r].tobytes()
-        zero = drift(block, 0.0, np.full(block.shape, np.nan))
-        assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
+        got = flat_coupling(spans)(block, np.empty(block.shape))
+        for lo, hi in spans:
+            level = np.ascontiguousarray(block[:, lo:hi])
+            want = lone_drift(level)
+            assert got[:, lo:hi].tobytes() == want.tobytes()
+            for r in range(level.shape[0]):
+                assert lone_drift(level[r:r + 1])[0].tobytes() == want[r].tobytes()

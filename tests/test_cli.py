@@ -563,6 +563,11 @@ class TestFailureReports:
         # the report is the lowest seed, then its lowest level
         ({"n_paths = 2": "seed = 2", "mode = 1": "mode = 2", "m = 1": "m = 2", "p = 1": "p = 0.6"},
          "seed 2, n=1, step 112: non-finite energy ledger at t=0.112"),
+        # seed 25 fails first in time (step 108) and seed 24 at n=2 and n=4 (step 114) before
+        # its n=1 (step 121), but the report is the lowest seed, then its lowest level
+        ({"n_paths = 2": "seed = 24", "mode = 1": "mode = 2", "m = 1": "m = 2",
+          "p = 1": "p = 0.6"},
+         "seed 24, n=1, step 121: non-finite energy ledger at t=0.121"),
     ])
     def test_study_failure_names_seed_and_level(self, tmp_path, capfd, edits, message):
         text = OVERFLOW_CFG
@@ -824,7 +829,7 @@ class TestInputChecks:
         ("n = 2\n" + BASE_CFG, "line 1: key outside any [section]"),
         (BASE_CFG + "[init]\nmode = 0\n", "[init] mode must be >= 1, got 0"),
         (BASE_CFG + "[output]\ngrid_size = 1\n", "grid_size must be >= 2, got 1"),
-        # |a'/a| = 1e308 would overflow the first explicit coupling step
+        # |a'/a| = 1e308 is far past what the explicit coupling step can take
         ("[domain]\nkind = linear\na0 = 1.0\nslope = 1e308\nT = 0.01\n"
          "[sim]\nn = 3\nscheme = explicit_em\nt_end = 0.01\n",
          "explicit_em is unstable at dt=0.001 for n=3: requires dt <= 1.04002e-309"),

@@ -298,19 +298,25 @@ class TestSelfConvergence:
         self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [2, 4], 5)
         assert rows == sizes
 
-    # 5985 and 2449 words give the 3-row block chunks of 57 and 23 steps: the failing step
-    # 112 is the 55th of steps 58-114 and the 20th of steps 93-115
+    # 5985 and 2449 words give the 3-row block chunks of 57 and 23 steps: step 112 is the
+    # 55th of steps 58-114 and the 20th of steps 93-115; seed 24's n=2 and n=4 fail at the
+    # last step of the chunk 58-114, and its n=1 at the 7th step of the next chunk
     @pytest.mark.parametrize("draw_budget", [1, None, 5985, 2449], indirect=True,
                              ids=["budget=1", "budget=default", "budget=5985", "budget=2449"])
-    def test_failure_names_lowest_seed_then_lowest_level(self, unit_domain, draw_budget):
-        # from seed 2 the per-seed failures are seed 2 at every level after 112 steps and
-        # seed 3 at every level after 107 steps: the report is seed 2, n=1.  Each level
-        # starts from A_1 = 5.4e-17, the rounding residue of projecting mode 2 onto mode 1
+    @pytest.mark.parametrize("seed,step", [(2, 112), (24, 121)])
+    def test_failure_names_lowest_seed_then_lowest_level(self, unit_domain, draw_budget,
+                                                         seed, step):
+        # each level starts from A_1 = 5.4e-17, the rounding residue of projecting mode 2
+        # onto mode 1, and from n = 2 on from A_2 = 1.  From seed 2 the failures are seed 2
+        # at every level after 112 steps and seed 3 at every level after 107.  From seed 24
+        # they are seed 24 at n=1 after 121 steps, but at n=2 and n=4 after 114, where
+        # mode 2 overflows first, and seed 25 at every level after 108.  The report is the
+        # lowest seed, then its lowest level: seed 2, n=1 and seed 24, n=1
         model = moving_diagonal(gamma=0.0, beta=2000.0, decay_p=0.6, m=2)
         cfg = SimulationConfig(domain=unit_domain, n=1, model=model, dt=1e-3, t_end=0.2,
-                               seed=2)
-        with pytest.raises(NumericalError, match=r"^seed 2, n=1, step 112: non-finite energy "
-                                                 r"ledger at t=0\.112$"):
+                               seed=seed)
+        message = rf"^seed {seed}, n=1, step {step}: non-finite energy ledger at t=0\.{step}$"
+        with pytest.raises(NumericalError, match=message):
             self_convergence_study(cfg, ModeInitial(2, 1.0, 1.0), [1, 2], 3)
 
     @pytest.mark.parametrize("levels,seed,n_seeds,error,message", [

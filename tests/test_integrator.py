@@ -116,18 +116,21 @@ class TestStep:
         assert traj.coeffs[-1, 0] == pytest.approx(1.0 - np.pi**2 * 1e-3, abs=1e-15)
         assert traj.coeffs[-1, 1] == pytest.approx(4.0 / 3.0 * 1e-3, abs=1e-18)
 
-    def test_overflow_reports_non_finite_coefficients(self):
-        # exponential_em has no a'/a guard: at a'/a = 1e308 the coupling entry
-        # b_23 = 2.4e308 overflows, so the first step's coefficients are non-finite while
-        # the ledger of step 0 is finite (explicit_em rejects this config at validation)
+    @pytest.mark.parametrize("a1,what", [(1e10, "coefficients"), (1.0, "norms")])
+    def test_overflow_reports_non_finite_coefficients(self, a1, what):
+        # exponential_em has no a'/a guard (explicit_em rejects this config at validation).
+        # At a'/a = 1e308 and A = (A_1, 0, 0) the first step adds (C_3^T A) (a'/a dt), whose
+        # entries are (4/3, -3/4) A_1 1e305 after mode 1: at A_1 = 1e10 the true step
+        # overflows, so the coefficients of step 1 are non-finite while the ledger of step 0
+        # is finite; at A_1 = 1 they are finite, near 1.3e305, and their |A|^2 overflows
         steep = make_domain("linear", {"a0": 1.0, "slope": 1e308}, 1e-3)
         cfg = SimulationConfig(
             domain=steep, n=3, model=zero_model(3),
             dt=1e-3, t_end=1e-3, scheme="exponential_em",
         )
         with pytest.raises(NumericalError,
-                           match=r"^path 0, step 1: non-finite coefficients at t=0\.001$"):
-            simulate(cfg, CoefficientState(0.0, np.array([1.0, 0.0, 0.0])))
+                           match=rf"^path 0, step 1: non-finite {what} at t=0\.001$"):
+            simulate(cfg, CoefficientState(0.0, np.array([a1, 0.0, 0.0])))
 
 
 class TestSimulate:
@@ -426,12 +429,12 @@ def reference_loop(cfg, a0):
         visc += 2.0 * h1 * dt
         sto += 2.0 * np.dot(a, kick)
         hs += noise.hs_norm_sq(model, a) * dt
-        coupling = np.matmul(a[None, None, :], basis.scaled_coupling(n, ratio[i]))[0, 0]
+        coupling = np.matmul(a[None, None, :], basis.coupling_pattern(n))[0, 0]
         lam = basis.interval_eigenvalues(n, a_decay[i])
         if explicit:
-            a = a + (coupling + lam * a) * dt + kick
+            a = a + (coupling * ratio[i] + lam * a) * dt + kick
         else:
-            a = np.exp(lam * dt) * (a + coupling * dt + kick)
+            a = np.exp(lam * dt) * (a + coupling * (ratio[i] * dt) + kick)
         out.append((a, visc, sto, hs))
     return [np.array(series) for series in zip(*out)]
 
@@ -597,9 +600,9 @@ def test_coefficient_failure_names_its_own_step(monkeypatch, unit_domain, draw_b
     def spiking(spans):
         drift, calls = flat_coupling(spans), []
 
-        def spiked(coeffs, ratio, out):
-            drift(coeffs, ratio, out)
-            calls.append(ratio)
+        def spiked(coeffs, out):
+            drift(coeffs, out)
+            calls.append(None)
             if len(calls) == 30:
                 out[1] = np.inf
             return out
@@ -636,8 +639,9 @@ def test_non_finite_saved_norm_is_a_failure(unit_domain):
 def test_additive_noise_failure_names_its_step(case, message):
     # beta = 0: the noise diagonal and HS norm are built once per block, not from the
     # coefficients, and a row that turns non-finite still fails where it did when they
-    # were rebuilt every step: at step 1 where a'/a = 1e308 overflows the coupling, and
-    # where the transport (decay zeroed) of a fast-moving boundary overflows the ledger
+    # were rebuilt every step: at step 1 where a'/a = 1e308 makes the first step's
+    # coupling (C_3^T A) (a'/a dt) overflow for A of order 1e10, and where the transport
+    # (decay zeroed) of a fast-moving boundary overflows the ledger
     domain, n = {
         "steep": (make_domain("linear", {"a0": 1.0, "slope": 1e308}, 1e-2), 3),
         "fast": (make_domain("sinusoidal", {"a0": 1.0, "amp": 0.5, "omega": 1000.0}, 1.0), 16),
@@ -645,8 +649,9 @@ def test_additive_noise_failure_names_its_step(case, message):
     cfg = SimulationConfig(domain=domain, n=n, model=moving_diagonal(0.5, 0.0, 1.0, 4),
                            dt=1e-3, t_end=1e-2 if case == "steep" else 0.5,
                            snapshot_stride=1000)
+    scale = 1e10 if case == "steep" else 1.0
     with pytest.raises(NumericalError, match=message):
-        simulate(cfg, CoefficientState(0.0, np.linspace(1.0, 0.2, n)), path_index=1,
+        simulate(cfg, CoefficientState(0.0, scale * np.linspace(1.0, 0.2, n)), path_index=1,
                  zero_eigenvalues=case == "fast")
 
 
@@ -704,5 +709,33 @@ def test_levels_across_the_fft_crossover_step_as_they_do_alone(sin_domain):
     for cfg, a0, (series, coeffs) in zip(configs, a0s, together):
         _, [(want_series, want_coeffs)] = integrator._step_paths([cfg], [a0], rows,
                                                                  keep_coeffs=True)
+        assert series.tobytes() == want_series.tobytes()
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("scheme,levels", [("exponential_em", [16, basis._FFT_MIN_N]),
+                                           ("explicit_em", [4, 8])])
+def test_static_domain_steps_as_the_decoupled_system(monkeypatch, unit_domain, scheme,
+                                                     levels):
+    # a'/a = 0 scales every drift, dense or FFT, to a zero that leaves the state as it is:
+    # the states and ledgers are bitwise those of a run whose drift is zero
+    model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=12)
+    dt = 2.0**-12
+    configs = [SimulationConfig(domain=unit_domain, n=n, model=model, dt=dt, t_end=9 * dt,
+                                scheme=scheme, snapshot_stride=4) for n in levels]
+    a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
+    rows = [(6, 2), (6, 0)]
+    _, coupled = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+
+    def decoupled(spans):
+        def drift(coeffs, out):
+            out[...] = 0.0
+            return out
+
+        return drift
+
+    monkeypatch.setattr(basis, "flat_coupling", decoupled)
+    _, want = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    for (series, coeffs), (want_series, want_coeffs) in zip(coupled, want):
         assert series.tobytes() == want_series.tobytes()
         assert coeffs.tobytes() == want_coeffs.tobytes()
