@@ -104,14 +104,25 @@ def coupling_matrix(n: int, t: float, domain: DomainMotion) -> np.ndarray:
     Exactly skew-symmetric, with a +0.0 diagonal whatever the sign of a'_t,
     and all +0.0 on a static domain.
     """
-    return scaled_coupling(n, domain.a_prime_at(t) / domain.a_at(t))
-
-
-def scaled_coupling(n: int, ratio) -> np.ndarray:
-    """The coupling matrix (a'/a) C_n for the boundary ratio ``ratio`` = a'/a."""
+    ratio = domain.a_prime_at(t) / domain.a_at(t)
     b = np.multiply(ratio, coupling_pattern(n)) if ratio else np.zeros((n, n))
     b.ravel()[:: n + 1] = 0.0  # a negative ratio leaves -0.0 there
     return b
+
+
+def level_gap(wide: np.ndarray, narrow: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (2, ...) squared L^2 distance and (k pi / a)^2-weighted squared distance between
+    coefficients ``wide`` (..., N) and ``narrow`` (..., n <= N, padded with zeros), with
+    ``weights`` (..., N) the (k pi / a)^2: each is the sum over the n common modes plus the
+    sum over the wider level's tail, per row over the last axis.
+    """
+    n = narrow.shape[-1]
+    squares = np.empty((2, *wide.shape))  # the squared differences, then weighted
+    np.subtract(wide[..., :n], narrow, out=squares[0, ..., :n])
+    squares[0, ..., n:] = wide[..., n:]
+    np.square(squares[0], out=squares[0])
+    np.multiply(weights, squares[0], out=squares[1])
+    return np.add.reduce(squares[..., :n], axis=-1) + np.add.reduce(squares[..., n:], axis=-1)
 
 
 def flat_coupling(spans):

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import interval_eigenvalues
+from . import integrator
+from .basis import interval_eigenvalues, level_gap
 # EnergyLedger is re-exported: the benchmark tracer patches it as diagnostics.EnergyLedger
-from .integrator import EnergyLedger, level_trajectories, mean_and_se  # noqa: F401
+from .integrator import EnergyLedger, mean_and_se  # noqa: F401
 from .noise import MAX_SEED
 
 
@@ -47,9 +48,10 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     d_x = sup over saved t of |u_2n - u_n|_t and the squared time-integrated
     gradient distance d_y.  Both split over the common first n modes plus
     the tail of the finer solution.  Every level's config and the whole seed
-    range are validated before any step; the seeds then run as rows of
-    blocks that step all levels together on one draw of increments
-    (``integrator.level_trajectories``).  A failure names the lowest failed
+    range are validated before any step.  The seeds then run as the rows of
+    blocks of at most MAX_BLOCK_ROWS rows that step all levels together on one
+    draw of increments per chunk of steps; the stepper returns the squared
+    distances, so no coefficients are kept.  A failure names the lowest failed
     seed, then its lowest failed level.
     """
     if n_seeds < 1:
@@ -64,12 +66,14 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     last = config_base.seed + n_seeds - 1
     if last >= MAX_SEED:
         raise ValueError(f"seeds {config_base.seed}..{last} must lie in [0, {MAX_SEED})")
-    seeds = range(config_base.seed, config_base.seed + n_seeds)
-    rows = []
-    for seed, trajs in level_trajectories(configs, u0, seeds):
-        for n, traj_n, traj_2n in zip(levels, trajs, trajs[1:]):
-            d_x, d_y = level_distance(traj_n, traj_2n)
-            rows.append(ConvergenceRow(seed, n, d_x, d_y))
+    a0s = [integrator._initial_coeffs(cfg, u0) for cfg in configs]
+    saved = integrator.saved_steps(config_base.n_steps, config_base.snapshot_stride)
+    times, size, rows = saved * config_base.dt, integrator.MAX_BLOCK_ROWS, []
+    for first in range(config_base.seed, last + 1, size):
+        block = range(first, min(first + size, last + 1))
+        *_, pairs = integrator._step_paths(configs, a0s, [(seed, 0) for seed in block])
+        rows += [ConvergenceRow(seed, n, *_distances(gap[:, r], times))
+                 for r, seed in enumerate(block) for n, gap in zip(levels, pairs)]
     return rows
 
 
@@ -77,18 +81,14 @@ def level_distance(traj_n, traj_2n) -> tuple[float, float]:
     """(sup-in-time L^2 distance, integrated H^1 distance^2) between levels."""
     if not np.array_equal(traj_n.times, traj_2n.times):  # False on a shape mismatch too
         raise ValueError("trajectories must share the same saved time grid")
-    n = traj_n.coeffs.shape[1]
-    diff = traj_2n.coeffs[:, :n] - traj_n.coeffs
-    tail = traj_2n.coeffs[:, n:]
-    l2_sq = np.sum(diff**2, axis=1) + np.sum(tail**2, axis=1)
-    d_x = float(np.sqrt(np.max(l2_sq)))
-
     neg_lam = -interval_eigenvalues(traj_2n.coeffs.shape[1], traj_n.a_t[:, None])
-    h1_sq = np.sum(neg_lam[:, :n] * diff**2, axis=1) + np.sum(
-        neg_lam[:, n:] * tail**2, axis=1
-    )
-    d_y = float(np.trapezoid(h1_sq, traj_n.times))
-    return d_x, d_y
+    return _distances(level_gap(traj_2n.coeffs, traj_n.coeffs, neg_lam), traj_n.times)
+
+
+def _distances(gap, times) -> tuple[float, float]:
+    """(d_x, d_y): the square root of the largest squared L^2 distance gap[0] and the
+    trapezoid over ``times`` of the squared H^1 distances gap[1]."""
+    return float(np.sqrt(np.max(gap[0]))), float(np.trapezoid(gap[1], times))
 
 
 def mean_energy_balance(ensemble) -> tuple[float, float]:

@@ -41,8 +41,6 @@ SCHEMES = ("explicit_em", "exponential_em")
 STABILITY_FACTOR = 1.9
 # Rows of one (paths, n) block of the stepper; bounds its working set
 MAX_BLOCK_ROWS = 256
-# Saved coefficients (rows x saved steps x sum of n) a block of the level study keeps
-MAX_KEPT_COEFFS = 2**20
 
 
 def saved_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -186,19 +184,22 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     rows[r] and whose columns spans[l] hold level l, so each elementwise part of a step
     (noise factor gamma + beta A, the update itself) is one call for every level, and so is
     the unscaled coupling drift C_n^T A (``basis.flat_coupling``, built once per block),
-    which the update e^(lambda dt) (A + (C_n^T A) (a'/a dt) + kick) scales by a'/a dt.
+    which the update e^(lambda dt) (A + (C_n^T A) (a'/a dt) + kick) scales by a'/a dt; a run
+    whose every a'/a is 0 neither builds nor calls it, and its coupling term stays +0.0.
     The steps run in chunks of S steps (``noise.steps_per_draw``).  A chunk draws its
-    increments, builds (S, sum n_l) tables of decay factors (e^(lambda dt), or lambda for
-    explicit_em) and H1 weights (k pi / a)^2, and keeps its (S + 1, P, sum n_l) states and
+    increments, builds (S, sum n_l) decay factors (e^(lambda dt), or lambda for explicit_em)
+    and (S + 1, sum n_l) H1 weights (k pi / a)^2, and keeps its (S + 1, P, sum n_l) states and
     (S, P, sum n_l) kicks: a step makes only its kick, drift and next state.  Once per chunk,
     batched calls over the kept states then take the ledger terms (h1 of the state before
     each step, sum_k A_k kick_k and the HS norm), which ``EnergyLedger.record_step`` adds,
-    the norms and coefficients of the saved steps, and the failure checks.
+    the norms, level distances and kept coefficients of the saved steps, and the failure checks.
     Products and sums stay per row and per level and run on C-ordered operands, in the
     order a lone level takes them, so a row's bits do not depend on the rows or levels
     beside it, on their order or on how the steps are grouped into chunks.
-    Returns a(t) at the saved steps and, per level, the (5, P, saved) series l2, h1, visc,
-    sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved coefficients.  A row fails
+    Returns a(t) at the saved steps; per level, the (5, P, saved) series l2, h1, visc,
+    sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved coefficients (else None);
+    and the (L - 1, 2, P, saved) squared L2 and H1 distances of levels l and l + 1
+    (``basis.level_gap``).  A row fails
     at the first non-finite value of its ledger or coefficients (from step 1 on) or of its
     saved norms, checked in that order; the error ``{label}, step {i}: non-finite {what} at t={t}``
     names the lowest failed row, then its lowest failed level, labelled ``path p`` for one
@@ -222,8 +223,11 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     streams = [NoiseStream(seed, path) for seed, path in rows]
     chunk = noise.steps_per_draw(n_rows, m, bounds[-1], n_levels)
     kick_of, norms_of = noise.flat_kick(model, spans)
-    drift = basis.flat_coupling(spans)
+    drift = basis.flat_coupling(spans) if ratio.any() else None  # a static domain has none
     series = np.zeros((n_levels, 5, n_rows, len(saved)))  # state 0's ledger sums are 0
+    pair_spans = [sorted(pair, key=lambda span: span[0] - span[1])  # (wider, narrower)
+                  for pair in zip(spans, spans[1:])]
+    pairs = np.zeros((n_levels - 1, 2, n_rows, len(saved)))
     coeffs = [np.empty((n_rows, len(saved), cfg.n)) if keep_coeffs else None for cfg in configs]
     failures: dict[tuple[int, int], tuple] = {}  # (row, level) -> least (step, kind, message)
 
@@ -246,11 +250,12 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
         states = np.concatenate([np.tile(a0, (n_rows, 1)) for a0 in a0s], axis=1)[None]
         h1 = per_level((k_pi / a_t[:1, None, None]) ** 2, states**2)  # h1 of state 0
         ledger = EnergyLedger(np.zeros((3, n_levels, n_rows)))
-        coupling = np.empty(states.shape[1:])
+        coupling = np.zeros(states.shape[1:])
         row = 0
         for start in range(0, config.n_steps, chunk):
             steps = min(chunk, config.n_steps - start)
             new = range(start + 1, start + steps + 1)  # the steps of the chunk's new states
+            weights = (k_pi / a_t[start:start + steps + 1, None, None]) ** 2  # at its S + 1 states
             increments = draw_increment(streams, start, steps, m, dt)
             decay = (np.zeros((steps, k_pi.size)) if zero_eigenvalues
                      else -((k_pi / a_decay[start:start + steps, None]) ** 2))
@@ -264,8 +269,9 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
             for s in range(steps):
                 a = states[s]
                 kick_of(a, increments[:, s], kicks[s])
-                drift(a, coupling)
-                coupling *= scale[start + s]
+                if drift:
+                    drift(a, coupling)
+                    coupling *= scale[start + s]
                 if explicit:
                     np.add(a + (coupling + decay[s] * a) * dt, kicks[s], out=states[s + 1])
                 else:
@@ -273,7 +279,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
             terms[1:, 1] = per_level(states[:-1], kicks)
             norms_of(states[:-1], terms[1:, 2])
             np.square(states[1:], out=kicks)  # the kicks are spent: their buffer takes A^2
-            h1 = np.concatenate([h1[-1:], per_level((k_pi / a_t[new, None, None]) ** 2, kicks)])
+            h1 = np.concatenate([h1[-1:], per_level(weights[1:], kicks)])
             terms[1:, 0] = h1[:-1]
             ledger.record_step(terms, dt)
             if not math.isfinite(terms[-1].sum()):  # a non-finite sum stays so
@@ -289,6 +295,10 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                 fail(~np.isfinite(norms).all(axis=1), at + start, 2)
             series[:, :2, :, first_row:row] = norms.transpose(2, 1, 3, 0)
             series[:, 2:, :, first_row:row] = terms[at].transpose(2, 1, 3, 0)
+            for pair, ((lo, hi), (low, high)) in zip(pairs, pair_spans):
+                pair[..., first_row:row] = basis.level_gap(
+                    kept[:, :, lo:hi], kept[:, :, low:high], weights[at, :, lo:hi]
+                ).transpose(0, 2, 1)
             if keep_coeffs:
                 for level_coeffs, (lo, hi) in zip(coeffs, spans):
                     level_coeffs[:, first_row:row] = kept[:, :, lo:hi].transpose(1, 0, 2)
@@ -296,16 +306,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                 break
     if failures:
         raise NumericalError(failures[min(failures)][2])
-    return a_t[saved], list(zip(series, coeffs))
-
-
-def _trajectory(config: SimulationConfig, a_t: np.ndarray, series: np.ndarray,
-                coeffs: np.ndarray, row: int) -> Trajectory:
-    """Row ``row`` of one level's block output as the Trajectory of its path."""
-    l2, h1, visc, sto, hs = series[:, row]
-    steps = saved_steps(config.n_steps, config.snapshot_stride)
-    return Trajectory(steps * config.dt, a_t, coeffs[row], l2, h1, visc, sto, hs,
-                      float(l2[0]), steps)
+    return a_t[saved], list(zip(series, coeffs)), pairs
 
 
 def simulate(config: SimulationConfig, u0, path_index: int = 0,
@@ -319,33 +320,13 @@ def simulate(config: SimulationConfig, u0, path_index: int = 0,
     noise is that stream, so reruns are bitwise identical and the snapshot stride
     cannot change the path.
     """
-    a_t, [(series, coeffs)] = _step_paths([config], [_initial_coeffs(config, u0)],
-                                          [(config.seed, path_index)], zero_eigenvalues,
-                                          keep_coeffs=True)
-    return _trajectory(config, a_t, series, coeffs, 0)
-
-
-def level_trajectories(configs, u0, seeds):
-    """Yield (seed, [Trajectory per level]) for each seed: path 0 of that seed at every
-    level configs[l], every level driven by the same increments.
-
-    u0 is projected once per level.  The seeds run as the rows of blocks of at most
-    MAX_BLOCK_ROWS rows whose kept coefficients, rows x saved steps x the sum of the
-    levels' n, stay within MAX_KEPT_COEFFS words (never below one row); each block steps
-    all its levels in lockstep, one draw of increments per chunk of steps.
-    """
-    a0s = [_initial_coeffs(cfg, u0) for cfg in configs]
-    config = configs[0]
-    row_words = (len(saved_steps(config.n_steps, config.snapshot_stride))
-                 * sum(cfg.n for cfg in configs))
-    size = max(1, min(MAX_BLOCK_ROWS, MAX_KEPT_COEFFS // row_words))
-    for lo in range(0, len(seeds), size):
-        block = seeds[lo:lo + size]
-        a_t, levels = _step_paths(configs, a0s, [(seed, 0) for seed in block],
-                                  keep_coeffs=True)
-        for r, seed in enumerate(block):
-            yield seed, [_trajectory(cfg, a_t, series, coeffs, r)
-                         for cfg, (series, coeffs) in zip(configs, levels)]
+    a_t, [(series, coeffs)], _ = _step_paths([config], [_initial_coeffs(config, u0)],
+                                             [(config.seed, path_index)], zero_eigenvalues,
+                                             keep_coeffs=True)
+    l2, h1, visc, sto, hs = series[:, 0]
+    steps = saved_steps(config.n_steps, config.snapshot_stride)
+    return Trajectory(steps * config.dt, a_t, coeffs[0], l2, h1, visc, sto, hs, float(l2[0]),
+                      steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +400,7 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
             parts = list(pool.map(_step_paths, *args))  # in path order
     else:
         parts = list(map(_step_paths, *args))
-    l2, h1, visc, sto, hs = np.concatenate([series for _, [(series, _)] in parts], axis=1)
+    l2, h1, visc, sto, hs = np.concatenate([series for _, [(series, _)], _ in parts], axis=1)
 
     times = saved_steps(config.n_steps, config.snapshot_stride) * config.dt
     mean_l2, se_l2 = mean_and_se(l2, "l2_sq", times)

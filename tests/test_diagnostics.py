@@ -269,34 +269,44 @@ class TestSelfConvergence:
             per_draw = noise.steps_per_draw(len(block), m, sum(ns), len(ns))
             want += [(block, s, min(per_draw, 37 - s)) for s in range(0, 37, per_draw)]
         assert draws == want
-        # the whole ledger too: its HS sums are the only sums the distances do not read
+        # the whole ledger too: its HS sums are the only sums the distances do not read.  The
+        # same blocks of seeds, stepped at every level with their coefficients kept
         configs = [cfg.with_updates(n=n) for n in ns]
-        for seed, trajs in integrator.level_trajectories(configs, u0, range(7, 10)):
-            for n, traj in zip(ns, trajs):
-                want = alone[seed, n]
-                for name in ("coeffs", "l2_sq", "h1_sq", "visc", "sto", "hs"):
-                    assert getattr(traj, name).tobytes() == getattr(want, name).tobytes()
+        a0s = [basis.project_initial(u0, n, sin_domain).coeffs for n in ns]
+        for block in blocks:
+            _, levels_out, _ = integrator._step_paths(configs, a0s, [(s, 0) for s in block],
+                                                      keep_coeffs=True)
+            for n, (series, coeffs) in zip(ns, levels_out):
+                for r, seed in enumerate(block):
+                    want = alone[seed, n]
+                    assert coeffs[r].tobytes() == want.coeffs.tobytes()
+                    for got, name in zip(series[:, r], ("l2_sq", "h1_sq", "visc", "sto", "hs")):
+                        assert got.tobytes() == getattr(want, name).tobytes()
 
-    @pytest.mark.parametrize("kept,sizes", [
-        (None, [5]),        # everything fits: one block
-        (2 * 4 * 14, [2, 2, 1]),  # two rows of 4 saved steps x (2 + 4 + 8) modes
-        (1, [1] * 5),       # never below one row
+    @pytest.mark.parametrize("block_rows,levels,dt,stride,sizes", [
+        (2, [2, 4], 1e-3, 10, [2, 2, 1]),
+        # 3001 saved steps x (64 + 128) modes: 576,192 saved coefficients a seed, so a study
+        # that kept them in blocks of at most 2^20 words stepped one seed at a time
+        (None, [64], 1e-4, 1, [5]),
     ])
-    def test_blocks_cap_the_kept_coefficients(self, monkeypatch, unit_domain, kept, sizes):
-        if kept is not None:
-            monkeypatch.setattr(integrator, "MAX_KEPT_COEFFS", kept)
-        rows = []
+    def test_seeds_step_in_blocks_of_max_block_rows(self, monkeypatch, unit_domain, block_rows,
+                                                    levels, dt, stride, sizes):
+        # each block steps with the stepper's defaults, keeping no coefficients
+        if block_rows is not None:
+            monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", block_rows)
+        calls = []
         step_paths = integrator._step_paths
 
         def spy(configs, a0s, block, *args, **kwargs):
-            rows.append(len(block))
+            calls.append((len(block), args, kwargs))
             return step_paths(configs, a0s, block, *args, **kwargs)
 
         monkeypatch.setattr(integrator, "_step_paths", spy)
         cfg = SimulationConfig(domain=unit_domain, n=2, model=moving_diagonal(0.3, 0.0, m=4),
-                               dt=1e-3, t_end=0.03, snapshot_stride=10)
-        self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [2, 4], 5)
-        assert rows == sizes
+                               dt=dt, t_end=0.3, snapshot_stride=stride)
+        rows = self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), levels, 5)
+        assert calls == [(size, (), {}) for size in sizes]
+        assert [(r.seed, r.n) for r in rows] == [(s, n) for s in range(5) for n in levels]
 
     # 5985 and 2449 words give the 3-row block chunks of 57 and 23 steps: step 112 is the
     # 55th of steps 58-114 and the 20th of steps 93-115; seed 24's n=2 and n=4 fail at the

@@ -316,8 +316,9 @@ class TestEnsemble:
             assert col.tobytes() == np.mean(rows, axis=0).tobytes()
         # any rows, in any order, step as they do alone
         a0 = trajs[0].coeffs[0]
-        a_t, [((l2, h1, visc, sto, hs), coeffs)] = integrator._step_paths(
+        a_t, [((l2, h1, visc, sto, hs), coeffs)], pairs = integrator._step_paths(
             [cfg], [a0], [(cfg.seed, p) for p in [4, 1, 3]], keep_coeffs=True)
+        assert pairs.shape == (0, 2, 3, len(summ.times))  # one level has no pairs
         assert a_t.tobytes() == summ.a_t.tobytes() == sin_domain.a_at(summ.times).tobytes()
         for r, p in enumerate([4, 1, 3]):
             assert coeffs[r].tobytes() == trajs[p].coeffs.tobytes()
@@ -400,8 +401,8 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
         monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
         draws.clear()
         positioned.clear()
-        _, [(series, coeffs)] = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
-                                                       keep_coeffs=True)
+        _, [(series, coeffs)], _ = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
+                                                          keep_coeffs=True)
         outputs.add((series.tobytes(), coeffs.tobytes()))
         per_draw = min(max(1, (budget - 30) // 84), 37)
         starts = list(range(0, 37, per_draw))
@@ -592,9 +593,10 @@ def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers, draw
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("draw_budget", [1, None, 1648, 864], indirect=True,
                          ids=["budget=1", "budget=default", "budget=1648", "budget=864"])
-def test_coefficient_failure_names_its_own_step(monkeypatch, unit_domain, draw_budget):
+def test_coefficient_failure_names_its_own_step(monkeypatch, sin_domain, draw_budget):
     # a drift that turns path 1's coefficients infinite on step 30 of 60: they fail there,
-    # one step before the ledger, wherever the step falls in its chunk
+    # one step before the ledger, wherever the step falls in its chunk.  The domain moves:
+    # a static one calls no drift
     flat_coupling = basis.flat_coupling
 
     def spiking(spans):
@@ -610,7 +612,7 @@ def test_coefficient_failure_names_its_own_step(monkeypatch, unit_domain, draw_b
         return spiked
 
     monkeypatch.setattr(basis, "flat_coupling", spiking)
-    cfg = config(unit_domain, model=moving_diagonal(0.3, 0.0, m=4), t_end=0.06, n_paths=3)
+    cfg = config(sin_domain, model=moving_diagonal(0.3, 0.0, m=4), t_end=0.06, n_paths=3)
     with pytest.raises(NumericalError,
                        match=r"^path 1, step 30: non-finite coefficients at t=0\.03$"):
         simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0))
@@ -685,14 +687,25 @@ def test_levels_in_any_order_step_as_they_do_alone(sin_domain, scheme, kind,
                                 scheme=scheme, snapshot_stride=5) for n in levels]
     a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
     rows = [(6, 2), (6, 0), (6, 1)]
-    a_t, together = integrator._step_paths(configs, a0s, rows, zero_eigenvalues,
-                                           keep_coeffs=True)
+    a_t, together, pairs = integrator._step_paths(configs, a0s, rows, zero_eigenvalues,
+                                                  keep_coeffs=True)
     for cfg, a0, (series, coeffs) in zip(configs, a0s, together):
-        a_t_alone, [(want_series, want_coeffs)] = integrator._step_paths(
+        a_t_alone, [(want_series, want_coeffs)], _ = integrator._step_paths(
             [cfg], [a0], rows, zero_eigenvalues, keep_coeffs=True)
         assert a_t.tobytes() == a_t_alone.tobytes()
         assert series.tobytes() == want_series.tobytes()
         assert coeffs.tobytes() == want_coeffs.tobytes()
+    assert_pairs_are_level_gaps(pairs, [coeffs for _, coeffs in together], a_t)
+
+
+def assert_pairs_are_level_gaps(pairs, coeffs, a_t):
+    """Pair l of the stepper's distances is, bit for bit, ``basis.level_gap`` of the
+    (P, saved, n) saved coefficients coeffs[l] and coeffs[l + 1], the wider first."""
+    assert len(pairs) == len(coeffs) - 1
+    for pair, one, other in zip(pairs, coeffs, coeffs[1:]):
+        wide, narrow = sorted((one, other), key=lambda c: -c.shape[-1])
+        weights = (basis.mode_numbers(wide.shape[-1]) / a_t[:, None]) ** 2
+        assert pair.tobytes() == basis.level_gap(wide, narrow, weights).tobytes()
 
 
 def test_levels_across_the_fft_crossover_step_as_they_do_alone(sin_domain):
@@ -705,37 +718,58 @@ def test_levels_across_the_fft_crossover_step_as_they_do_alone(sin_domain):
                                 snapshot_stride=4) for n in levels]
     a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
     rows = [(6, 2), (6, 0), (6, 1)]
-    _, together = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    a_t, together, pairs = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
     for cfg, a0, (series, coeffs) in zip(configs, a0s, together):
-        _, [(want_series, want_coeffs)] = integrator._step_paths([cfg], [a0], rows,
-                                                                 keep_coeffs=True)
+        _, [(want_series, want_coeffs)], _ = integrator._step_paths([cfg], [a0], rows,
+                                                                    keep_coeffs=True)
         assert series.tobytes() == want_series.tobytes()
         assert coeffs.tobytes() == want_coeffs.tobytes()
+    assert_pairs_are_level_gaps(pairs, [coeffs for _, coeffs in together], a_t)
 
 
 @pytest.mark.parametrize("scheme,levels", [("exponential_em", [16, basis._FFT_MIN_N]),
                                            ("explicit_em", [4, 8])])
-def test_static_domain_steps_as_the_decoupled_system(monkeypatch, unit_domain, scheme,
-                                                     levels):
-    # a'/a = 0 scales every drift, dense or FFT, to a zero that leaves the state as it is:
-    # the states and ledgers are bitwise those of a run whose drift is zero
+def test_static_domain_steps_as_the_decoupled_system(unit_domain, scheme, levels):
+    # a'/a = 0: the stepper skips the drift, dense or FFT, and each level's states and
+    # ledger are bitwise those of the plain loop, which scales its drift by a'/a = 0 every
+    # step
     model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=12)
     dt = 2.0**-12
     configs = [SimulationConfig(domain=unit_domain, n=n, model=model, dt=dt, t_end=9 * dt,
-                                scheme=scheme, snapshot_stride=4) for n in levels]
+                                scheme=scheme, seed=6, snapshot_stride=4) for n in levels]
     a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
-    rows = [(6, 2), (6, 0)]
-    _, coupled = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    _, coupled, _ = integrator._step_paths(configs, a0s, [(6, 2), (6, 0)], keep_coeffs=True)
+    saved = saved_steps(9, 4)
+    for cfg, a0, (series, coeffs) in zip(configs, a0s, coupled):
+        want_coeffs, *want_ledger = reference_loop(cfg, a0)  # path 0: row 1
+        assert coeffs[1].tobytes() == want_coeffs[saved].tobytes()
+        for got, want in zip(series[2:, 1], want_ledger):
+            assert got.tobytes() == want[saved].tobytes()
 
-    def decoupled(spans):
-        def drift(coeffs, out):
-            out[...] = 0.0
-            return out
 
-        return drift
+def test_static_domain_calls_no_drift(monkeypatch, unit_domain, sin_domain):
+    # whether to couple is decided once per run: a static domain never builds or calls
+    # the drift, a moving one calls it once a step
+    built, calls = [], []
+    flat_coupling = basis.flat_coupling
 
-    monkeypatch.setattr(basis, "flat_coupling", decoupled)
-    _, want = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
-    for (series, coeffs), (want_series, want_coeffs) in zip(coupled, want):
-        assert series.tobytes() == want_series.tobytes()
-        assert coeffs.tobytes() == want_coeffs.tobytes()
+    def spy(spans):
+        drift = flat_coupling(spans)
+        built.append(spans)
+
+        def counted(coeffs, out):
+            calls.append(None)
+            return drift(coeffs, out)
+
+        return counted
+
+    monkeypatch.setattr(basis, "flat_coupling", spy)
+    model = moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=12)
+    for domain, want in ((unit_domain, 0), (sin_domain, 9)):
+        configs = [SimulationConfig(domain=domain, n=n, model=model, dt=2.0**-12,
+                                    t_end=9 * 2.0**-12) for n in (16, basis._FFT_MIN_N)]
+        a0s = [np.linspace(1.0, 0.1, cfg.n) for cfg in configs]
+        built.clear()
+        calls.clear()
+        integrator._step_paths(configs, a0s, [(6, 0)])
+        assert (len(built), len(calls)) == (min(want, 1), want)

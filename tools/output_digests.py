@@ -17,8 +17,11 @@ holds a dense level (160) and FFT levels (320, 640) side by side, with n = 320
 itself the crossover.  Then ``simulate``, ``ensemble`` and ``converge`` under
 ``scheme = explicit_em``, and on ``OVERFLOW_SIM``, whose every path overflows
 its energy ledger, so that the failure reports pin the step and kind of the
-first failure.  Last, ``simulate`` on a grid of 5 points, where the synthesis
-folds modes 5 to 16 onto bins 1 to 3 with their signs.  Each CSV gives one line
+first failure.  Then ``simulate`` on a grid of 5 points, where the synthesis
+folds modes 5 to 16 onto bins 1 to 3 with their signs.  Last, ``converge --levels
+256`` saving every one of 700 steps: 701 saved steps of 768 modes per seed, the
+shape at which a study that kept its seeds' saved coefficients within 2^20 words
+stepped one seed at a time.  Each CSV gives one line
 ``<case> <file> <sha256>``; a command that exits non-zero gives
 ``<case> exit <code>: <stderr>`` instead.
 ``manifest.json`` is skipped: it records the version and the wall time.  The
@@ -109,6 +112,10 @@ OUTPUT = {"grid_size": 17, "snapshot_stride": 7}
 # onto 3 to 1 with a minus sign
 FOLD_OUTPUT = {**OUTPUT, "grid_size": 5}
 FOLD_COMMANDS = {"simulate": ["simulate"]}
+# 700 steps of dt = 1e-4, each saved, at levels 256 and 512
+EVERY_STEP_SIM = {**SIM, "dt": 0.0001, "t_end": 0.07}
+EVERY_STEP_OUTPUT = {**OUTPUT, "snapshot_stride": 1}
+EVERY_STEP_COMMANDS = {"converge": ["converge", "--levels", "256", "--seeds", "3"]}
 
 
 def config_text(domain: dict, noise: dict, sim: dict = SIM, output: dict = OUTPUT) -> str:
@@ -181,6 +188,9 @@ def digests(work: Path) -> list[str]:
                           OVERFLOW_COMMANDS, work)
     lines += run_commands(cli, "fold", config_text(sinusoidal, diagonal, SIM, FOLD_OUTPUT),
                           FOLD_COMMANDS, work)
+    lines += run_commands(cli, "every-step",
+                          config_text(sinusoidal, diagonal, EVERY_STEP_SIM, EVERY_STEP_OUTPUT),
+                          EVERY_STEP_COMMANDS, work)
     return lines
 
 
