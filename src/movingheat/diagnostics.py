@@ -49,10 +49,10 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     gradient distance d_y.  Both split over the common first n modes plus
     the tail of the finer solution.  Every level's config and the whole seed
     range are validated before any step.  The seeds then run as the rows of
-    blocks of at most MAX_BLOCK_ROWS rows that step all levels together on one
-    draw of increments per chunk of steps; the stepper returns the squared
-    distances, so no coefficients are kept.  A failure names the lowest failed
-    seed, then its lowest failed level.
+    ``integrator._step_blocks``, whose blocks step all levels together on one
+    draw of increments per chunk of steps and return the squared distances, so
+    no coefficients are kept.  A failure names the lowest failed seed, then its
+    lowest failed level.
     """
     if n_seeds < 1:
         raise ValueError(f"number of seeds must be >= 1, got {n_seeds}")
@@ -67,13 +67,11 @@ def self_convergence_study(config_base, u0, levels, n_seeds: int) -> list[Conver
     if last >= MAX_SEED:
         raise ValueError(f"seeds {config_base.seed}..{last} must lie in [0, {MAX_SEED})")
     a0s = [integrator._initial_coeffs(cfg, u0) for cfg in configs]
-    saved = integrator.saved_steps(config_base.n_steps, config_base.snapshot_stride)
-    times, size, rows = saved * config_base.dt, integrator.MAX_BLOCK_ROWS, []
-    for first in range(config_base.seed, last + 1, size):
-        block = range(first, min(first + size, last + 1))
-        *_, pairs = integrator._step_paths(configs, a0s, [(seed, 0) for seed in block])
+    seeds, rows = [(seed, 0) for seed in range(config_base.seed, last + 1)], []
+    for block, (steps, _, _, pairs) in integrator._step_blocks(configs, a0s, seeds):
+        times = steps * config_base.dt
         rows += [ConvergenceRow(seed, n, *_distances(gap[:, r], times))
-                 for r, seed in enumerate(block) for n, gap in zip(levels, pairs)]
+                 for r, (seed, _) in enumerate(block) for n, gap in zip(levels, pairs)]
     return rows
 
 

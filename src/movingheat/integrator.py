@@ -45,7 +45,7 @@ MAX_BLOCK_ROWS = 256
 
 def saved_steps(n_steps: int, stride: int) -> np.ndarray:
     """Indices of the saved steps: every stride-th step, plus the last."""
-    return np.unique(np.r_[np.arange(0, n_steps + 1, stride), n_steps])
+    return np.append(np.arange(0, n_steps, stride), n_steps)
 
 
 def whole_steps(span: float, dt: float) -> int:
@@ -196,15 +196,14 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     Products and sums stay per row and per level and run on C-ordered operands, in the
     order a lone level takes them, so a row's bits do not depend on the rows or levels
     beside it, on their order or on how the steps are grouped into chunks.
-    Returns a(t) at the saved steps; per level, the (5, P, saved) series l2, h1, visc,
-    sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved coefficients (else None);
-    and the (L - 1, 2, P, saved) squared L2 and H1 distances of levels l and l + 1
-    (``basis.level_gap``).  A row fails
-    at the first non-finite value of its ledger or coefficients (from step 1 on) or of its
-    saved norms, checked in that order; the error ``{label}, step {i}: non-finite {what} at t={t}``
-    names the lowest failed row, then its lowest failed level, labelled ``path p`` for one
-    level and ``seed s, n=N`` for several.  The stepping stops at the end of the chunk in
-    which row 0 fails at level 0.
+    Returns the saved steps (``saved_steps``) and a(t) at them; per level, the (5, P, saved)
+    series l2, h1, visc, sto, hs and, with ``keep_coeffs``, the (P, saved, n_l) saved
+    coefficients (else None); and the (L - 1, 2, P, saved) squared L2 and H1 distances of
+    levels l and l + 1 (``basis.level_gap``).  A row fails at the first non-finite value of
+    its ledger or coefficients (from step 1 on) or of its saved norms, checked in that order;
+    the error ``{label}, step {i}: non-finite {what} at t={t}`` names the lowest failed row,
+    then its lowest failed level, labelled ``path p`` for one level and ``seed s, n=N`` for
+    several.  The stepping stops at the end of the chunk in which row 0 fails at level 0.
     """
     config, domain = configs[0], configs[0].domain
     m, dt, model = config.model.m, config.dt, config.model
@@ -306,7 +305,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
                 break
     if failures:
         raise NumericalError(failures[min(failures)][2])
-    return a_t[saved], list(zip(series, coeffs)), pairs
+    return saved, a_t[saved], list(zip(series, coeffs)), pairs
 
 
 def simulate(config: SimulationConfig, u0, path_index: int = 0,
@@ -320,11 +319,10 @@ def simulate(config: SimulationConfig, u0, path_index: int = 0,
     noise is that stream, so reruns are bitwise identical and the snapshot stride
     cannot change the path.
     """
-    a_t, [(series, coeffs)], _ = _step_paths([config], [_initial_coeffs(config, u0)],
-                                             [(config.seed, path_index)], zero_eigenvalues,
-                                             keep_coeffs=True)
+    steps, a_t, [(series, coeffs)], _ = _step_paths([config], [_initial_coeffs(config, u0)],
+                                                    [(config.seed, path_index)],
+                                                    zero_eigenvalues, keep_coeffs=True)
     l2, h1, visc, sto, hs = series[:, 0]
-    steps = saved_steps(config.n_steps, config.snapshot_stride)
     return Trajectory(steps * config.dt, a_t, coeffs[0], l2, h1, visc, sto, hs, float(l2[0]),
                       steps)
 
@@ -349,11 +347,22 @@ class EnsembleSummary:
     n_paths: int
 
 
-def _blocks(n_paths: int, workers: int) -> list[range]:
-    """Contiguous path blocks: as many as ``workers``, each at most MAX_BLOCK_ROWS rows."""
-    count = max(min(workers, n_paths), -(-n_paths // MAX_BLOCK_ROWS))
-    bounds = [b * n_paths // count for b in range(count + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+def _step_blocks(configs, a0s, rows, workers: int = 1):
+    """Yield each contiguous block of the list ``rows`` (as many as ``workers``, each at most
+    MAX_BLOCK_ROWS rows) with its ``_step_paths`` result, in row order.  The blocks go to a pool
+    of at most ``workers`` processes, never more than blocks or usable CPUs; without one, a
+    block is stepped only when the one before it has been taken."""
+    count = max(min(workers, len(rows)), -(-len(rows) // MAX_BLOCK_ROWS))
+    blocks = [rows[b * len(rows) // count:(b + 1) * len(rows) // count] for b in range(count)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = min(workers, count, cpus or 1)
+    if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            yield from zip(blocks, pool.map(_step_paths, repeat(configs), repeat(a0s), blocks))
+    else:
+        yield from zip(blocks, map(_step_paths, repeat(configs), repeat(a0s), blocks))
 
 
 def mean_and_se(values: np.ndarray, name: str, times=None):
@@ -379,30 +388,19 @@ def mean_and_se(values: np.ndarray, name: str, times=None):
 def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> EnsembleSummary:
     """Run config.n_paths independent paths and reduce deterministically.
 
-    The blocks of paths go to a pool of at most ``workers`` processes, never
-    more than there are blocks or usable CPUs.  Per-path results land in
-    arrays indexed by path number before any reduction, so means and standard
-    errors do not depend on worker count or completion order, and a failure
-    names the lowest failed path.
+    The paths are the rows of ``_step_blocks``, so with ``workers`` > 1 their
+    blocks go to a process pool.  Per-path results land in arrays indexed by
+    path number before any reduction, so means and standard errors do not
+    depend on worker count or completion order, and a failure names the
+    lowest failed path.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    n_paths = config.n_paths
-    blocks = _blocks(n_paths, workers)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool_size = min(workers, len(blocks), cpus or 1)
-    args = (repeat([config]), repeat([_initial_coeffs(config, u0)]),
-            [[(config.seed, path) for path in block] for block in blocks])
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
-
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_step_paths, *args))  # in path order
-    else:
-        parts = list(map(_step_paths, *args))
-    l2, h1, visc, sto, hs = np.concatenate([series for _, [(series, _)], _ in parts], axis=1)
-
-    times = saved_steps(config.n_steps, config.snapshot_stride) * config.dt
+    parts = [part for _, part in _step_blocks([config], [_initial_coeffs(config, u0)],
+                                              [(config.seed, p) for p in range(config.n_paths)],
+                                              workers)]
+    l2, h1, visc, sto, hs = np.concatenate([series for *_, [(series, _)], _ in parts], axis=1)
+    times = parts[0][0] * config.dt  # every block saves the same steps of the same boundary
     mean_l2, se_l2 = mean_and_se(l2, "l2_sq", times)
     mean_h1, se_h1 = mean_and_se(h1, "h1_sq", times)
     with np.errstate(over="ignore"):  # an overflowed integral fails its moment statistic
@@ -410,7 +408,7 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
 
     return EnsembleSummary(
         times=times,
-        a_t=parts[0][0],  # every block samples the same boundary
+        a_t=parts[0][1],
         mean_l2_sq=mean_l2,
         se_l2_sq=se_l2,
         mean_h1_sq=mean_h1,
@@ -422,7 +420,7 @@ def simulate_ensemble(config: SimulationConfig, u0, workers: int = 1) -> Ensembl
         final_sto=sto[:, -1],
         final_hs=hs[:, -1],
         e0=float(l2[0, 0]),  # every path starts from the same projected state
-        n_paths=n_paths,
+        n_paths=config.n_paths,
     )
 
 

@@ -684,7 +684,7 @@ def test_cli_import_loads_no_process_pool():
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy serves only the finite-difference oracle; it is imported where that is built.
     # A table domain's spline, parsed from a config or built directly, and a simulation on
-    # it need no scipy.
+    # it need no scipy, and the simulation loads no numpy.ma either.
     import os
     import subprocess
     import sys
@@ -715,6 +715,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "traj = simulate(setup.config.with_updates(domain=d), setup.u0)\n"
         "assert np.all(np.isfinite(traj.l2_sq))\n"
         "no_scipy('simulate on a table domain')\n"
+        "assert 'numpy.ma' not in sys.modules, 'simulate loaded numpy.ma'\n"
         "sol = fd_solve(d, ParabolaInitial(1.0), 16, 0.01, 0.1)\n"
         "assert np.all(np.isfinite(sol.v)) and sol.times[-1] == 0.1\n"
         "assert 'scipy' in sys.modules, 'fd_solve runs on scipy'\n"

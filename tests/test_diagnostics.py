@@ -22,7 +22,7 @@ from movingheat import (
     simulate_ensemble,
     zero_model,
 )
-from movingheat import basis, integrator, noise
+from movingheat import basis, diagnostics, integrator, noise
 from movingheat.diagnostics import mean_and_se
 from movingheat.errors import ConfigError
 
@@ -274,8 +274,8 @@ class TestSelfConvergence:
         configs = [cfg.with_updates(n=n) for n in ns]
         a0s = [basis.project_initial(u0, n, sin_domain).coeffs for n in ns]
         for block in blocks:
-            _, levels_out, _ = integrator._step_paths(configs, a0s, [(s, 0) for s in block],
-                                                      keep_coeffs=True)
+            *_, levels_out, _ = integrator._step_paths(configs, a0s, [(s, 0) for s in block],
+                                                       keep_coeffs=True)
             for n, (series, coeffs) in zip(ns, levels_out):
                 for r, seed in enumerate(block):
                     want = alone[seed, n]
@@ -283,15 +283,18 @@ class TestSelfConvergence:
                     for got, name in zip(series[:, r], ("l2_sq", "h1_sq", "visc", "sto", "hs")):
                         assert got.tobytes() == getattr(want, name).tobytes()
 
+    @pytest.mark.parametrize("caller", ["study", "ensemble"])
     @pytest.mark.parametrize("block_rows,levels,dt,stride,sizes", [
-        (2, [2, 4], 1e-3, 10, [2, 2, 1]),
+        # as many blocks as the rows need, split evenly, the smaller ones first
+        (2, [2, 4], 1e-3, 10, [1, 2, 2]),
         # 3001 saved steps x (64 + 128) modes: 576,192 saved coefficients a seed, so a study
         # that kept them in blocks of at most 2^20 words stepped one seed at a time
         (None, [64], 1e-4, 1, [5]),
     ])
-    def test_seeds_step_in_blocks_of_max_block_rows(self, monkeypatch, unit_domain, block_rows,
-                                                    levels, dt, stride, sizes):
-        # each block steps with the stepper's defaults, keeping no coefficients
+    def test_seeds_step_in_blocks_of_max_block_rows(self, monkeypatch, unit_domain, caller,
+                                                    block_rows, levels, dt, stride, sizes):
+        # the study's seeds and the ensemble's paths are split by one rule, and each block
+        # steps with the stepper's defaults, keeping no coefficients
         if block_rows is not None:
             monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", block_rows)
         calls = []
@@ -302,11 +305,37 @@ class TestSelfConvergence:
             return step_paths(configs, a0s, block, *args, **kwargs)
 
         monkeypatch.setattr(integrator, "_step_paths", spy)
-        cfg = SimulationConfig(domain=unit_domain, n=2, model=moving_diagonal(0.3, 0.0, m=4),
-                               dt=dt, t_end=0.3, snapshot_stride=stride)
-        rows = self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), levels, 5)
+        cfg = SimulationConfig(domain=unit_domain, n=levels[0],
+                               model=moving_diagonal(0.3, 0.0, m=4), dt=dt, t_end=0.3,
+                               snapshot_stride=stride, n_paths=5)
+        if caller == "study":
+            rows = self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), levels, 5)
+            assert [(r.seed, r.n) for r in rows] == [(s, n) for s in range(5) for n in levels]
+        else:
+            summary = integrator.simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0))
+            assert summary.final_l2_sq.shape == (5,)
         assert calls == [(size, (), {}) for size in sizes]
-        assert [(r.seed, r.n) for r in rows] == [(s, n) for s in range(5) for n in levels]
+
+    def test_serial_study_takes_each_blocks_distances_before_the_next_step(self, monkeypatch,
+                                                                           unit_domain):
+        # so it holds one block's distances at a time, not the whole study's
+        monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", 1)
+        events, step_paths, distances = [], integrator._step_paths, diagnostics._distances
+
+        def step_spy(configs, a0s, block):
+            events.append(block)
+            return step_paths(configs, a0s, block)
+
+        def distances_spy(gap, times):
+            events.append("distances")
+            return distances(gap, times)
+
+        monkeypatch.setattr(integrator, "_step_paths", step_spy)
+        monkeypatch.setattr(diagnostics, "_distances", distances_spy)
+        cfg = SimulationConfig(domain=unit_domain, n=2, model=moving_diagonal(0.3, 0.0, m=4),
+                               dt=1e-2, t_end=0.1)
+        self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [2, 4], 3)
+        assert events == [e for s in range(3) for e in ([(s, 0)], "distances", "distances")]
 
     # 5985 and 2449 words give the 3-row block chunks of 57 and 23 steps: step 112 is the
     # 55th of steps 58-114 and the 20th of steps 93-115; seed 24's n=2 and n=4 fail at the
@@ -314,20 +343,32 @@ class TestSelfConvergence:
     @pytest.mark.parametrize("draw_budget", [1, None, 5985, 2449], indirect=True,
                              ids=["budget=1", "budget=default", "budget=5985", "budget=2449"])
     @pytest.mark.parametrize("seed,step", [(2, 112), (24, 121)])
-    def test_failure_names_lowest_seed_then_lowest_level(self, unit_domain, draw_budget,
-                                                         seed, step):
+    @pytest.mark.parametrize("block_rows", [None, 1])
+    def test_failure_names_lowest_seed_then_lowest_level(self, monkeypatch, unit_domain,
+                                                         draw_budget, block_rows, seed, step):
         # each level starts from A_1 = 5.4e-17, the rounding residue of projecting mode 2
         # onto mode 1, and from n = 2 on from A_2 = 1.  From seed 2 the failures are seed 2
         # at every level after 112 steps and seed 3 at every level after 107.  From seed 24
         # they are seed 24 at n=1 after 121 steps, but at n=2 and n=4 after 114, where
         # mode 2 overflows first, and seed 25 at every level after 108.  The report is the
-        # lowest seed, then its lowest level: seed 2, n=1 and seed 24, n=1
+        # lowest seed, then its lowest level: seed 2, n=1 and seed 24, n=1.  With one seed a
+        # block, the failed first block raises before the next is stepped
+        if block_rows is not None:
+            monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", block_rows)
+        stepped, step_paths = [], integrator._step_paths
+
+        def spy(configs, a0s, block):
+            stepped.append(block)
+            return step_paths(configs, a0s, block)
+
+        monkeypatch.setattr(integrator, "_step_paths", spy)
         model = moving_diagonal(gamma=0.0, beta=2000.0, decay_p=0.6, m=2)
         cfg = SimulationConfig(domain=unit_domain, n=1, model=model, dt=1e-3, t_end=0.2,
                                seed=seed)
         message = rf"^seed {seed}, n=1, step {step}: non-finite energy ledger at t=0\.{step}$"
         with pytest.raises(NumericalError, match=message):
             self_convergence_study(cfg, ModeInitial(2, 1.0, 1.0), [1, 2], 3)
+        assert stepped == [[(seed + r, 0) for r in range(block_rows or 3)]]
 
     @pytest.mark.parametrize("levels,seed,n_seeds,error,message", [
         ([], 0, 1, ValueError, "levels must name at least one truncation"),

@@ -316,8 +316,9 @@ class TestEnsemble:
             assert col.tobytes() == np.mean(rows, axis=0).tobytes()
         # any rows, in any order, step as they do alone
         a0 = trajs[0].coeffs[0]
-        a_t, [((l2, h1, visc, sto, hs), coeffs)], pairs = integrator._step_paths(
+        steps, a_t, [((l2, h1, visc, sto, hs), coeffs)], pairs = integrator._step_paths(
             [cfg], [a0], [(cfg.seed, p) for p in [4, 1, 3]], keep_coeffs=True)
+        assert (steps * cfg.dt).tobytes() == summ.times.tobytes()
         assert pairs.shape == (0, 2, 3, len(summ.times))  # one level has no pairs
         assert a_t.tobytes() == summ.a_t.tobytes() == sin_domain.a_at(summ.times).tobytes()
         for r, p in enumerate([4, 1, 3]):
@@ -401,8 +402,8 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
         monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
         draws.clear()
         positioned.clear()
-        _, [(series, coeffs)], _ = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
-                                                          keep_coeffs=True)
+        *_, [(series, coeffs)], _ = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
+                                                           keep_coeffs=True)
         outputs.add((series.tobytes(), coeffs.tobytes()))
         per_draw = min(max(1, (budget - 30) // 84), 37)
         starts = list(range(0, 37, per_draw))
@@ -507,16 +508,22 @@ def test_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch, unit_domain, n_pat
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    stepped, step_paths = [], integrator._step_paths
+
+    def spy(configs, a0s, rows):
+        stepped.append([path for _, path in rows])
+        return step_paths(configs, a0s, rows)
+
+    monkeypatch.setattr(integrator, "_step_paths", spy)
     cfg = config(unit_domain, n=2, model=zero_model(1), t_end=0.01, n_paths=n_paths)
     summ = simulate_ensemble(cfg, ModeInitial(1, 1.0, 1.0), workers=workers)
     assert summ.final_l2_sq.shape == (n_paths,)
     assert RecordingPool.sizes == ([] if size is None else [size])
-    assert len(integrator._blocks(n_paths, workers)) == blocks
-    if size is not None:
-        (submitted,) = RecordingPool.blocks
-        assert len(submitted) == blocks
-        assert sum(submitted, []) == list(range(n_paths))  # contiguous, in path order
-        assert max(map(len, submitted)) <= integrator.MAX_BLOCK_ROWS
+    # with or without a pool, the same contiguous blocks in path order
+    assert RecordingPool.blocks == ([] if size is None else [stepped])
+    assert len(stepped) == blocks
+    assert sum(stepped, []) == list(range(n_paths))
+    assert max(map(len, stepped)) <= integrator.MAX_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("n_steps,stride,expected", [
@@ -687,11 +694,12 @@ def test_levels_in_any_order_step_as_they_do_alone(sin_domain, scheme, kind,
                                 scheme=scheme, snapshot_stride=5) for n in levels]
     a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
     rows = [(6, 2), (6, 0), (6, 1)]
-    a_t, together, pairs = integrator._step_paths(configs, a0s, rows, zero_eigenvalues,
-                                                  keep_coeffs=True)
+    steps, a_t, together, pairs = integrator._step_paths(configs, a0s, rows, zero_eigenvalues,
+                                                         keep_coeffs=True)
     for cfg, a0, (series, coeffs) in zip(configs, a0s, together):
-        a_t_alone, [(want_series, want_coeffs)], _ = integrator._step_paths(
+        steps_alone, a_t_alone, [(want_series, want_coeffs)], _ = integrator._step_paths(
             [cfg], [a0], rows, zero_eigenvalues, keep_coeffs=True)
+        assert steps.tobytes() == steps_alone.tobytes()
         assert a_t.tobytes() == a_t_alone.tobytes()
         assert series.tobytes() == want_series.tobytes()
         assert coeffs.tobytes() == want_coeffs.tobytes()
@@ -718,10 +726,10 @@ def test_levels_across_the_fft_crossover_step_as_they_do_alone(sin_domain):
                                 snapshot_stride=4) for n in levels]
     a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
     rows = [(6, 2), (6, 0), (6, 1)]
-    a_t, together, pairs = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
+    _, a_t, together, pairs = integrator._step_paths(configs, a0s, rows, keep_coeffs=True)
     for cfg, a0, (series, coeffs) in zip(configs, a0s, together):
-        _, [(want_series, want_coeffs)], _ = integrator._step_paths([cfg], [a0], rows,
-                                                                    keep_coeffs=True)
+        *_, [(want_series, want_coeffs)], _ = integrator._step_paths([cfg], [a0], rows,
+                                                                     keep_coeffs=True)
         assert series.tobytes() == want_series.tobytes()
         assert coeffs.tobytes() == want_coeffs.tobytes()
     assert_pairs_are_level_gaps(pairs, [coeffs for _, coeffs in together], a_t)
@@ -738,8 +746,9 @@ def test_static_domain_steps_as_the_decoupled_system(unit_domain, scheme, levels
     configs = [SimulationConfig(domain=unit_domain, n=n, model=model, dt=dt, t_end=9 * dt,
                                 scheme=scheme, seed=6, snapshot_stride=4) for n in levels]
     a0s = [np.linspace(1.0, 0.1, n) * (-1.0) ** np.arange(n) for n in levels]
-    _, coupled, _ = integrator._step_paths(configs, a0s, [(6, 2), (6, 0)], keep_coeffs=True)
-    saved = saved_steps(9, 4)
+    saved, _, coupled, _ = integrator._step_paths(configs, a0s, [(6, 2), (6, 0)],
+                                                  keep_coeffs=True)
+    assert saved.tolist() == [0, 4, 8, 9]
     for cfg, a0, (series, coeffs) in zip(configs, a0s, coupled):
         want_coeffs, *want_ledger = reference_loop(cfg, a0)  # path 0: row 1
         assert coeffs[1].tobytes() == want_coeffs[saved].tobytes()

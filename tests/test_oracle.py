@@ -283,7 +283,7 @@ def test_nothing_samples_the_boundary_after_the_stepper(monkeypatch, boundary_ca
     simulate_ensemble(cfg, u0, workers=1)
     assert boundary_calls == simulate_calls
 
-    # seeds 0, 1 and 2 in blocks [0, 1] and [2]: a(0) once per level (3, 6 and 12 modes),
+    # seeds 0, 1 and 2 in blocks [0] and [1, 2]: a(0) once per level (3, 6 and 12 modes),
     # then the stepper's boundary arrays once per block
     monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", 2)
     boundary_calls.update(a_at=0, a_prime_at=0)
