@@ -3,11 +3,12 @@
 import os
 import sys
 
-# Processes over paths (``--workers``) are the one level of parallelism: load BLAS
-# single-threaded, unless numpy is loaded already or the variable is set.
+# Processes over paths (``--workers``) are the one level of parallelism, so BLAS loads
+# single-threaded unless numpy is loaded already or a variable is set.  Manifests record them.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS")
 if "numpy" not in sys.modules:
-    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                  "VECLIB_MAXIMUM_THREADS"):
+    for _name in _BLAS_THREADS:
         os.environ.setdefault(_name, "1")
 
 from .basis import (

@@ -64,19 +64,22 @@ def mode_numbers(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) * np.pi
 
 
+def _upper_entry(j, k):
+    """C_jk = (-1)^(j+k) 2jk/(j^2-k^2) of float mode numbers j < k, or of broadcast arrays."""
+    return np.where((j + k) % 2, -1.0, 1.0) * (2.0 * j * k / (j * j - k * k))
+
+
 def coupling_pattern(n: int) -> np.ndarray:
     """Read-only (n, n) table C_n of the coupling b_jk(t) = (a'_t/a_t) C_jk.
 
-    C_jk = (-1)^(j+k) 2jk/(j^2-k^2) off the diagonal, +0.0 on it.  The strict
-    upper triangle is computed and mirrored with a sign flip, so C_n is
-    exactly skew-symmetric.  Built afresh on every call: up to 128 MiB at n = 4096.
+    C_jk (``_upper_entry``) off the diagonal, +0.0 on it.  The strict upper triangle is
+    computed and mirrored with a sign flip, so C_n is exactly skew-symmetric.  Built
+    afresh on every call: up to 128 MiB at n = 4096.
     """
     _check_mode(n)
     ks = np.arange(1, n + 1, dtype=float)
-    j, k = ks[:, None], ks[None, :]
-    sign = np.where((j + k) % 2, -1.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
-        upper = np.triu(sign * (2.0 * j * k / (j * j - k * k)), 1)
+        upper = np.triu(_upper_entry(ks[:, None], ks[None, :]), 1)
     c = upper - upper.T
     c.flags.writeable = False
     return c
@@ -85,16 +88,15 @@ def coupling_pattern(n: int) -> np.ndarray:
 def coupling(j: int, k: int, t: float, domain: DomainMotion) -> float:
     """Mode-coupling coefficient b_jk(t) = integral of e_j d/dt e_k over (0, a_t).
 
-    The [j-1, k-1] entry of ``coupling_matrix`` bit for bit, so b_jk == -b_kj bitwise,
-    from the closed form in the table's operand order, without building the table.
+    The [j-1, k-1] entry of ``coupling_matrix`` bit for bit, so b_jk == -b_kj bitwise:
+    the table's own expression (``_upper_entry``), without building the table.
     """
     _check_mode(min(j, k))
     _check_mode(max(j, k))
     ratio = domain.a_prime_at(t) / domain.a_at(t)
     if j == k or not ratio:
         return 0.0
-    lo, hi = float(min(j, k)), float(max(j, k))
-    upper = (-1.0 if (j + k) % 2 else 1.0) * (2.0 * lo * hi / (lo * lo - hi * hi))
+    upper = _upper_entry(float(min(j, k)), float(max(j, k)))
     return float(ratio * (upper if j < k else 0.0 - upper))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -23,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, basis, diagnostics, oracle
+from . import _BLAS_THREADS, __version__, basis, diagnostics, oracle
 from .config import parse_run
 from .errors import ConfigError, NumericalError
-from .integrator import simulate, simulate_ensemble
+from .integrator import simulate, simulate_ensemble, whole_steps
 from .noise import MAX_MODES, STREAM
 
 
@@ -123,16 +122,15 @@ def cmd_oracle_compare(args, setup, oracle_csv):
     cfg = setup.config
     if cfg.model.kind != "zero":
         raise ConfigError("oracle-compare is deterministic-only; set [noise] kind = zero")
-    traj = simulate(cfg, setup.u0)
     dt_fd = args.fd_dt if args.fd_dt is not None else cfg.dt
     if not dt_fd > 0:
         raise ConfigError(f"--fd-dt must be positive, got {dt_fd}")
-    stride = cfg.snapshot_stride * cfg.dt / dt_fd
-    if not math.isfinite(stride):
-        raise ConfigError(f"--fd-dt {dt_fd!r} is too small: the save stride overflows")
-    sol = oracle.fd_solve(cfg.domain, setup.u0, args.fd_m, dt_fd, cfg.t_end,
-                          save_stride=max(1, round(stride)))
-    # a spectral save time missing from the FD save grid raises ValueError: exit 1
+    stride = whole_steps(min(cfg.snapshot_stride, cfg.n_steps) * cfg.dt, dt_fd)
+    if not (stride and whole_steps(cfg.t_end, dt_fd)):  # checked before either solve
+        raise ConfigError(f"--fd-dt {dt_fd!r} must divide t_end and the save interval: the "
+                          "finite-difference grid must hold every spectral save time")
+    traj = simulate(cfg, setup.u0)
+    sol = oracle.fd_solve(cfg.domain, setup.u0, args.fd_m, dt_fd, cfg.t_end, save_stride=stride)
     disc = [oracle.compare_with_spectral(traj, sol, float(t)) for t in traj.times]
     write_csv(oracle_csv, ["t", "discrepancy_l2"], [traj.times, disc])
     return {"fd_m": args.fd_m, "fd_dt": dt_fd}
@@ -185,9 +183,7 @@ def run_command(args) -> int:
         "seed": setup.config.seed,
         "noise_stream": STREAM,
         # a BLAS product's bits can depend on its thread count
-        "blas_threads": {name: os.environ.get(name) for name in (
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS")},
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREADS},
         "config_text": setup.text,
         "outputs": sorted(outputs),
         "duration_s": time.monotonic() - started,

@@ -41,6 +41,7 @@ SCHEMES = ("explicit_em", "exponential_em")
 STABILITY_FACTOR = 1.9
 # Rows of one (paths, n) block of the stepper; bounds its working set
 MAX_BLOCK_ROWS = 256
+DRAW_BUDGET = 2**15  # words of the buffers one chunk of a block's steps keeps (_chunk_steps)
 
 
 def saved_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -175,6 +176,19 @@ def _initial_coeffs(config: SimulationConfig, u0) -> np.ndarray:
     return basis.project_initial(u0, config.n, config.domain).coeffs
 
 
+def _chunk_steps(rows: int, m: int, width: int, levels: int) -> int:
+    """Steps S per chunk of ``_step_paths`` on ``rows`` streams and ``levels`` levels of total
+    width ``width``, at least one: as many as fit DRAW_BUDGET words with the buffers the chunk
+    keeps, in the order it allocates them: (S + 1, width) H1 weights, (rows, S,
+    words_per_step(m)) increments, (S, width) decay factors, (S + 1, rows, width) states,
+    (S, rows, width) kicks, (S + 1, 3, levels, rows) ledger terms and (S + 1, levels, rows) h1
+    norms.  The temporaries of ``draw_increment`` and of the batched norms are not counted: a
+    benchmark workload's chunk after the first allocates 181-361 KiB, the budget is 256 KiB."""
+    ledger, state = 4 * levels * rows, rows * width
+    return max(1, (DRAW_BUDGET - ledger - state - width)
+               // (rows * noise.words_per_step(m) + 2 * width + ledger + 2 * state))
+
+
 def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     """Step the (seed, path) pairs ``rows`` at every level configs[l], from the coefficients
     a0s[l], to t_end.
@@ -186,9 +200,9 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     the unscaled coupling drift C_n^T A (``basis.flat_coupling``, built once per block),
     which the update e^(lambda dt) (A + (C_n^T A) (a'/a dt) + kick) scales by a'/a dt; a run
     whose every a'/a is 0 neither builds nor calls it, and its coupling term stays +0.0.
-    The steps run in chunks of S steps (``noise.steps_per_draw``).  A chunk draws its
-    increments, builds (S, sum n_l) decay factors (e^(lambda dt), or lambda for explicit_em)
-    and (S + 1, sum n_l) H1 weights (k pi / a)^2, and keeps its (S + 1, P, sum n_l) states and
+    The steps run in chunks of S steps (``_chunk_steps``).  A chunk builds (S + 1, sum n_l)
+    H1 weights (k pi / a)^2, draws its increments, builds (S, sum n_l) decay factors
+    (e^(lambda dt), or lambda for explicit_em), and keeps its (S + 1, P, sum n_l) states and
     (S, P, sum n_l) kicks: a step makes only its kick, drift and next state.  Once per chunk,
     batched calls over the kept states then take the ledger terms (h1 of the state before
     each step, sum_k A_k kick_k and the HS norm), which ``EnergyLedger.record_step`` adds,
@@ -220,7 +234,7 @@ def _step_paths(configs, a0s, rows, zero_eigenvalues=False, keep_coeffs=False):
     k_pi = np.concatenate([basis.mode_numbers(cfg.n) for cfg in configs])
     n_rows, n_levels = len(rows), len(configs)
     streams = [NoiseStream(seed, path) for seed, path in rows]
-    chunk = noise.steps_per_draw(n_rows, m, bounds[-1], n_levels)
+    chunk = _chunk_steps(n_rows, m, bounds[-1], n_levels)
     kick_of, norms_of = noise.flat_kick(model, spans)
     drift = basis.flat_coupling(spans) if ratio.any() else None  # a static domain has none
     series = np.zeros((n_levels, 5, n_rows, len(saved)))  # state 0's ledger sums are 0

@@ -27,8 +27,6 @@ MAX_SEED = 2**64  # the seed is one 64-bit word of the Philox key
 # The increment stream's layout; every manifest names it, since a change of it
 # changes every noisy output
 STREAM = "philox4x64-10 key=(seed,path) counter=step*ceil(m/4) box-muller-53"
-# words per chunk of steps: bounds the working set of draw_increment and of the stepper
-DRAW_BUDGET = 2**15
 MAX_MODES = 4096  # cap on the truncations n and m; the dense (n, n) coupling is 128 MiB
 
 
@@ -208,17 +206,6 @@ def noise_kick(model: DiffusionModel, coeffs: np.ndarray, increment: np.ndarray)
 def words_per_step(m: int) -> int:
     """Raw 64-bit words one step of an m-wide stream owns: ceil(m/4) Philox blocks."""
     return 4 * -(-m // 4)
-
-
-def steps_per_draw(rows: int, m: int, width: int, levels: int) -> int:
-    """Steps per chunk of a stepper on ``rows`` streams and ``levels`` truncation levels
-    of total width ``width``: as many as fit DRAW_BUDGET words with the chunk's raw
-    increments, its two (steps, width) tables, its (steps + 1, rows, width) states and
-    (steps, rows, width) kicks, and its (steps + 1, 3, levels, rows) ledger terms and
-    (steps + 1, levels, rows) h1 norms; at least one."""
-    ledger, state = 4 * levels * rows, rows * width
-    return max(1, (DRAW_BUDGET - ledger - state)
-               // (rows * words_per_step(m) + 2 * width + ledger + 2 * state))
 
 
 class NoiseStream:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from movingheat import make_domain, noise
+from movingheat import integrator, make_domain
 from movingheat.basis import flat_coupling
 from movingheat.domain import DomainMotion
 
@@ -24,10 +24,10 @@ def lin_domain():
 
 @pytest.fixture(params=[1, None], ids=["budget=1", "budget=default"])
 def draw_budget(request, monkeypatch):
-    """Steps in chunks of one step (``noise.DRAW_BUDGET`` = 1 word) and at the default
+    """Steps in chunks of one step (``integrator.DRAW_BUDGET`` = 1 word) and at the default
     budget; a test parametrizes ``draw_budget`` indirectly for other budgets."""
     if request.param is not None:
-        monkeypatch.setattr(noise, "DRAW_BUDGET", request.param)
+        monkeypatch.setattr(integrator, "DRAW_BUDGET", request.param)
 
 
 @pytest.fixture

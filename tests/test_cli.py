@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from movingheat import basis, cli, integrator, noise
+from movingheat import basis, cli, integrator, noise, oracle
 from movingheat.cli import main, write_csv
 
 STOCHASTIC_CFG = """
@@ -196,7 +196,8 @@ class TestOracleCompare:
         ("0", "--fd-dt must be positive, got 0.0"),
         ("-1e-3", "--fd-dt must be positive, got -0.001"),
         ("nan", "--fd-dt must be positive, got nan"),
-        ("5e-324", "--fd-dt 5e-324 is too small: the save stride overflows"),
+        ("5e-324", "--fd-dt 5e-324 must divide t_end and the save interval: the "
+                   "finite-difference grid must hold every spectral save time"),
     ])
     def test_bad_fd_dt_is_one(self, tmp_path, capfd, fd_dt, message):
         cfg = tmp_path / "det.cfg"
@@ -207,20 +208,39 @@ class TestOracleCompare:
         assert capfd.readouterr().err == f"error: {message}\n"
         assert not (out / "oracle.csv").exists()
 
+    def test_stride_past_t_end_saves_t_end(self, tmp_path):
+        # the saves are t = 0 and t_end = 4 FD steps, although 130 dt is 5.2 FD steps
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(DETERMINISTIC_CFG.replace("snapshot_stride = 50", "snapshot_stride = 130"),
+                       encoding="utf-8")
+        out = tmp_path / "oc"
+        assert run("oracle-compare", "--config", cfg, "--out", out, "--fd-m", 32,
+                   "--fd-dt", 0.025) == 0
+        lines = (out / "oracle.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["t", "0.0", "0.1"]
+
     def test_rejects_noise(self, tmp_path, cfg_path, capsys):
         assert run("oracle-compare", "--config", cfg_path, "--out", tmp_path / "x") == 1
         assert "deterministic-only" in capsys.readouterr().err
 
-    def test_misaligned_fd_grid_is_one(self, tmp_path, capsys):
-        # FD stride round(0.05 / dt_fd) = 123 saves t = 123 dt_fd, not the spectral t = 0.05
+    # the save interval 0.05 is 123.4 FD steps; t_end 0.12 is 4.8 FD steps, the interval 2
+    @pytest.mark.parametrize("t_end,fd_dt", [(0.5, 0.5 / 1234), (0.12, 0.025)],
+                             ids=["save-interval", "t_end"])
+    def test_misaligned_fd_grid_is_one(self, monkeypatch, tmp_path, capsys, t_end, fd_dt):
+        # the FD grid would miss a spectral save time: exit 1 before either solve runs
+        solves = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: solves.append("spectral"))
+        monkeypatch.setattr(oracle, "fd_solve", lambda *args, **kw: solves.append("fd"))
         cfg = tmp_path / "det.cfg"
-        cfg.write_text(DETERMINISTIC_CFG.replace("t_end = 0.1", "t_end = 0.5"), encoding="utf-8")
+        cfg.write_text(DETERMINISTIC_CFG.replace("t_end = 0.1", f"t_end = {t_end}"),
+                       encoding="utf-8")
         out = tmp_path / "oc"
         assert run("oracle-compare", "--config", cfg, "--out", out, "--fd-m", 128,
-                   "--fd-dt", repr(0.5 / 1234)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "finite-difference" in err
+                   "--fd-dt", repr(fd_dt)) == 1
+        assert capsys.readouterr().err == (
+            f"error: --fd-dt {fd_dt!r} must divide t_end and the save interval: the "
+            "finite-difference grid must hold every spectral save time\n")
+        assert solves == []
         assert not (out / "oracle.csv").exists()
 
 

@@ -22,7 +22,7 @@ from movingheat import (
     simulate_ensemble,
     zero_model,
 )
-from movingheat import basis, diagnostics, integrator, noise
+from movingheat import basis, diagnostics, integrator
 from movingheat.diagnostics import mean_and_se
 from movingheat.errors import ConfigError
 
@@ -243,7 +243,7 @@ class TestSelfConvergence:
         if block_rows is not None:
             monkeypatch.setattr(integrator, "MAX_BLOCK_ROWS", block_rows)
         if budget is not None:
-            monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
+            monkeypatch.setattr(integrator, "DRAW_BUDGET", budget)
         draws, projected = [], []
         draw, project = integrator.draw_increment, basis.project_initial
 
@@ -266,7 +266,7 @@ class TestSelfConvergence:
         blocks = [(7,), (8,), (9,)] if block_rows == 1 else [(7, 8, 9)]
         want = []
         for block in blocks:
-            per_draw = noise.steps_per_draw(len(block), m, sum(ns), len(ns))
+            per_draw = integrator._chunk_steps(len(block), m, sum(ns), len(ns))
             want += [(block, s, min(per_draw, 37 - s)) for s in range(0, 37, per_draw)]
         assert draws == want
         # the whole ledger too: its HS sums are the only sums the distances do not read.  The
@@ -337,11 +337,11 @@ class TestSelfConvergence:
         self_convergence_study(cfg, ModeInitial(1, 1.0, 1.0), [2, 4], 3)
         assert events == [e for s in range(3) for e in ([(s, 0)], "distances", "distances")]
 
-    # 5985 and 2449 words give the 3-row block chunks of 57 and 23 steps: step 112 is the
+    # 5992 and 2456 words give the 3-row block chunks of 57 and 23 steps: step 112 is the
     # 55th of steps 58-114 and the 20th of steps 93-115; seed 24's n=2 and n=4 fail at the
     # last step of the chunk 58-114, and its n=1 at the 7th step of the next chunk
-    @pytest.mark.parametrize("draw_budget", [1, None, 5985, 2449], indirect=True,
-                             ids=["budget=1", "budget=default", "budget=5985", "budget=2449"])
+    @pytest.mark.parametrize("draw_budget", [1, None, 5992, 2456], indirect=True,
+                             ids=["budget=1", "budget=default", "budget=5992", "budget=2456"])
     @pytest.mark.parametrize("seed,step", [(2, 112), (24, 121)])
     @pytest.mark.parametrize("block_rows", [None, 1])
     def test_failure_names_lowest_seed_then_lowest_level(self, monkeypatch, unit_domain,

@@ -328,8 +328,8 @@ class TestEnsemble:
 
 
 def exact_additive_moments(domain, model, n, dt, steps):
-    """E|u_N|^2, E visc_N and hs_N of exponential_em from u0 = 0 under the additive diagonal
-    ``model``, with no sampling error.
+    """E|u_N|^2, E visc_N, hs_N and the covariance Sigma_N = E[A A^T] of exponential_em from
+    u0 = 0 under the additive diagonal ``model``, with no sampling error.
 
     The coefficients' covariance obeys Sigma_{i+1} = M_i Sigma_i M_i^T + D_i Q D_i dt, with
     M_i = D_i (I + dt b(t_i)^T), D_i = diag e^{lambda_k dt} at a(t_i + dt/2) and
@@ -347,7 +347,7 @@ def exact_additive_moments(domain, model, n, dt, steps):
         decay = np.exp(-((k_pi / a_mid[i]) ** 2) * dt)
         step = decay[:, None] * (np.eye(n) + dt * coupling_matrix(n, times[i], domain).T)
         sigma = step @ sigma @ step.T + np.diag(decay**2 * var * dt)
-    return np.trace(sigma), visc, steps * dt * var.sum()
+    return np.trace(sigma), visc, steps * dt * var.sum(), sigma
 
 
 @pytest.mark.parametrize("n, n_paths", [(16, 2000), (64, 1000)])
@@ -359,7 +359,7 @@ def test_ensemble_matches_the_schemes_exact_moments(sin_domain, n, n_paths):
     cfg = SimulationConfig(domain=sin_domain, n=n, model=model, dt=1e-3, t_end=0.25, seed=7,
                            n_paths=n_paths, snapshot_stride=250)
     summ = simulate_ensemble(cfg, CoefficientState(0.0, np.zeros(n)), workers=2)
-    l2, visc, hs = exact_additive_moments(sin_domain, model, n, cfg.dt, cfg.n_steps)
+    l2, visc, hs, _ = exact_additive_moments(sin_domain, model, n, cfg.dt, cfg.n_steps)
     for values, exact in ((summ.final_l2_sq, l2), (summ.final_visc, visc)):
         se = np.std(values, ddof=1) / np.sqrt(n_paths)
         assert abs(np.mean(values) - exact) <= 4.0 * se
@@ -367,14 +367,46 @@ def test_ensemble_matches_the_schemes_exact_moments(sin_domain, n, n_paths):
     np.testing.assert_allclose(summ.final_hs, hs, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("domain", ["linear", "constant"])
+def test_additive_noise_couples_the_modes(lin_domain, unit_domain, domain):
+    # The moving basis couples the modes even under additive noise: from u0 = 0 the final
+    # second moments E[A_j A_k] of 4000 paths (seed 0) match the scheme's exact covariance
+    # Sigma entry by entry.  Over seeds 0..23 the largest |z| of the 36 entries was
+    # 1.88-4.51 on a = 1 + t and 1.49-4.02 on the static domain; the bound is 5.5.  On
+    # a = 1 + t, Sigma's largest off-diagonal correlation, 0.133, is 8.4 standard errors, so
+    # a stepper without the coupling drift misses that entry by more than the bound (by
+    # 6.1-11.3 over the same seeds).  On the static domain Sigma is exactly diagonal
+    n, n_paths, z_bound = 8, 4000, 5.5
+    dom = {"linear": lin_domain, "constant": unit_domain}[domain]
+    model = moving_diagonal(gamma=0.5, beta=0.0, decay_p=1.0, m=n)
+    cfg = SimulationConfig(domain=dom, n=n, model=model, dt=1e-3, t_end=0.5,
+                           snapshot_stride=500)
+    rows, block, finals = [(0, p) for p in range(n_paths)], integrator.MAX_BLOCK_ROWS, []
+    for lo in range(0, n_paths, block):
+        *_, [(_, coeffs)], _ = integrator._step_paths([cfg], [np.zeros(n)], rows[lo:lo + block],
+                                                      keep_coeffs=True)
+        finals.append(coeffs[:, -1])
+    finals = np.concatenate(finals)
+    *_, sigma = exact_additive_moments(dom, model, n, cfg.dt, cfg.n_steps)
+    products = finals[:, :, None] * finals[:, None, :]
+    se = np.std(products, axis=0, ddof=1) / np.sqrt(n_paths)
+    assert np.max(np.abs(np.mean(products, axis=0) - sigma) / se) <= z_bound
+    corr = sigma / np.sqrt(np.outer(np.diag(sigma), np.diag(sigma)))
+    off_diagonal = np.max(np.abs(corr - np.diag(np.diag(corr))))
+    if domain == "linear":
+        assert off_diagonal * np.sqrt(n_paths) >= z_bound + 2.0
+    else:
+        assert np.array_equal(sigma, np.diag(np.diag(sigma)))
+
+
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
 @pytest.mark.parametrize("scheme", ["exponential_em", "explicit_em"])
 def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
-    # m = 5 is odd; a budget of one word draws one step at a time, 450 words 5 steps at a
-    # time with a short last draw of 2, the default budget and 1e9 every step at once.  A
+    # m = 5 is odd; a budget of one word draws one step at a time, 450 words 4 steps at a
+    # time with a short last draw of 1, the default budget and 1e9 every step at once.  A
     # step takes 84 words: 3 rows x 8 of increments, 2 x 6 of tables, 3 x 4 of ledger terms
-    # and h1 norms, and 2 x 3 x 6 of states and kicks; the ledger's running sums, the h1
-    # norms and the states of the chunk's start 30 more
+    # and h1 norms, and 2 x 3 x 6 of states and kicks; the chunk's start 36 more: its ledger
+    # terms and h1 norms (3 x 4), its states (3 x 6) and its H1 weights (6)
     models = {
         "moving_diagonal": moving_diagonal(gamma=0.4, beta=0.3, decay_p=1.0, m=5),
         "general_matrix": general_matrix(
@@ -398,14 +430,14 @@ def test_draw_chunking_changes_no_bit(monkeypatch, sin_domain, scheme, kind):
     monkeypatch.setattr(integrator, "draw_increment", draw_spy)
     monkeypatch.setattr(noise.NoiseStream, "generator_at", generator_spy)
     outputs = set()
-    for budget in (1, 450, noise.DRAW_BUDGET, 10**9):
-        monkeypatch.setattr(noise, "DRAW_BUDGET", budget)
+    for budget in (1, 450, integrator.DRAW_BUDGET, 10**9):
+        monkeypatch.setattr(integrator, "DRAW_BUDGET", budget)
         draws.clear()
         positioned.clear()
         *_, [(series, coeffs)], _ = integrator._step_paths([cfg], [a0], [(3, 2), (3, 0), (3, 1)],
                                                            keep_coeffs=True)
         outputs.add((series.tobytes(), coeffs.tobytes()))
-        per_draw = min(max(1, (budget - 30) // 84), 37)
+        per_draw = min(max(1, (budget - 36) // 84), 37)
         starts = list(range(0, 37, per_draw))
         assert draws == [(s, min(per_draw, 37 - s)) for s in starts]
         assert positioned == [2, 0, 1]
@@ -441,8 +473,8 @@ def reference_loop(cfg, a0):
     return [np.array(series) for series in zip(*out)]
 
 
-# one step per chunk; chunks of 3 steps, (118 - 4 - 6) // (8 + 2 x 6 + 4 + 2 x 6) words, and
-# a short last chunk of 1; every step in one chunk
+# one step per chunk; chunks of 2 steps, (118 - 4 - 6 - 6) // (8 + 2 x 6 + 4 + 2 x 6) words,
+# and a short last chunk of 1; every step in one chunk
 @pytest.mark.parametrize("draw_budget", [1, 118, None], indirect=True,
                          ids=["budget=1", "budget=118", "budget=default"])
 @pytest.mark.parametrize("kind", ["moving_diagonal", "general_matrix"])
@@ -560,13 +592,13 @@ def overflowing_config(domain):
                             dt=1e-3, t_end=0.2, n_paths=4)
 
 
-# 4262 and 2162 words put the failing step 102 first (chunks of 101 steps) and last (51)
+# 4263 and 2163 words put the failing step 102 first (chunks of 101 steps) and last (51)
 # in a chunk of the one 4-row block at 1 worker; the 2-row blocks at 2 workers then step 193
 # and 97 at a time
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("draw_budget", [1, None, 4262, 2162], indirect=True,
-                         ids=["budget=1", "budget=default", "budget=4262", "budget=2162"])
+@pytest.mark.parametrize("draw_budget", [1, None, 4263, 2163], indirect=True,
+                         ids=["budget=1", "budget=default", "budget=4263", "budget=2163"])
 def test_numerical_failure_names_the_path(unit_domain, workers, draw_budget):
     with pytest.raises(NumericalError,
                        match=r"^path 0, step 102: non-finite energy ledger at t=0\.102$"):
@@ -574,12 +606,12 @@ def test_numerical_failure_names_the_path(unit_domain, workers, draw_budget):
                           workers=workers)
 
 
-# 2078 and 1406 words put path 1's failing step 99 first (chunks of 49 steps) and last (33)
+# 2079 and 1407 words put path 1's failing step 99 first (chunks of 49 steps) and last (33)
 # in a chunk of the one 4-row block at 1 worker
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("draw_budget", [1, None, 2078, 1406], indirect=True,
-                         ids=["budget=1", "budget=default", "budget=2078", "budget=1406"])
+@pytest.mark.parametrize("draw_budget", [1, None, 2079, 1407], indirect=True,
+                         ids=["budget=1", "budget=default", "budget=2079", "budget=1407"])
 def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers, draw_budget):
     # seed 9: paths 0 and 3 reach t_end, path 2 fails at step 96 and path 1 at step 99;
     # at 1 worker the one block must step past path 2's failure and report path 1
@@ -595,11 +627,11 @@ def test_failure_of_a_later_path_when_path_0_survives(unit_domain, workers, draw
     simulate(cfg, ModeInitial(1, 1.0, 1.0), path_index=3)
 
 
-# 1648 and 864 words put step 30 first (chunks of 29 steps) and last (15) in a chunk of the
+# 1652 and 868 words put step 30 first (chunks of 29 steps) and last (15) in a chunk of the
 # 3-row block; the default budget steps all 60 at once
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("draw_budget", [1, None, 1648, 864], indirect=True,
-                         ids=["budget=1", "budget=default", "budget=1648", "budget=864"])
+@pytest.mark.parametrize("draw_budget", [1, None, 1652, 868], indirect=True,
+                         ids=["budget=1", "budget=default", "budget=1652", "budget=868"])
 def test_coefficient_failure_names_its_own_step(monkeypatch, sin_domain, draw_budget):
     # a drift that turns path 1's coefficients infinite on step 30 of 60: they fail there,
     # one step before the ledger, wherever the step falls in its chunk.  The domain moves:
